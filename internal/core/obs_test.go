@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,6 +159,67 @@ func TestPortfolioEventStreamAndMetrics(t *testing.T) {
 	if proposed == 0 {
 		t.Fatal("no proposed-operator counts recorded")
 	}
+}
+
+// TestProfileOpTableMatchesMetrics: the profile's operator table and the
+// core.ops.proposed/applied counters describe the same applications. A
+// candidate that fails, returns its input (µ when nothing coalesces) or
+// leaves the state's key unchanged is proposed but not applied in both. The
+// Flights restructuring proposes many merges that coalesce nothing, so the
+// two would disagree there if the trace event marked them as applied.
+func TestProfileOpTableMatchesMetrics(t *testing.T) {
+	src, tgt, err := datagen.FlightsScaled(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := obs.NewProfile()
+	reg := obs.NewRegistry()
+	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Heuristic: heuristic.H1, Workers: 1, Tracer: prof, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var report strings.Builder
+	if err := prof.WriteReport(&report); err != nil {
+		t.Fatal(err)
+	}
+	table := profileOpTable(t, report.String())
+	for _, k := range opKindNames {
+		proposed := reg.Counter(obs.Name("core.ops.proposed", "op", k)).Value()
+		applied := reg.Counter(obs.Name("core.ops.applied", "op", k)).Value()
+		if got := table[k]; got != [2]int64{proposed, applied} {
+			t.Errorf("%s: profile proposed/applied = %d/%d, core.ops = %d/%d", k, got[0], got[1], proposed, applied)
+		}
+	}
+	if m := table["merge"]; m[1] == 0 || m[1] == m[0] {
+		t.Fatalf("merge proposed/applied = %d/%d: the run should apply some merges and reject others", m[0], m[1])
+	}
+}
+
+// profileOpTable parses the operator table of a Profile text report into
+// kind → {proposed, applied}.
+func profileOpTable(t *testing.T, report string) map[string][2]int64 {
+	t.Helper()
+	out := make(map[string][2]int64)
+	lines := strings.Split(report, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "operator ") {
+			continue
+		}
+		for _, row := range lines[i+1:] {
+			f := strings.Fields(row)
+			if len(f) != 5 {
+				break
+			}
+			proposed, err1 := strconv.ParseInt(f[1], 10, 64)
+			applied, err2 := strconv.ParseInt(f[2], 10, 64)
+			if err1 != nil || err2 != nil {
+				break
+			}
+			out[f[0]] = [2]int64{proposed, applied}
+		}
+		return out
+	}
+	t.Fatalf("report has no operator table:\n%s", report)
+	return nil
 }
 
 // TestLatencyHistogramsRecorded is the acceptance check for the profiling

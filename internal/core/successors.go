@@ -231,9 +231,9 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	}
 	moves := make([]search.Move, 0, len(ops))
 	for i, ns := range states {
-		if ns == nil || ns.key == s.Key() {
-			// nil: the candidate failed its own preconditions — not an
-			// error, just not a successor. Equal key: no-op transformation.
+		if ns == nil {
+			// The candidate failed its own preconditions or left the state
+			// unchanged: not an error, just not a successor.
 			p.met.count(ops[i], false)
 			continue
 		}
@@ -313,16 +313,19 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 const minParallelOps = 8
 
 // applyAll applies every candidate operator to db and returns the resulting
-// states positionally — nil where the operator was inapplicable — so the
-// caller assembles moves in a deterministic order regardless of worker
-// count. With more than one worker, operators are distributed over a
-// bounded pool through an atomic work-stealing counter, and each worker
-// also pre-warms the heuristic cache with estimates for the states it
-// produced: this is the concurrent successor generation plus concurrent
-// heuristic evaluation of the expansion step. Databases are immutable
-// copy-on-write structures and the Estimator is immutable, so the only
-// shared mutable state is the results slice (disjoint indices) and the
-// cache (concurrency-safe by contract when workers > 1).
+// states positionally — nil where the operator was inapplicable or a no-op —
+// so the caller assembles moves in a deterministic order regardless of
+// worker count. An operator that returns its input database (µ when nothing
+// coalesces) is a no-op without hashing; any other result is a no-op when
+// its key equals the parent's. No-ops skip the heuristic pre-warm. With
+// more than one worker, operators are distributed over a bounded pool
+// through an atomic work-stealing counter, and each worker also pre-warms
+// the heuristic cache with estimates for the states it produced: this is
+// the concurrent successor generation plus concurrent heuristic evaluation
+// of the expansion step. Databases are immutable copy-on-write structures
+// and the Estimator is immutable, so the only shared mutable state is the
+// results slice (disjoint indices) and the cache (concurrency-safe by
+// contract when workers > 1).
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered on
 // the worker that hit it and returned as a *search.PanicError — never
@@ -334,34 +337,39 @@ func (p *mappingProblem) applyAll(parent *dbState, ops []fira.Op) ([]*dbState, e
 	states := make([]*dbState, len(ops))
 	timed := p.met != nil || p.tracer != nil
 	var panicked atomic.Pointer[search.PanicError]
+	successor := func(next *relation.Database, err error) *dbState {
+		if err != nil || next == db {
+			return nil
+		}
+		ns := newState(next)
+		if ns.key == parent.key {
+			return nil
+		}
+		return ns
+	}
 	apply := func(i int) {
 		if p.fault != nil {
 			p.fault(faults.SiteOpApply, ops[i].String())
 		}
+		var ns *dbState
 		if !timed {
+			ns = successor(ops[i].Apply(db, p.reg))
+		} else {
+			start := time.Now()
 			next, err := ops[i].Apply(db, p.reg)
-			if err != nil {
-				return
+			elapsed := time.Since(start)
+			p.met.applyLatency(ops[i], elapsed)
+			ns = successor(next, err)
+			if p.tracer != nil {
+				p.tracer.Event(obs.Event{
+					Kind: obs.EvOpApply, Label: ops[i].String(),
+					Goal: ns != nil, Elapsed: elapsed,
+				})
 			}
-			ns := newState(next)
-			p.prewarm(parent, ns)
-			states[i] = ns
+		}
+		if ns == nil {
 			return
 		}
-		start := time.Now()
-		next, err := ops[i].Apply(db, p.reg)
-		elapsed := time.Since(start)
-		p.met.applyLatency(ops[i], elapsed)
-		if p.tracer != nil {
-			p.tracer.Event(obs.Event{
-				Kind: obs.EvOpApply, Label: ops[i].String(),
-				Goal: err == nil, Elapsed: elapsed,
-			})
-		}
-		if err != nil {
-			return
-		}
-		ns := newState(next)
 		p.prewarm(parent, ns)
 		states[i] = ns
 	}

@@ -1,0 +1,102 @@
+package experiments
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"tupelo/internal/core"
+	"tupelo/internal/datagen"
+	"tupelo/internal/heuristic"
+	"tupelo/internal/lambda"
+	"tupelo/internal/relation"
+	"tupelo/internal/search"
+)
+
+// restructureGolden is the golden record of the restructuring searches:
+// states examined and the mapping text of every discovery in
+// restructureGoldenRuns. It pins the search behaviour of the merge-heavy
+// Fig. 1 restructuring and the λ tasks of Fig. 9, which the exp1 gate
+// (renames and drops only) never exercises: a change to µ, to the TNF
+// fragments or to successor bookkeeping that alters which states the
+// search examines shows here.
+const restructureGolden = "testdata/restructure_golden.txt"
+
+// restructureGoldenRuns renders one block per discovery: a header line
+// with the task, configuration and states examined, then the mapping, one
+// operator per line, indented.
+func restructureGoldenRuns(t *testing.T) string {
+	t.Helper()
+	type task struct {
+		label    string
+		src, tgt *relation.Database
+		corrs    []lambda.Correspondence
+		reg      *lambda.Registry
+	}
+	var tasks []task
+	for _, size := range [][2]int{{2, 2}, {3, 2}, {4, 3}, {6, 4}, {8, 4}} {
+		src, tgt, err := datagen.FlightsScaled(size[0], size[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task{label: fmt.Sprintf("flights %dx%d", size[0], size[1]), src: src, tgt: tgt})
+	}
+	dom := datagen.Inventory()
+	for n := 1; n <= 4; n++ {
+		src, tgt, corrs, err := dom.Task(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task{label: fmt.Sprintf("inventory n=%d", n), src: src, tgt: tgt, corrs: corrs, reg: dom.Registry})
+	}
+	var b strings.Builder
+	for _, tk := range tasks {
+		for _, algo := range BothAlgorithms() {
+			for _, kind := range []heuristic.Kind{heuristic.H1, heuristic.H3, heuristic.Cosine} {
+				res, err := core.Discover(tk.src, tk.tgt, core.Options{
+					Algorithm:       algo,
+					Heuristic:       kind,
+					Registry:        tk.reg,
+					Correspondences: tk.corrs,
+					Limits:          search.Limits{MaxStates: 50000},
+					Workers:         1,
+				})
+				if err != nil {
+					t.Fatalf("%s %s/%s: %v", tk.label, algo, kind, err)
+				}
+				fmt.Fprintf(&b, "%s %s/%s states=%d\n", tk.label, algo, kind, res.Stats.Examined)
+				for _, op := range res.Expr {
+					fmt.Fprintf(&b, "  %s\n", op)
+				}
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestRestructureSearchGolden compares every restructuring discovery with
+// the golden record: the same states examined and the same mapping text.
+func TestRestructureSearchGolden(t *testing.T) {
+	want, err := os.ReadFile(restructureGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restructureGoldenRuns(t)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", restructureGolden, i+1, g, w)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package fira
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -539,22 +540,32 @@ func TestPrettyNotation(t *testing.T) {
 	}
 }
 
+// randomMergeInput is a relation over (K, A, B) with up to nine random
+// tuples drawn from small domains that include the absent value, so merge
+// groups are often, but not always, coalescible.
+func randomMergeInput(rng *rand.Rand) (*relation.Relation, bool) {
+	r := relation.MustNew("R", []string{"K", "A", "B"})
+	for i := 0; i < 2+rng.Intn(8); i++ {
+		row := relation.Tuple{
+			"k" + string(rune('0'+rng.Intn(3))),
+			pick(rng, []string{"", "1", "2"}),
+			pick(rng, []string{"", "x", "y"}),
+		}
+		var err error
+		r, err = r.Insert(row)
+		if err != nil {
+			return nil, false
+		}
+	}
+	return r, true
+}
+
 // Merge must be idempotent: µ_A(µ_A(R)) = µ_A(R).
 func TestPropertyMergeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := relation.MustNew("R", []string{"K", "A", "B"})
-		for i := 0; i < 2+rng.Intn(8); i++ {
-			row := relation.Tuple{
-				"k" + string(rune('0'+rng.Intn(3))),
-				pick(rng, []string{"", "1", "2"}),
-				pick(rng, []string{"", "x", "y"}),
-			}
-			var err error
-			r, err = r.Insert(row)
-			if err != nil {
-				return false
-			}
+		r, ok := randomMergeInput(rand.New(rand.NewSource(seed)))
+		if !ok {
+			return false
 		}
 		db := relation.MustDatabase(r)
 		once, err := Merge{Rel: "R", Attr: "K"}.Apply(db, nil)
@@ -569,6 +580,87 @@ func TestPropertyMergeIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// µ's identity check is exact: Apply returns its input database exactly
+// when the full rebuild equals the input, and otherwise returns a result
+// equal to the rebuild. Every attribute is tried as the merge column,
+// including the absent value as a group key.
+func TestPropertyMergeIdentityExact(t *testing.T) {
+	identities, merges := 0, 0
+	f := func(seed int64) bool {
+		r, ok := randomMergeInput(rand.New(rand.NewSource(seed)))
+		if !ok {
+			return false
+		}
+		db := relation.MustDatabase(r)
+		for j, a := range r.Attrs() {
+			o := Merge{Rel: "R", Attr: a}
+			got, err := o.Apply(db, nil)
+			if err != nil {
+				return false
+			}
+			ref, err := o.rebuild(db, r, j)
+			if err != nil {
+				return false
+			}
+			if ref.Equal(db) {
+				identities++
+				if got != db {
+					return false
+				}
+				continue
+			}
+			merges++
+			if got == db || !got.Equal(ref) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if identities == 0 || merges == 0 {
+		t.Fatalf("generator covered %d identity and %d coalescing merges; want both", identities, merges)
+	}
+}
+
+// BenchmarkMergeIdentity measures a µ that coalesces nothing on a
+// Flights-shaped relation: the 8-route × 4-carrier FlightsB-style Prices
+// relation after ↑ promoted its routes, merged on Carrier. Tuples of one
+// carrier still differ on Route, so no group coalesces — the shape of most
+// merges the restructuring search proposes.
+func BenchmarkMergeIdentity(b *testing.B) {
+	src, err := relation.NewBuilder("Prices", []string{"Carrier", "Route", "Cost", "AgentFee"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < 4; c++ {
+		for r := 0; r < 8; r++ {
+			row := relation.Tuple{fmt.Sprintf("Air%02d", c+1), fmt.Sprintf("RT%02d", r+1),
+				fmt.Sprintf("%d", 100*(c+1)+10*r), fmt.Sprintf("%d", 10+c)}
+			if err := src.Add(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	db, err := Promote{Rel: "Prices", NameAttr: "Route", ValueAttr: "Cost"}.Apply(relation.MustDatabase(src.Relation()), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := Merge{Rel: "Prices", Attr: "Carrier"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := op.Apply(db, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, _ := out.Relation("Prices"); r.Len() != 32 {
+			b.Fatalf("merge coalesced %d tuples", 32-r.Len())
+		}
 	}
 }
 

@@ -23,7 +23,9 @@
 package fira
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -451,7 +453,9 @@ func (o Product) Pretty() string { return fmt.Sprintf("×(%s,%s)", o.Left, o.Rig
 // and are compatible elsewhere — on every other attribute their values are
 // equal or at least one is absent (empty). The coalesced tuple takes the
 // non-absent value at each position. Merging runs to fixpoint and is
-// deterministic (tuples are processed in canonical order).
+// deterministic (tuples are processed in canonical order). When no two
+// tuples of a group are compatible, µ is the identity and Apply returns its
+// input database itself.
 type Merge struct {
 	Rel, Attr string
 }
@@ -466,6 +470,64 @@ func (o Merge) Apply(db *relation.Database, _ *lambda.Registry) (*relation.Datab
 	if j < 0 {
 		return nil, fmt.Errorf("fira: merge: %s has no attribute %q", o.Rel, o.Attr)
 	}
+	if !mergeable(r, j) {
+		return db, nil
+	}
+	return o.rebuild(db, r, j)
+}
+
+// mergeable reports whether µ on column j coalesces anything: whether two
+// tuples that agree on column j are compatible. The check is exact. Tuples
+// are distinct, so a compatible pair differs only where one side is absent
+// and always coalesces, leaving the fixpoint with fewer tuples; without one,
+// every group already is a fixpoint and µ is the identity. It sorts a row
+// permutation by the column-j symbol, which only brings each group
+// together, and compares the pairs within each group on the symbol columns.
+func mergeable(r *relation.Relation, j int) bool {
+	n := r.Len()
+	if n < 2 {
+		return false
+	}
+	key := r.Column(j)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
+	empty := relation.EmptySymbol()
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && key[perm[hi]] == key[perm[lo]] {
+			hi++
+		}
+		for a := lo; a < hi; a++ {
+			for b := a + 1; b < hi; b++ {
+				if compatible(r, perm[a], perm[b], empty) {
+					return true
+				}
+			}
+		}
+		lo = hi
+	}
+	return false
+}
+
+// compatible reports whether rows a and b of r agree at every column or
+// have an absent value where they differ — the condition under which
+// coalesce merges them.
+func compatible(r *relation.Relation, a, b int32, empty relation.Symbol) bool {
+	for c := 0; c < r.Arity(); c++ {
+		col := r.Column(c)
+		if x, y := col[a], col[b]; x != y && x != empty && y != empty {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuild evaluates µ on column j of r by grouping, sorting and coalescing
+// every group to fixpoint, and returns db with r replaced by the result.
+func (o Merge) rebuild(db *relation.Database, r *relation.Relation, j int) (*relation.Database, error) {
 	// Group symbol rows by the merge attribute. Group ordering and the
 	// canonical order within groups both compare decoded strings — symbol
 	// numbering depends on interning order, so sorting symbols directly

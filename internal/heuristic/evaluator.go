@@ -1,7 +1,9 @@
 package heuristic
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,31 +114,31 @@ func New(kind Kind, target *relation.Database, k float64) Evaluator {
 type targetView struct {
 	rel, att, val map[relation.Symbol]bool
 	tTotal        int // |rel| + |att| + |val|, the Jaccard target mass
-	vec           map[relation.Triple]int
-	normSq        int64
-	norm          float64
-	str           string
-	shape         shape
+	// frags holds the target's fragments by relation name: the term vector
+	// is their disjoint union, keyed by the name each triple embeds.
+	frags  map[relation.Symbol]*relation.Fragment
+	normSq int64
+	norm   float64
+	str    string
+	shape  shape
 }
 
 func newTargetView(target *relation.Database) *targetView {
 	tv := &targetView{
-		rel: make(map[relation.Symbol]bool),
-		att: make(map[relation.Symbol]bool),
-		val: make(map[relation.Symbol]bool),
-		vec: make(map[relation.Triple]int),
+		rel:   make(map[relation.Symbol]bool),
+		att:   make(map[relation.Symbol]bool),
+		val:   make(map[relation.Symbol]bool),
+		frags: make(map[relation.Symbol]*relation.Fragment),
 	}
 	for _, r := range target.Relations() {
 		f := r.TNFFragment()
 		tv.rel[f.Rel] = true
-		for s := range f.Atts {
-			tv.att[s] = true
+		tv.frags[f.Rel] = f
+		for _, e := range f.Atts {
+			tv.att[e.Sym] = true
 		}
-		for s := range f.Vals {
-			tv.val[s] = true
-		}
-		for t, c := range f.Vec {
-			tv.vec[t] += c
+		for _, e := range f.Vals {
+			tv.val[e.Sym] = true
 		}
 		// Triple keys are disjoint across relations, so norms add.
 		tv.normSq += f.VecSq
@@ -192,13 +194,15 @@ const (
 	needShape                   // relation/attribute/tuple totals
 )
 
-// agg is the aggregate behind Agg: the state's fragments by relation-name
-// symbol plus the running sums. All counters are integers (multiset
+// agg is the aggregate behind Agg: the state's fragments, one per relation,
+// plus the running sums. All counters are integers (multiset
 // multiplicities and integer-valued dot products/norms), exact in int and
 // int64, which is what makes removal exact and the incremental estimates
 // bit-identical to from-scratch ones.
 type agg struct {
-	frags map[relation.Symbol]*relation.Fragment
+	// frags is a flat slice, so deriving a child is one copy of its
+	// pointers; every consumer sums over it, so its order is irrelevant.
+	frags []*relation.Fragment
 
 	// needSets: h1 = target tokens missing from x; h2 = cross-category
 	// role collisions. Maintained under membership flips.
@@ -215,10 +219,7 @@ func (*agg) isAgg() {}
 
 // hasRel reports whether the state has a relation named s; relation names
 // are unique, so presence in frags is membership in the REL projection.
-func (a *agg) hasRel(s relation.Symbol) bool {
-	_, ok := a.frags[s]
-	return ok
-}
+func (a *agg) hasRel(s relation.Symbol) bool { return containsName(a.frags, s) }
 
 // attCount sums the ATT-projection multiplicity of s over the fragments.
 // Attribute and value tokens overlap across relations, so membership is a
@@ -227,7 +228,7 @@ func (a *agg) hasRel(s relation.Symbol) bool {
 func (a *agg) attCount(s relation.Symbol) int {
 	n := 0
 	for _, f := range a.frags {
-		n += f.Atts[s]
+		n += f.AttCount(s)
 	}
 	return n
 }
@@ -236,21 +237,20 @@ func (a *agg) attCount(s relation.Symbol) int {
 func (a *agg) valCount(s relation.Symbol) int {
 	n := 0
 	for _, f := range a.frags {
-		n += f.Vals[s]
+		n += f.ValCount(s)
 	}
 	return n
 }
 
 // fragDot returns Σ_k f.Vec[k]·t_k — the fragment's exact contribution to
-// the state·target dot product (triple keys never cross fragments).
+// the state·target dot product. Triple keys embed the relation name, so
+// only the target fragment of the same name can share a key with f.
 func fragDot(f *relation.Fragment, tv *targetView) int64 {
-	var s int64
-	for t, c := range f.Vec {
-		if tc, ok := tv.vec[t]; ok {
-			s += int64(c) * int64(tc)
-		}
+	t, ok := tv.frags[f.Rel]
+	if !ok {
+		return 0
 	}
-	return s
+	return f.Dot(t)
 }
 
 // seedAgg builds a state's aggregate from scratch: fragments merged, sums
@@ -259,10 +259,9 @@ func fragDot(f *relation.Fragment, tv *targetView) int64 {
 // implementation the delta path must agree with.
 func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 	rels := x.Relations()
-	a := &agg{frags: make(map[relation.Symbol]*relation.Fragment, len(rels))}
-	for _, r := range rels {
-		f := r.TNFFragment()
-		a.frags[f.Rel] = f
+	a := &agg{frags: make([]*relation.Fragment, len(rels))}
+	for i, r := range rels {
+		a.frags[i] = r.TNFFragment()
 	}
 	if need&needVec != 0 {
 		for _, f := range a.frags {
@@ -307,22 +306,22 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 	}
 	if need&needJac != 0 {
 		a.distinctJ += len(a.frags)
-		for s := range a.frags {
-			if tv.rel[s] {
+		for _, f := range a.frags {
+			if tv.rel[f.Rel] {
 				a.interJ++
 			}
 		}
 		for _, category := range []struct {
-			get func(*relation.Fragment) map[relation.Symbol]int
+			get func(*relation.Fragment) []relation.SymbolCount
 			t   map[relation.Symbol]bool
 		}{
-			{func(f *relation.Fragment) map[relation.Symbol]int { return f.Atts }, tv.att},
-			{func(f *relation.Fragment) map[relation.Symbol]int { return f.Vals }, tv.val},
+			{fragAtts, tv.att},
+			{fragVals, tv.val},
 		} {
 			distinct := make(map[relation.Symbol]bool)
 			for _, f := range a.frags {
-				for s := range category.get(f) {
-					distinct[s] = true
+				for _, e := range category.get(f) {
+					distinct[e.Sym] = true
 				}
 			}
 			a.distinctJ += len(distinct)
@@ -357,10 +356,6 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 	cp := *p
 	a := &cp
-	a.frags = make(map[relation.Symbol]*relation.Fragment, len(p.frags)+len(d.Added))
-	for s, f := range p.frags {
-		a.frags[s] = f
-	}
 	remF := make([]*relation.Fragment, len(d.Removed))
 	for i, r := range d.Removed {
 		remF[i] = r.TNFFragment()
@@ -415,17 +410,18 @@ func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 			a.tuples += f.Tuples
 		}
 	}
-	for _, f := range remF {
-		delete(a.frags, f.Rel)
+	a.frags = make([]*relation.Fragment, 0, len(p.frags)-len(remF)+len(addF))
+	for _, f := range p.frags {
+		if !containsName(remF, f.Rel) {
+			a.frags = append(a.frags, f)
+		}
 	}
-	for _, f := range addF {
-		a.frags[f.Rel] = f
-	}
+	a.frags = append(a.frags, addF...)
 	return a
 }
 
-func fragAtts(f *relation.Fragment) map[relation.Symbol]int { return f.Atts }
-func fragVals(f *relation.Fragment) map[relation.Symbol]int { return f.Vals }
+func fragAtts(f *relation.Fragment) []relation.SymbolCount { return f.Atts }
+func fragVals(f *relation.Fragment) []relation.SymbolCount { return f.Vals }
 
 func containsName(fs []*relation.Fragment, s relation.Symbol) bool {
 	for _, f := range fs {
@@ -439,9 +435,11 @@ func containsName(fs []*relation.Fragment, s relation.Symbol) bool {
 // forEachFlip calls flip(s, ±1) for every token whose set membership in the
 // chosen category changes under the delta. pcount reads the parent's summed
 // multiplicity. The single-replacement case — one relation out, one in, the
-// shape of almost every FIRA move — runs without allocating; multi-fragment
-// deltas (union, partition) accumulate net deltas in a scratch map.
-func forEachFlip(remF, addF []*relation.Fragment, get func(*relation.Fragment) map[relation.Symbol]int, pcount func(relation.Symbol) int, flip func(relation.Symbol, int)) {
+// shape of almost every FIRA move — is one allocation-free merge walk over
+// the two sorted multisets; multi-fragment deltas (union, partition) sort
+// the signed entries of every changed fragment into one scratch slice and
+// sum its runs.
+func forEachFlip(remF, addF []*relation.Fragment, get func(*relation.Fragment) []relation.SymbolCount, pcount func(relation.Symbol) int, flip func(relation.Symbol, int)) {
 	judge := func(s relation.Symbol, delta int) {
 		if delta == 0 {
 			return
@@ -457,28 +455,38 @@ func forEachFlip(remF, addF []*relation.Fragment, get func(*relation.Fragment) m
 	}
 	if len(remF) == 1 && len(addF) == 1 {
 		rm, am := get(remF[0]), get(addF[0])
-		for s, rc := range rm {
-			judge(s, am[s]-rc)
-		}
-		for s, ac := range am {
-			if _, dup := rm[s]; !dup {
-				judge(s, ac)
+		i, k := 0, 0
+		for i < len(rm) || k < len(am) {
+			switch {
+			case k == len(am) || i < len(rm) && rm[i].Sym < am[k].Sym:
+				judge(rm[i].Sym, -int(rm[i].N))
+				i++
+			case i == len(rm) || am[k].Sym < rm[i].Sym:
+				judge(am[k].Sym, int(am[k].N))
+				k++
+			default:
+				judge(rm[i].Sym, int(am[k].N)-int(rm[i].N))
+				i++
+				k++
 			}
 		}
 		return
 	}
-	net := make(map[relation.Symbol]int)
+	var net []relation.SymbolCount
 	for _, f := range remF {
-		for s, c := range get(f) {
-			net[s] -= c
+		for _, e := range get(f) {
+			net = append(net, relation.SymbolCount{Sym: e.Sym, N: -e.N})
 		}
 	}
 	for _, f := range addF {
-		for s, c := range get(f) {
-			net[s] += c
-		}
+		net = append(net, get(f)...)
 	}
-	for s, delta := range net {
+	slices.SortFunc(net, func(a, b relation.SymbolCount) int { return cmp.Compare(a.Sym, b.Sym) })
+	for i := 0; i < len(net); {
+		s, delta := net[i].Sym, 0
+		for ; i < len(net) && net[i].Sym == s; i++ {
+			delta += int(net[i].N)
+		}
 		judge(s, delta)
 	}
 }

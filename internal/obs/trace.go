@@ -41,8 +41,10 @@ const (
 	EvMemberCancel
 	// EvOpApply is one candidate-operator application during a successor
 	// expansion; Label is the operator, Goal reports whether it yielded a
-	// successor, Elapsed the apply duration. Like the cache events it is
-	// high-frequency and omitted from transcripts.
+	// state-changing successor (a move, counted in core.ops.applied; false
+	// when the operator failed or left the state unchanged), Elapsed the
+	// apply duration. Like the cache events it is high-frequency and
+	// omitted from transcripts.
 	EvOpApply
 	// EvPanic is a panic recovered inside a search-owned goroutine — a
 	// portfolio member, a successor-pool worker, or the discovery call

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -11,6 +13,35 @@ import (
 // in the ATT and/or VALUE positions, mirroring tnf.Encode's empty markers.
 type Triple [3]Symbol
 
+// Compare orders triples lexicographically by symbol, the key order of a
+// fragment's Vec. Symbol order is interning order, so it only groups equal
+// keys for lookup and merge walks; nothing derived from it is persisted.
+func (t Triple) Compare(u Triple) int {
+	for i := range t {
+		if t[i] != u[i] {
+			if t[i] < u[i] {
+				return -1
+			}
+			return +1
+		}
+	}
+	return 0
+}
+
+// SymbolCount is one entry of a sorted symbol multiset: a symbol and its
+// multiplicity, always positive.
+type SymbolCount struct {
+	Sym Symbol
+	N   int32
+}
+
+// TripleCount is one entry of a sorted triple multiset: a triple and its
+// multiplicity, always positive.
+type TripleCount struct {
+	Triple Triple
+	N      int32
+}
+
 // Fragment is the per-relation piece of the database's TNF encoding, reduced
 // to the multiset counters the heuristics consume: the projection multisets
 // of the ATT and VALUE columns and the term-vector triple counts. A
@@ -19,11 +50,14 @@ type Triple [3]Symbol
 // parent's merge minus the old fragment plus the new one — the delta-merge
 // the incremental heuristic evaluators exploit.
 //
-// All counts are multiset multiplicities (never approximations), so
-// subtracting a fragment exactly undoes adding it. Triple keys embed the
-// relation name, so the Vec maps of fragments of differently named relations
-// are disjoint; Atts and Vals may overlap across fragments and must be
-// summed before set-membership questions are asked.
+// Each multiset is a flat slice sorted by strictly increasing key, so a
+// point lookup is a binary search and two fragments' multisets compare in
+// one merge walk. All counts are multiset multiplicities (never
+// approximations), so subtracting a fragment exactly undoes adding it.
+// Triple keys embed the relation name, so the Vec entries of fragments of
+// differently named relations are disjoint; Atts and Vals may overlap
+// across fragments and must be summed before set-membership questions are
+// asked.
 //
 // A Fragment is immutable after construction and shared freely (always by
 // pointer: the lazy Parts memo embeds a sync.Once).
@@ -40,11 +74,11 @@ type Fragment struct {
 	RowCount int
 	// Atts and Vals are the ATT and VALUE column multisets, excluding the
 	// empty markers of schema-only rows and empty cells, matching
-	// tnf.Table.AttSet/ValueSet.
-	Atts, Vals map[Symbol]int
+	// tnf.Table.AttSet/ValueSet. Sorted by symbol.
+	Atts, Vals []SymbolCount
 	// Vec counts each (REL, ATT, VALUE) triple, schema-only rows included,
-	// matching the term vector over tnf.Table.Triples.
-	Vec map[Triple]int
+	// matching the term vector over tnf.Table.Triples. Sorted by triple.
+	Vec []TripleCount
 	// VecSq is Σ c² over Vec — the fragment's exact contribution to the
 	// squared Euclidean norm of the database's term vector (triple keys are
 	// disjoint across relations, so norms add per fragment).
@@ -55,6 +89,53 @@ type Fragment struct {
 	// stays in symbol space, so the strings are never built for it.
 	partsOnce sync.Once
 	parts     []string
+}
+
+// AttCount returns the multiplicity of s in the ATT projection.
+func (f *Fragment) AttCount(s Symbol) int { return countOf(f.Atts, s) }
+
+// ValCount returns the multiplicity of s in the VALUE projection.
+func (f *Fragment) ValCount(s Symbol) int { return countOf(f.Vals, s) }
+
+// countOf binary-searches a sorted symbol multiset for s's multiplicity.
+func countOf(xs []SymbolCount, s Symbol) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if xs[m].Sym < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(xs) && xs[lo].Sym == s {
+		return int(xs[lo].N)
+	}
+	return 0
+}
+
+// Dot returns the term-vector dot product Σ f.Vec[k]·g.Vec[k]: one merge
+// walk over the two sorted triple multisets. Fragments of differently
+// named relations share no triple, so their product is 0.
+func (f *Fragment) Dot(g *Fragment) int64 {
+	if f.Rel != g.Rel {
+		return 0
+	}
+	var s int64
+	i, k := 0, 0
+	for i < len(f.Vec) && k < len(g.Vec) {
+		switch c := f.Vec[i].Triple.Compare(g.Vec[k].Triple); {
+		case c < 0:
+			i++
+		case c > 0:
+			k++
+		default:
+			s += int64(f.Vec[i].N) * int64(g.Vec[k].N)
+			i++
+			k++
+		}
+	}
+	return s
 }
 
 // Parts returns the REL⊙ATT⊙VALUE strings of the fragment's TNF rows in
@@ -69,9 +150,9 @@ func (f *Fragment) Parts() []string {
 	f.partsOnce.Do(func() {
 		strs := strsSnapshot()
 		out := make([]string, 0, f.RowCount)
-		for t, c := range f.Vec {
-			s := strs[t[0]] + strs[t[1]] + strs[t[2]]
-			for ; c > 0; c-- {
+		for _, e := range f.Vec {
+			s := strs[e.Triple[0]] + strs[e.Triple[1]] + strs[e.Triple[2]]
+			for c := e.N; c > 0; c-- {
 				out = append(out, s)
 			}
 		}
@@ -97,50 +178,94 @@ func (r *Relation) TNFFragment() *Fragment {
 // reproducing the exact row semantics of tnf.Encode: zero-arity relations
 // contribute a single (rel, ε, ε) row, empty relations one (rel, att, ε)
 // row per attribute, and populated relations one (rel, att, value) row per
-// (tuple, attribute) pair. The column-major walk touches each int32 cell
-// once and builds no strings.
+// (tuple, attribute) pair. It touches each int32 cell a constant number of
+// times, builds no strings, and gives each of Atts, Vec and Vals one
+// allocation of exactly its final length.
 func (r *Relation) computeFragment() *Fragment {
-	// Presize by the TNF row count: distinct triples (and values) are bounded
-	// by the rows contributed, and the relations of the paper's instances are
-	// small, so the bound lands within one map growth step of the final size.
-	cells := r.nrows * len(r.attrs)
-	f := &Fragment{
-		Rel:    r.nameSym,
-		Arity:  len(r.attrs),
-		Tuples: r.nrows,
-		Atts:   make(map[Symbol]int, len(r.attrs)),
-		Vals:   make(map[Symbol]int, cells),
-		Vec:    make(map[Triple]int, max(cells, len(r.attrs))),
-	}
-	switch {
-	case len(r.attrs) == 0:
+	arity := len(r.attrs)
+	f := &Fragment{Rel: r.nameSym, Arity: arity, Tuples: r.nrows}
+	if arity == 0 {
 		f.RowCount = 1
-		f.Vec[Triple{r.nameSym, emptySym, emptySym}] = 1
-	case r.nrows == 0:
-		f.RowCount = len(r.attrs)
-		for j := range r.attrs {
-			f.Atts[r.attrSyms[j]]++
-			f.Vec[Triple{r.nameSym, r.attrSyms[j], emptySym}]++
+		f.Vec = []TripleCount{{Triple{r.nameSym, emptySym, emptySym}, 1}}
+		f.VecSq = 1
+		return f
+	}
+	// Atts: attribute names are unique, so each column owns one entry. The
+	// entries carry their column index in N until the sort has put them in
+	// symbol order, which is also the column order of Vec's keys.
+	f.Atts = make([]SymbolCount, arity)
+	for j, a := range r.attrSyms {
+		f.Atts[j] = SymbolCount{a, int32(j)}
+	}
+	slices.SortFunc(f.Atts, func(a, b SymbolCount) int { return cmp.Compare(a.Sym, b.Sym) })
+	if r.nrows == 0 {
+		f.RowCount = arity
+		f.Vec = make([]TripleCount, arity)
+		for k := range f.Atts {
+			f.Atts[k].N = 1
+			f.Vec[k] = TripleCount{Triple{r.nameSym, f.Atts[k].Sym, emptySym}, 1}
 		}
-	default:
-		f.RowCount = r.nrows * len(r.attrs)
-		for j, col := range r.cols {
-			a := r.attrSyms[j]
-			// Attribute names are unique, so this column owns its Atts key:
-			// one store instead of nrows increments.
-			f.Atts[a] += r.nrows
-			for _, v := range col {
-				if v != emptySym {
-					f.Vals[v]++
-				}
-				f.Vec[Triple{r.nameSym, a, v}]++
-			}
+		f.VecSq = int64(arity)
+		return f
+	}
+	f.RowCount = r.nrows * arity
+	// scratch holds every column, in attribute-symbol order, each sorted:
+	// the runs of a column segment are Vec's entries for that attribute.
+	scratch := make([]Symbol, f.RowCount)
+	nvec := 0
+	for k := range f.Atts {
+		seg := scratch[k*r.nrows : (k+1)*r.nrows]
+		copy(seg, r.cols[f.Atts[k].N])
+		slices.Sort(seg)
+		nvec += runs(seg)
+		f.Atts[k].N = int32(r.nrows)
+	}
+	f.Vec = make([]TripleCount, 0, nvec)
+	for k, a := range f.Atts {
+		seg := scratch[k*r.nrows : (k+1)*r.nrows]
+		for i := 0; i < len(seg); {
+			n := runLen(seg, i)
+			f.Vec = append(f.Vec, TripleCount{Triple{r.nameSym, a.Sym, seg[i]}, int32(n)})
+			f.VecSq += int64(n) * int64(n)
+			i += n
 		}
 	}
-	for _, c := range f.Vec {
-		f.VecSq += int64(c) * int64(c)
+	// Vals: the non-empty cells of every column, compacted in place and
+	// sorted as one multiset.
+	vals := scratch[:0]
+	for _, v := range scratch {
+		if v != emptySym {
+			vals = append(vals, v)
+		}
+	}
+	slices.Sort(vals)
+	f.Vals = make([]SymbolCount, 0, runs(vals))
+	for i := 0; i < len(vals); {
+		n := runLen(vals, i)
+		f.Vals = append(f.Vals, SymbolCount{vals[i], int32(n)})
+		i += n
 	}
 	return f
+}
+
+// runs counts the runs of equal symbols in a sorted slice.
+func runs(s []Symbol) int {
+	n := 0
+	for i := range s {
+		if i == 0 || s[i] != s[i-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// runLen returns the length of the run of equal symbols starting at s[i].
+func runLen(s []Symbol, i int) int {
+	n := 1
+	for i+n < len(s) && s[i+n] == s[i] {
+		n++
+	}
+	return n
 }
 
 // emptySym is the interned empty string, the ATT/VALUE marker of

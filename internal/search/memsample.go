@@ -38,18 +38,23 @@ var heapSampler struct {
 }
 
 // heapLiveBytes returns the current live-heap size, at most heapSampleTTL
-// stale. The first call in a process always samples fresh, so a hopeless
-// budget still aborts at the very first checked state.
+// stale. Until the first sample in a process completes, every caller waits
+// for it, so a hopeless budget aborts at the very first checked state of
+// every concurrent search.
 func heapLiveBytes() uint64 {
-	if s := heapSampler.stamp.Load(); s != 0 && time.Now().UnixNano()-s < int64(heapSampleTTL) {
+	stamp := heapSampler.stamp.Load()
+	if stamp != 0 && time.Now().UnixNano()-stamp < int64(heapSampleTTL) {
 		return heapSampler.bytes.Load()
 	}
-	if !heapSampler.refresh.TryLock() {
+	if stamp == 0 {
+		// The cached value is a placeholder 0 that passes any budget; a
+		// portfolio member that read it could finish a short search before
+		// its next check.
+		heapSampler.refresh.Lock()
+	} else if !heapSampler.refresh.TryLock() {
 		// Someone else is refreshing right now; their result lands within
 		// microseconds, and the budget check tolerates wallCheckInterval
-		// states of slack anyway. One caveat: before the very first sample
-		// completes, the cached value is 0, which can only defer (never
-		// spuriously trigger) an abort by one check interval.
+		// states of slack anyway.
 		return heapSampler.bytes.Load()
 	}
 	defer heapSampler.refresh.Unlock()

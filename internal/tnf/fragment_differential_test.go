@@ -13,7 +13,9 @@ import (
 // These properties cross-check the columnar TNF fragments — the symbol-space
 // counters the incremental heuristics consume — against this package's
 // string-path encoding, which remains the reference semantics. Every count
-// the fragment carries must be derivable from Encode's rows.
+// the fragment carries must be derivable from Encode's rows, and the flat
+// sorted layout must keep its invariants: strictly increasing keys, positive
+// counts, and binary-search lookups that agree with a linear scan.
 
 // fragmentsOf returns the per-relation fragments of db keyed by relation
 // name.
@@ -25,14 +27,48 @@ func fragmentsOf(db *relation.Database) map[string]*relation.Fragment {
 	return out
 }
 
+// randomSparseDatabase is randomDatabase with absent cells: each value is
+// empty with probability 1/4, so Vals must skip cells that Vec still counts
+// under the empty value.
+func randomSparseDatabase(rng *rand.Rand) *relation.Database {
+	db := randomDatabase(rng)
+	rels := db.Relations()
+	for i, r := range rels {
+		out := relation.MustNew(r.Name(), r.Attrs())
+		for _, row := range r.Rows() {
+			for j := range row {
+				if rng.Intn(4) == 0 {
+					row[j] = ""
+				}
+			}
+			var err error
+			if out, err = out.Insert(row); err != nil {
+				panic(err)
+			}
+		}
+		rels[i] = out
+	}
+	return relation.MustDatabase(rels...)
+}
+
+// checkFragments runs prop over both generators.
+func checkFragments(t *testing.T, prop func(db *relation.Database) bool) {
+	t.Helper()
+	for _, gen := range []func(*rand.Rand) *relation.Database{randomDatabase, randomSparseDatabase} {
+		f := func(seed int64) bool { return prop(gen(rand.New(rand.NewSource(seed)))) }
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPropertyFragmentTriplesMatchEncode: the union of the fragments' Vec
 // multisets must equal the (REL, ATT, VALUE) triple multiset of the string
-// encoding, and each fragment's RowCount and VecSq must agree with it.
+// encoding, and each fragment's RowCount and VecSq (= Σ c²) must agree with
+// it.
 func TestPropertyFragmentTriplesMatchEncode(t *testing.T) {
-	f := func(seed int64) bool {
-		db := randomDatabase(rand.New(rand.NewSource(seed)))
+	checkFragments(t, func(db *relation.Database) bool {
 		tab := Encode(db)
-
 		want := make(map[[3]string]int)
 		rowsPerRel := make(map[string]int)
 		for _, tr := range tab.Triples() {
@@ -46,11 +82,12 @@ func TestPropertyFragmentTriplesMatchEncode(t *testing.T) {
 				return false
 			}
 			var sq int64
-			for tr, c := range frag.Vec {
-				got[[3]string{tr[0].String(), tr[1].String(), tr[2].String()}] += c
-				sq += int64(c) * int64(c)
+			for _, e := range frag.Vec {
+				tr := e.Triple
+				got[[3]string{tr[0].String(), tr[1].String(), tr[2].String()}] += int(e.N)
+				sq += int64(e.N) * int64(e.N)
 			}
-			if sq != frag.VecSq {
+			if sq != frag.VecSq || frag.Dot(frag) != sq {
 				return false
 			}
 		}
@@ -63,20 +100,15 @@ func TestPropertyFragmentTriplesMatchEncode(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestPropertyFragmentSetsMatchEncode: the merged Atts/Vals key sets must
 // equal the encoding's AttSet/ValueSet, and the multiset counts must sum to
 // the number of rows carrying each token.
 func TestPropertyFragmentSetsMatchEncode(t *testing.T) {
-	f := func(seed int64) bool {
-		db := randomDatabase(rand.New(rand.NewSource(seed)))
+	checkFragments(t, func(db *relation.Database) bool {
 		tab := Encode(db)
-
 		attCount := make(map[string]int)
 		valCount := make(map[string]int)
 		for _, r := range tab.Rows {
@@ -91,11 +123,11 @@ func TestPropertyFragmentSetsMatchEncode(t *testing.T) {
 		gotAtt := make(map[string]int)
 		gotVal := make(map[string]int)
 		for _, frag := range fragmentsOf(db) {
-			for s, c := range frag.Atts {
-				gotAtt[s.String()] += c
+			for _, e := range frag.Atts {
+				gotAtt[e.Sym.String()] += int(e.N)
 			}
-			for s, c := range frag.Vals {
-				gotVal[s.String()] += c
+			for _, e := range frag.Vals {
+				gotVal[e.Sym.String()] += int(e.N)
 			}
 		}
 		if len(gotAtt) != len(tab.AttSet()) || len(gotVal) != len(tab.ValueSet()) {
@@ -112,6 +144,77 @@ func TestPropertyFragmentSetsMatchEncode(t *testing.T) {
 			}
 		}
 		return true
+	})
+}
+
+// TestPropertyFragmentSortedInvariants: every multiset of a fragment has
+// strictly increasing keys and positive counts, and the binary-search
+// lookups AttCount/ValCount agree with a linear scan for every token of the
+// database — present in the fragment or not.
+func TestPropertyFragmentSortedInvariants(t *testing.T) {
+	scan := func(xs []relation.SymbolCount, s relation.Symbol) int {
+		for _, e := range xs {
+			if e.Sym == s {
+				return int(e.N)
+			}
+		}
+		return 0
+	}
+	checkFragments(t, func(db *relation.Database) bool {
+		tokens := []relation.Symbol{relation.EmptySymbol(), relation.Intern("no-such-token")}
+		for _, tr := range Encode(db).Triples() {
+			for _, s := range tr {
+				tokens = append(tokens, relation.Intern(s))
+			}
+		}
+		for _, frag := range fragmentsOf(db) {
+			for _, xs := range [][]relation.SymbolCount{frag.Atts, frag.Vals} {
+				for i, e := range xs {
+					if e.N <= 0 || i > 0 && xs[i-1].Sym >= e.Sym {
+						return false
+					}
+				}
+			}
+			for i, e := range frag.Vec {
+				if e.N <= 0 || e.Triple[0] != frag.Rel || i > 0 && frag.Vec[i-1].Triple.Compare(e.Triple) >= 0 {
+					return false
+				}
+			}
+			for _, s := range tokens {
+				if frag.AttCount(s) != scan(frag.Atts, s) || frag.ValCount(s) != scan(frag.Vals, s) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestPropertyFragmentDotMatchesEncode: the merge-walk dot product of two
+// fragments equals the dot product of the encodings' triple counts under
+// the same relation name, and is 0 across differently named relations.
+func TestPropertyFragmentDotMatchesEncode(t *testing.T) {
+	f := func(seedA, seedB int64) bool {
+		a := randomSparseDatabase(rand.New(rand.NewSource(seedA)))
+		b := randomDatabase(rand.New(rand.NewSource(seedB)))
+		countB := make(map[[3]string]int)
+		for _, tr := range Encode(b).Triples() {
+			countB[tr]++
+		}
+		fb := fragmentsOf(b)
+		for _, r := range a.Relations() {
+			var want int64
+			for _, tr := range Encode(relation.MustDatabase(r)).Triples() {
+				want += int64(countB[tr])
+			}
+			for nb, g := range fb {
+				got := r.TNFFragment().Dot(g)
+				if nb == r.Name() && got != want || nb != r.Name() && got != 0 {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -122,16 +225,12 @@ func TestPropertyFragmentSetsMatchEncode(t *testing.T) {
 // lazily decoded Parts in sorted order must reproduce CanonicalString — the
 // exact string the Levenshtein heuristic compares.
 func TestPropertyFragmentPartsMatchCanonicalString(t *testing.T) {
-	f := func(seed int64) bool {
-		db := randomDatabase(rand.New(rand.NewSource(seed)))
+	checkFragments(t, func(db *relation.Database) bool {
 		var parts []string
 		for _, frag := range fragmentsOf(db) {
 			parts = append(parts, frag.Parts()...)
 		}
 		sort.Strings(parts)
 		return strings.Join(parts, "") == Encode(db).CanonicalString()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
