@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
-	"tupelo/internal/faults"
 	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/obs"
@@ -112,40 +109,6 @@ func discoverNormalized(ctx context.Context, source, target *relation.Database, 
 		ctx = obs.NewContext(ctx, hooks)
 	}
 	prob := newProblem(source, target, opts)
-	if opts.ParallelSearch {
-		// The shard fleet is the parallelism: running each shard's
-		// expansions through a successor pool on top of it would
-		// oversubscribe the CPUs, so each shard applies operators inline.
-		// The memo switches to its sharded (locked) mode — Successors is
-		// about to be called from every shard goroutine.
-		prob.workers = 1
-		prob.sharded = true
-	}
-	est := heuristic.New(opts.Heuristic, target, opts.K)
-	cache := opts.Cache
-	if cache == nil {
-		if opts.Workers > 1 {
-			cache = heuristic.NewSyncCache()
-		} else {
-			cache = heuristic.NewMapCache()
-		}
-	}
-	if hooks.Enabled() {
-		// Members of a portfolio that share a cache also share these
-		// instruments: the label depends only on (heuristic, k), so their
-		// counter names coincide in the registry.
-		cache = heuristic.Instrument(cache, opts.Metrics, cacheLabel(opts), opts.Tracer)
-	}
-	var hEval *obs.Histogram
-	if opts.Metrics != nil {
-		hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", cacheLabel(opts)))
-	}
-	prob.est, prob.cache, prob.hEval = est, cache, hEval
-	if !opts.DisableIncremental {
-		if inc, ok := heuristic.AsIncremental(est); ok {
-			prob.inc = inc
-		}
-	}
 	var sp search.Problem = prob
 	if opts.DisableCycleCheck {
 		// Ablation: give every generated state a unique key, defeating the
@@ -153,29 +116,28 @@ func discoverNormalized(ctx context.Context, source, target *relation.Database, 
 		// A*. Only sensible together with a small Limits.MaxStates.
 		sp = &uniqueKeyProblem{inner: prob}
 	}
-	h := cachedEstimator(est, cache, hEval, opts.FaultHook, cacheLabel(opts))
-	var sres *search.Result
-	var serr error
-	if opts.ParallelSearch {
-		// Hash-sharded single search (DESIGN.md §10): Workers shard
-		// goroutines split one frontier instead of racing configurations or
-		// parallelizing within expansions. normalize() restricted the
-		// algorithm to the best-first pair.
-		if opts.Algorithm == search.Greedy {
-			sres, serr = search.ParallelGreedySearch(ctx, sp, h, opts.Limits, opts.Workers)
-		} else {
-			sres, serr = search.ParallelAStar(ctx, sp, h, opts.Limits, opts.Workers)
-		}
-	} else {
-		sres, serr = search.RunContext(ctx, opts.Algorithm, sp, h, opts.Limits)
-	}
+	sres, serr := runSearch(ctx, sp, prob.h, opts)
 	return finish(sres, serr, opts)
 }
 
-// cacheLabel names a run's heuristic cache for metrics: members of a
-// portfolio agreeing on (heuristic, k) produce the same label and therefore
-// aggregate into the same hit/miss counters, mirroring how they share the
-// cache itself.
+// runSearch runs the search algorithm the options select over p.
+func runSearch(ctx context.Context, p search.Problem, h search.Heuristic, opts Options) (*search.Result, error) {
+	if !opts.ParallelSearch {
+		return search.RunContext(ctx, opts.Algorithm, p, h, opts.Limits)
+	}
+	// Hash-sharded single search (DESIGN.md §10): Workers shard goroutines
+	// split one frontier instead of racing configurations or parallelizing
+	// within expansions. normalize() restricted the algorithm to the
+	// best-first pair.
+	if opts.Algorithm == search.Greedy {
+		return search.ParallelGreedySearch(ctx, p, h, opts.Limits, opts.Workers)
+	}
+	return search.ParallelAStar(ctx, p, h, opts.Limits, opts.Workers)
+}
+
+// cacheLabel names a run's heuristic for metrics: members of a portfolio
+// agreeing on (heuristic, k) produce the same label and therefore aggregate
+// into the same estimate lookup counters and evaluation histogram.
 func cacheLabel(opts Options) string {
 	return fmt.Sprintf("%s/k=%g", opts.Heuristic, opts.K)
 }
@@ -192,12 +154,8 @@ func finish(res *search.Result, err error, opts Options) (*Result, error) {
 		}
 		return nil, err
 	}
-	expr, perr := pathExpr(res.Path)
-	if perr != nil {
-		return nil, perr
-	}
 	return &Result{
-		Expr:      expr,
+		Expr:      pathExpr(res.Path),
 		Stats:     res.Stats,
 		Algorithm: opts.Algorithm,
 		Heuristic: opts.Heuristic,
@@ -205,17 +163,14 @@ func finish(res *search.Result, err error, opts Options) (*Result, error) {
 	}, nil
 }
 
-// pathExpr reconstructs the L expression from a move path.
-func pathExpr(path []search.Move) (fira.Expr, error) {
-	labels := make([]string, len(path))
+// pathExpr is the L expression of a move path: the operators its moves
+// carry.
+func pathExpr(path []search.Move) fira.Expr {
+	expr := make(fira.Expr, len(path))
 	for i, m := range path {
-		labels[i] = m.Label
+		expr[i] = m.Op.(fira.Op)
 	}
-	expr, err := fira.Parse(strings.Join(labels, "\n"))
-	if err != nil {
-		return nil, fmt.Errorf("core: internal error reconstructing expression: %v", err)
-	}
-	return expr, nil
+	return expr
 }
 
 // bestEffortResult converts a degradable search failure into a partial
@@ -238,12 +193,8 @@ func bestEffortResult(err error, opts Options) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	expr, perr := pathExpr(serr.Partial.Path)
-	if perr != nil {
-		return nil, false
-	}
 	return &Result{
-		Expr:         expr,
+		Expr:         pathExpr(serr.Partial.Path),
 		Stats:        serr.Stats,
 		Algorithm:    opts.Algorithm,
 		Heuristic:    opts.Heuristic,
@@ -275,40 +226,9 @@ func BranchingFactor(source, target *relation.Database, opts Options) (int, erro
 	return len(moves), nil
 }
 
-// cachedEstimator adapts a heuristic.Evaluator to search.Heuristic through
-// the run's cache, keyed by the compact state key: IDA and RBFS re-examine
-// states across iterations and every estimate re-encodes the whole database
-// into TNF. The successor worker pool pre-warms the same cache, so in the
-// common case this is a pure lookup; a portfolio shares one cache across
-// members with the same (heuristic, k), making their lookups mutual hits.
-// Cache misses — the actual evaluations — are timed into hEval when set,
-// and are a fault-injection site (the hook fires only on misses, mirroring
-// the pre-warm path: an injected heuristic fault fires where the heuristic
-// actually runs).
-func cachedEstimator(est heuristic.Evaluator, cache heuristic.Cache, hEval *obs.Histogram, fault func(faults.Site, string), label string) search.Heuristic {
-	return func(s search.State) int {
-		ds := s.(*dbState)
-		if v, ok := cache.Get(ds.key); ok {
-			return v
-		}
-		if fault != nil {
-			fault(faults.SiteHeuristicEval, label)
-		}
-		if hEval == nil {
-			v := est.Estimate(ds.db)
-			cache.Put(ds.key, v)
-			return v
-		}
-		start := time.Now()
-		v := est.Estimate(ds.db)
-		hEval.Observe(time.Since(start))
-		cache.Put(ds.key, v)
-		return v
-	}
-}
-
 // uniqueKeyProblem wraps a problem so that every state has a distinct key
-// (ablation of the cycle check).
+// (ablation of the cycle check). Forged states sit outside the state table,
+// so each starts with no estimate and no moves of its own.
 type uniqueKeyProblem struct {
 	inner *mappingProblem
 	n     int
@@ -323,12 +243,14 @@ func (p *uniqueKeyProblem) Successors(s search.State) ([]search.Move, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range moves {
-		ds := moves[i].To.(*dbState)
+	// The inner list may be s's memoized moves: forge into a copy.
+	forged := make([]search.Move, len(moves))
+	for i, m := range moves {
 		p.n++
-		moves[i].To = &dbState{db: ds.db, key: fmt.Sprintf("%s#%d", ds.key, p.n)}
+		m.To = &dbState{db: m.To.(*dbState).db, key: fmt.Sprintf("%s#%d", m.To.Key(), p.n)}
+		forged[i] = m
 	}
-	return moves, nil
+	return forged, nil
 }
 
 // Apply executes the discovered expression against a database instance,

@@ -69,7 +69,7 @@ func TestParallelWorkersKeyConsistency(t *testing.T) {
 	for _, m := range par {
 		db := m.To.(*dbState).db
 		if got, want := m.To.Key(), db.Clone().Key(); got != want {
-			t.Fatalf("move %s: memoized key differs from recomputed key", m.Label)
+			t.Fatalf("move %s: memoized key differs from recomputed key", m.Op)
 		}
 	}
 }

@@ -45,7 +45,8 @@ func opKind(op fira.Op) string {
 }
 
 // opMetrics holds the successor generator's pre-resolved instruments:
-// per-operator-kind proposed/applied counters and worker-pool utilization.
+// per-operator-kind proposed/applied counters, worker-pool utilization, and
+// the memo and estimate lookups of the run's state table.
 // All counters are resolved once per problem so the per-expansion cost is a
 // type switch and an atomic increment. Methods on a nil *opMetrics are
 // no-ops, so call sites read unconditionally.
@@ -70,11 +71,19 @@ type opMetrics struct {
 	// the apply histograms saw <1% of expansions.
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
+	// estHits / estMisses count estimate lookups — at successor creation
+	// and in the search loop — and estEntries the estimates published.
+	// They report as heuristic.cache.*, labelled by cacheLabel, the names
+	// the benchmark ledger reads.
+	estHits    *obs.Counter
+	estMisses  *obs.Counter
+	estEntries *obs.Gauge
 }
 
 // newOpMetrics resolves the successor-generation instruments in reg, or
-// returns nil (all methods no-ops) when reg is nil.
-func newOpMetrics(reg *obs.Registry) *opMetrics {
+// returns nil (all methods no-ops) when reg is nil. hLabel labels the
+// estimate lookup instruments.
+func newOpMetrics(reg *obs.Registry, hLabel string) *opMetrics {
 	if reg == nil {
 		return nil
 	}
@@ -88,6 +97,9 @@ func newOpMetrics(reg *obs.Registry) *opMetrics {
 		poolWidth:    reg.Gauge("core.pool.width.max"),
 		memoHits:     reg.Counter("core.succmemo.hits"),
 		memoMisses:   reg.Counter("core.succmemo.misses"),
+		estHits:      reg.Counter(obs.Name("heuristic.cache.hits", "cache", hLabel)),
+		estMisses:    reg.Counter(obs.Name("heuristic.cache.misses", "cache", hLabel)),
+		estEntries:   reg.Gauge(obs.Name("heuristic.cache.entries", "cache", hLabel)),
 	}
 	for _, k := range opKindNames {
 		m.proposed[k] = reg.Counter(obs.Name("core.ops.proposed", "op", k))
@@ -129,6 +141,26 @@ func (m *opMetrics) memo(hit bool) {
 	} else {
 		m.memoMisses.Inc()
 	}
+}
+
+// estimate records one estimate lookup outcome.
+func (m *opMetrics) estimate(hit bool) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.estHits.Inc()
+	} else {
+		m.estMisses.Inc()
+	}
+}
+
+// entry records one published estimate.
+func (m *opMetrics) entry() {
+	if m == nil {
+		return
+	}
+	m.estEntries.Add(1)
 }
 
 // poolExpansion records one expansion's worker-pool shape: width 1 means the

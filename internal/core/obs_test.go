@@ -50,29 +50,6 @@ func TestDerefCandidateCount(t *testing.T) {
 	}
 }
 
-// TestMapCacheAutoWrappedForParallelRun is the end-to-end half of the cache
-// footgun fix: a caller pairing a single-goroutine MapCache with a parallel
-// worker pool used to crash with concurrent map writes (or corrupt under
-// -race); normalization now wraps the cache in a mutex. Run under -race this
-// exercises the wrapped path with real pool traffic.
-func TestMapCacheAutoWrappedForParallelRun(t *testing.T) {
-	src, tgt := datagen.MustMatchingPair(8)
-	cache := heuristic.NewMapCache()
-	res, err := Discover(src, tgt, Options{
-		Workers: 4,
-		Cache:   cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(res.Expr, src, tgt, nil); err != nil {
-		t.Fatalf("mapping does not verify: %v", err)
-	}
-	if cache.Len() == 0 {
-		t.Fatal("wrapped cache never reached the underlying MapCache")
-	}
-}
-
 // TestZeroValuedPortfolioConfigResolved pins satellite rule: a zero-valued
 // PortfolioConfig member resolves through the same sentinel rules as
 // Options (AlgorithmUnset→RBFS, heuristic Unset→cosine, K→published

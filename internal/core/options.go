@@ -48,15 +48,6 @@ type Options struct {
 	// optimal mappings exist. Incompatible with DisableCycleCheck, whose
 	// ablation wrapper mutates unsynchronized per-run state.
 	ParallelSearch bool
-	// Cache memoizes heuristic estimates across state re-examinations.
-	// Nil means a fresh private cache per run. A portfolio run injects a
-	// shared concurrency-safe cache here so members with the same
-	// heuristic don't re-encode the same TNF fingerprints. A cache that
-	// does not declare concurrency safety (heuristic.ConcurrencySafe) is
-	// automatically wrapped in a mutex when Workers > 1, so pairing a
-	// plain MapCache with a parallel pool degrades to locking instead of
-	// racing.
-	Cache heuristic.Cache
 	// Registry resolves λ functions. Nil means lambda.Builtins() when
 	// Correspondences are supplied, and no λ moves otherwise.
 	Registry *lambda.Registry
@@ -99,25 +90,22 @@ type Options struct {
 	// of a race's goroutines have joined.
 	Flight *obs.FlightRecorder
 	// FaultHook, when non-nil, is called at the fault-injection sites of
-	// the discovery hot path: heuristic evaluation (cache misses and
-	// worker-pool pre-warms, labelled with the run's cache label) and
-	// candidate-operator application (labelled with the operator's textual
-	// form). It exists solely for the deterministic fault-injection test
-	// harness (internal/faults) — the hook runs inline on search and worker
-	// goroutines and must not be set in production.
+	// the discovery hot path: heuristic evaluation (every estimate actually
+	// computed, at state creation or on a search-loop miss, labelled with
+	// the run's cache label) and candidate-operator application (labelled
+	// with the operator's textual form). Setting it turns off the move
+	// memo, so every expansion reaches the operator sites. It exists solely
+	// for the deterministic fault-injection test harness (internal/faults)
+	// — the hook runs inline on search and worker goroutines and must not
+	// be set in production.
 	FaultHook func(faults.Site, string)
 }
 
 // DefaultOptions returns the paper's overall best configuration: RBFS with
-// cosine similarity at its published scaling constant. Since the Options
-// zero value now normalizes to the same configuration, this is equivalent
-// to Options{} and kept for readability at call sites.
-func DefaultOptions() Options {
-	return Options{
-		Algorithm: search.RBFS,
-		Heuristic: heuristic.Cosine,
-	}
-}
+// cosine similarity at its published scaling constant. It is Options{},
+// whose unset fields normalize to that configuration (or, under
+// ParallelSearch, to A*), kept for readability at call sites.
+func DefaultOptions() Options { return Options{} }
 
 // defaultMaxStates is the defensive search budget applied when the caller
 // leaves Limits.MaxStates at 0. Mapping discovery on critical instances
@@ -160,13 +148,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Cache != nil && o.Workers > 1 && !heuristic.IsConcurrent(o.Cache) {
-		// The worker pool pre-warms estimates into the cache from several
-		// goroutines; a single-goroutine cache here used to race (fatal
-		// concurrent map writes on a MapCache). Degrade to a mutex-guarded
-		// wrapper instead of crashing or silently corrupting.
-		o.Cache = heuristic.NewLockedCache(o.Cache)
 	}
 	if len(o.Correspondences) > 0 && o.Registry == nil {
 		o.Registry = lambda.Builtins()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,11 +83,11 @@ func TestParallelSuccessorsEquivalent(t *testing.T) {
 		t.Fatalf("move count: sequential %d, parallel %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Label != par[i].Label {
-			t.Fatalf("move %d: label %q (sequential) != %q (parallel)", i, seq[i].Label, par[i].Label)
+		if seq[i].Op.String() != par[i].Op.String() {
+			t.Fatalf("move %d: operator %s (sequential) != %s (parallel)", i, seq[i].Op, par[i].Op)
 		}
 		if seq[i].To.Key() != par[i].To.Key() {
-			t.Fatalf("move %d (%s): resulting states differ", i, seq[i].Label)
+			t.Fatalf("move %d (%s): resulting states differ", i, seq[i].Op)
 		}
 	}
 }
@@ -109,46 +108,5 @@ func TestParallelDiscoverIdentical(t *testing.T) {
 	if par.Stats.Examined != seq.Stats.Examined {
 		t.Errorf("parallel Examined = %d, sequential = %d; worker count must not change the search",
 			par.Stats.Examined, seq.Stats.Examined)
-	}
-}
-
-// countingCache wraps a Cache and counts traffic, for observing sharing.
-type countingCache struct {
-	inner heuristic.Cache
-	puts  atomic.Int64
-	hits  atomic.Int64
-}
-
-func (c *countingCache) Get(key string) (int, bool) {
-	v, ok := c.inner.Get(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
-func (c *countingCache) Put(key string, v int) {
-	c.puts.Add(1)
-	c.inner.Put(key, v)
-}
-
-func TestSharedCacheAvoidsRecomputation(t *testing.T) {
-	src, tgt := datagen.MustMatchingPair(5)
-	cache := &countingCache{inner: heuristic.NewSyncCache()}
-	if _, err := Discover(src, tgt, Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	first := cache.puts.Load()
-	if first == 0 {
-		t.Fatal("first run computed no estimates into the injected cache")
-	}
-	if _, err := Discover(src, tgt, Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if extra := cache.puts.Load() - first; extra != 0 {
-		t.Errorf("second run recomputed %d estimates through a warm shared cache", extra)
-	}
-	if cache.hits.Load() == 0 {
-		t.Error("warm cache was never hit")
 	}
 }

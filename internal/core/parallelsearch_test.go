@@ -81,6 +81,27 @@ func TestParallelSearchNormalization(t *testing.T) {
 	}
 }
 
+// TestParallelSearchDefaultOptions: DefaultOptions() is Options{}, so both
+// spellings resolve an unset algorithm under ParallelSearch to A* and run
+// the identical search.
+func TestParallelSearchDefaultOptions(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(3)
+	zero, err := Discover(src, tgt, Options{ParallelSearch: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.ParallelSearch, opts.Workers = true, 1
+	def, err := Discover(src, tgt, opts)
+	if err != nil {
+		t.Fatalf("DefaultOptions() with ParallelSearch: %v", err)
+	}
+	if def.Expr.String() != zero.Expr.String() || def.Stats != zero.Stats {
+		t.Fatalf("DefaultOptions() found %q with %+v; Options{} found %q with %+v",
+			def.Expr, def.Stats, zero.Expr, zero.Stats)
+	}
+}
+
 // TestParallelSearchShardMetrics: a sharded run populates the per-shard
 // search.shard.* counters and the aggregate search counters.
 func TestParallelSearchShardMetrics(t *testing.T) {
@@ -114,14 +135,20 @@ func TestParallelSearchShardMetrics(t *testing.T) {
 
 // TestMemoCountersAndSampling pins the satellite bugfix: with metrics only
 // (no Tracer) the successor memo stays on, and the new hit/miss counters
-// expose how many expansions the per-op apply metrics actually sampled.
+// expose how many expansions the per-op apply metrics actually sampled. The
+// state table's estimate lookups report under heuristic.cache.*: on a
+// sequential run every miss evaluates once and publishes once.
 func TestMemoCountersAndSampling(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
 	reg := obs.NewRegistry()
 	// IDA* re-expands every shallower state on each deepening iteration, so
 	// revisits — the memo's reason to exist — are structural, not workload
 	// luck.
-	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Metrics: reg}); err != nil {
+	opts, err := Options{Algorithm: search.IDA, Metrics: reg, Workers: 1}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Discover(src, tgt, opts); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -132,6 +159,17 @@ func TestMemoCountersAndSampling(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("no memo hits recorded — IDA deepening should revisit states")
+	}
+	label := cacheLabel(opts)
+	hHits := snap.Counters[obs.Name("heuristic.cache.hits", "cache", label)]
+	hMisses := snap.Counters[obs.Name("heuristic.cache.misses", "cache", label)]
+	entries := snap.Gauges[obs.Name("heuristic.cache.entries", "cache", label)]
+	evals := snap.Histograms[obs.Name("heuristic.eval.seconds", "heuristic", label)].Count
+	if hHits == 0 || hMisses == 0 {
+		t.Fatalf("heuristic.cache hits/misses = %d/%d, want both > 0", hHits, hMisses)
+	}
+	if entries != hMisses || evals != hMisses {
+		t.Fatalf("heuristic.cache misses = %d, entries = %d, evaluations = %d; want all equal", hMisses, entries, evals)
 	}
 }
 

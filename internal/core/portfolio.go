@@ -53,8 +53,8 @@ type PortfolioOptions struct {
 	// Options is the base configuration shared by every member: Limits,
 	// Registry, Correspondences, pruning flags and the total Workers
 	// budget, which is divided evenly among members (each gets at least
-	// one). Algorithm, Heuristic, K and Cache are per-member concerns and
-	// are overridden. Tracer and Metrics are shared by every member —
+	// one). Algorithm, Heuristic and K are per-member concerns and are
+	// overridden. Tracer and Metrics are shared by every member —
 	// tracers are concurrency-safe by contract, so a portfolio race
 	// produces one interleaved event stream with member start/win/lose/
 	// cancel markers delimiting each member's run events. Every member
@@ -122,22 +122,13 @@ type PortfolioResult struct {
 	Runs []PortfolioRun
 }
 
-// cacheKey groups portfolio members that compute identical heuristic
-// values: estimates depend on the heuristic kind and its resolved scaling
-// constant (the target is fixed for the whole portfolio), so members
-// agreeing on both share one concurrency-safe cache and each TNF
-// fingerprint is encoded once for all of them.
-type cacheKey struct {
-	kind heuristic.Kind
-	k    float64
-}
-
 // DiscoverPortfolio races the member configurations over independent
 // copies of the search problem, each on its own goroutine with its own
 // share of the worker budget. The first member to find a verified mapping
 // wins; the rest are cancelled through the shared context and observed
-// until they return, so the per-member stats are complete. Members with
-// the same (heuristic, k) share a heuristic cache.
+// until they return, so the per-member stats are complete. Each member
+// runs with its own state table: members share no estimates, even when
+// they agree on (heuristic, k).
 //
 // If every member fails, the error is the parent context's error when it
 // was cancelled, and otherwise the most informative member error.
@@ -150,7 +141,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		configs = DefaultPortfolio()
 	}
 	base := popts.Options
-	base.Cache = nil
 	tracer := base.Tracer
 	if tracer == nil {
 		tracer = obs.Nop
@@ -171,7 +161,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		cfg  PortfolioConfig
 		opts Options
 	}
-	caches := make(map[cacheKey]heuristic.Cache)
 	buildMember := func(cfg PortfolioConfig) (member, error) {
 		o := base
 		o.Algorithm = cfg.Algorithm
@@ -191,13 +180,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		if err != nil {
 			return member{}, fmt.Errorf("core: portfolio member %s: %w", cfg, err)
 		}
-		key := cacheKey{kind: o.Heuristic, k: o.K}
-		cache := caches[key]
-		if cache == nil {
-			cache = heuristic.NewSyncCache()
-			caches[key] = cache
-		}
-		o.Cache = cache
 		return member{
 			cfg:  PortfolioConfig{Algorithm: o.Algorithm, Heuristic: o.Heuristic, K: o.K},
 			opts: o,

@@ -82,9 +82,9 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPortfolioSharedCache races two members that agree on (heuristic, k),
-// so they share one concurrency-safe cache; run under -race this validates
-// the shared-cache path.
+// TestPortfolioSharedCache races two members that agree on (heuristic, k).
+// Each runs on its own state table, so they share no estimates; run under
+// -race this validates that two same-heuristic members race safely.
 func TestPortfolioSharedCache(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
 	res, err := DiscoverPortfolio(context.Background(), src, tgt, PortfolioOptions{

@@ -56,68 +56,51 @@ type mappingProblem struct {
 	// kept as the reference implementation, cross-checked by tests).
 	goalIx *relation.ContainmentIndex
 
-	// Parallel-expansion machinery. workers bounds the pool that applies
-	// candidate operators; est and cache, when set, let the same pool
-	// pre-warm heuristic estimates so the search loop's h() calls become
-	// cache hits. When workers > 1 the cache must be concurrency-safe.
-	// inc is est's incremental capability view when it has one (and the run
-	// hasn't disabled it): successors are then estimated by delta-merging
-	// the replaced relation's fragment against the parent's aggregate
-	// instead of re-encoding the state.
+	// table holds the run's canonical state for every key: the start state
+	// and every successor are interned here, and the search sees nothing
+	// else. memo enables reading and publishing each state's move list
+	// (dbState.moves); it is off only under a FaultHook, whose injected
+	// faults must fire on every expansion to stay deterministic.
+	//
+	// Sampling semantics: because memoized expansions bypass the operator
+	// pipeline, the per-operator apply metrics (core.op.apply.seconds and
+	// friends) and the EvOpApply trace stream observe only memo misses — in
+	// effect the first expansion of each distinct state. The
+	// core.succmemo.hits/.misses counters and the EvMemoHit/EvMemoMiss
+	// events carry the denominator, so consumers can reconstruct totals (a
+	// profile's "operator table samples misses only" line makes the same
+	// point).
+	table stateTable
+	memo  bool
+
+	// Expansion machinery. workers bounds the pool that applies candidate
+	// operators; est lets the same pool estimate every state it creates, so
+	// the search loop's h() calls are field reads. inc is est's
+	// incremental capability view when it has one (and the run hasn't
+	// disabled it): successors are then estimated by delta-merging the
+	// replaced relation's fragment against the parent's aggregate instead
+	// of re-encoding the state.
 	workers int
 	est     heuristic.Evaluator
 	inc     heuristic.IncrementalEvaluator
-	cache   heuristic.Cache
 
 	// met, when non-nil, records per-operator-kind proposal/application
-	// counts, apply-latency histograms, and worker-pool utilization. Nil
-	// when the run has no metrics registry, keeping the hot path free of
-	// map lookups.
+	// counts, apply-latency histograms, worker-pool utilization, and memo
+	// and estimate lookups. Nil when the run has no metrics registry,
+	// keeping the hot path free of map lookups.
 	met *opMetrics
 	// tracer, when non-nil, receives one EvOpApply event per candidate
-	// operator application, carrying the operator and its apply latency.
+	// operator application, carrying the operator and its apply latency,
+	// plus the memo and estimate lookup events.
 	tracer obs.Tracer
-	// hEval, when non-nil, times heuristic evaluations done while
-	// pre-warming the cache (the search loop's misses are timed by
-	// cachedEstimator into the same histogram).
+	// hEval, when non-nil, times heuristic evaluations.
 	hEval *obs.Histogram
 	// fault, when non-nil, is the test-only fault-injection hook
 	// (Options.FaultHook); hLabel is the label it receives at heuristic
-	// evaluations.
+	// evaluations, and the label of the estimate lookup metrics and events.
 	fault  func(faults.Site, string)
 	hLabel string
-
-	// succMemo caches each expanded state's finished move list by state key.
-	// The tree searches (IDA*'s repeated deepening probes, RBFS's re-descent)
-	// revisit states relentlessly — measured on the paper's exp1 workload,
-	// over 99% of expansions are of a state already expanded in the same run
-	// — and states are immutable, so the move list of a revisited state is
-	// identical by construction. A hit skips candidate generation, operator
-	// application, and heuristic pre-warming wholesale.
-	//
-	// Sampling semantics: because hits bypass the operator pipeline, the
-	// per-operator apply metrics (core.op.apply.seconds and friends) and the
-	// EvOpApply trace stream observe only memo misses — in effect the first
-	// expansion of each distinct state. The core.succmemo.hits/.misses
-	// counters and the EvMemoHit/EvMemoMiss events carry the denominator, so
-	// consumers can reconstruct totals (a profile's "operator table samples
-	// misses only" line makes the same point). Nil only under a FaultHook,
-	// whose injected faults must fire on every expansion to stay
-	// deterministic. Successor workers never touch the memo; shard workers
-	// of a parallel search do, through memoGet/memoPut's sharded lock.
-	succMemo map[string][]search.Move
-	// sharded marks a problem driven by the hash-sharded parallel search:
-	// Successors is then called from several shard goroutines and memo
-	// access goes through memoMu. Single-threaded runs skip the lock
-	// entirely (the flag is set once, before the search starts).
-	sharded bool
-	memoMu  sync.RWMutex
 }
-
-// succMemoMax bounds the number of memoized expansions, a backstop against
-// unbounded growth on adversarial workloads; beyond it, expansions compute
-// without recording. Search budgets cap expanded states well below this.
-const succMemoMax = 1 << 20
 
 func newProblem(source, target *relation.Database, opts Options) *mappingProblem {
 	p := &mappingProblem{
@@ -132,22 +115,33 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		tVals:        target.ValueSet(),
 		tAttrValSyms: make(map[string]map[relation.Symbol]bool),
 		tRelValSyms:  make(map[string]map[relation.Symbol]bool),
-		met:          newOpMetrics(opts.Metrics),
+		met:          newOpMetrics(opts.Metrics, cacheLabel(opts)),
 		tracer:       opts.Tracer,
 		fault:        opts.FaultHook,
 		hLabel:       cacheLabel(opts),
 		goalIx:       relation.NewContainmentIndex(target),
-	}
-	p.tAttrsSorted = sortedKeys(p.tAttrs)
-	p.tRelsSorted = sortedKeys(p.tRels)
-	if opts.FaultHook == nil {
-		// Memoization stays on under a Tracer: a traced run that re-applied
+		// The memo stays on under a Tracer: a traced run that re-applied
 		// every operator on every revisit was two orders of magnitude slower
 		// than the run it claimed to describe, and silently out-sampled the
 		// metrics-only configuration. The miss-only sampling this creates
-		// for per-op apply events is documented on succMemo and surfaced
+		// for per-op apply events is documented on table and surfaced
 		// through EvMemoHit/EvMemoMiss.
-		p.succMemo = make(map[string][]search.Move)
+		memo: opts.FaultHook == nil,
+	}
+	p.tAttrsSorted = sortedKeys(p.tAttrs)
+	p.tRelsSorted = sortedKeys(p.tRels)
+	if opts.ParallelSearch {
+		// The shard fleet is the parallelism: running each shard's
+		// expansions through a successor pool on top of it would
+		// oversubscribe the CPUs, so each shard applies operators inline.
+		p.workers = 1
+	}
+	p.est = heuristic.New(opts.Heuristic, target, opts.K)
+	if opts.Metrics != nil {
+		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", cacheLabel(opts)))
+	}
+	if !opts.DisableIncremental {
+		p.inc, _ = heuristic.AsIncremental(p.est)
 	}
 	// The target's token sets double as symbol sets: every name and value in
 	// them is (re-)interned here, once, so state columns can be probed by
@@ -184,8 +178,12 @@ func internSet(set map[string]bool) map[relation.Symbol]bool {
 	return out
 }
 
-// Start implements search.Problem.
-func (p *mappingProblem) Start() search.State { return newState(p.source) }
+// Start implements search.Problem: the canonical state of the source
+// critical instance.
+func (p *mappingProblem) Start() search.State {
+	s, _ := p.table.intern(p.source, p.source.Key())
+	return s
+}
 
 // IsGoal implements search.Problem: the state is a structurally identical
 // superset of the target critical instance. The test runs against the
@@ -198,34 +196,38 @@ func (p *mappingProblem) IsGoal(s search.State) bool {
 // from names and values present in the current state and the target
 // instance, giving the branching factor proportional to |s| + |t| that the
 // paper reports. Moves that fail to apply or that do not change the state
-// are dropped. Candidate application and heuristic pre-warming run on the
+// are dropped. Candidate application and heuristic estimation run on the
 // worker pool; the returned move order is identical for any worker count.
+// A state's moves are computed once and then read from the state.
 func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	parent := s.(*dbState)
-	if p.succMemo != nil {
-		if moves, ok := p.memoGet(parent.key); ok {
+	if p.memo {
+		if moves := parent.moves.Load(); moves != nil {
 			p.met.memo(true)
 			if p.tracer != nil {
 				p.tracer.Event(obs.Event{Kind: obs.EvMemoHit})
 			}
-			return moves, nil
+			return *moves, nil
 		}
 		p.met.memo(false)
 		if p.tracer != nil {
 			p.tracer.Event(obs.Event{Kind: obs.EvMemoMiss})
 		}
 	}
-	db := parent.db
-	if p.inc != nil && parent.agg == nil {
-		// Seed the parent's aggregate here, on the search goroutine before
-		// any worker launches, so workers only ever read it. Most states
-		// arrive with the aggregate their creating worker attached; seeding
-		// happens for the start state and for states reconstructed without
-		// one (the cycle-check ablation wrapper).
-		parent.agg = p.inc.Seed(db)
+	var agg heuristic.Agg
+	if p.inc != nil {
+		if e := parent.est.Load(); e != nil {
+			agg = e.agg
+		}
+		if agg == nil {
+			// The parent's estimate was computed from scratch (the start
+			// state, a state forged by the cycle-check ablation): seed an
+			// aggregate for this expansion so its successors are deltas.
+			agg = p.inc.Seed(parent.db)
+		}
 	}
-	ops := p.candidateOps(db)
-	states, err := p.applyAll(parent, ops)
+	ops := p.candidateOps(parent.db)
+	states, err := p.applyAll(parent, agg, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -237,37 +239,13 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 			p.met.count(ops[i], false)
 			continue
 		}
-		moves = append(moves, search.Move{Label: ops[i].String(), To: ns, Cost: 1})
+		moves = append(moves, search.Move{Op: ops[i], To: ns, Cost: 1})
 		p.met.count(ops[i], true)
 	}
-	if p.succMemo != nil {
-		p.memoPut(parent.key, moves)
+	if p.memo {
+		parent.moves.Store(&moves)
 	}
 	return moves, nil
-}
-
-// memoGet reads the successor memo; under a sharded parallel search it
-// takes the read lock, otherwise it is a bare map access.
-func (p *mappingProblem) memoGet(key string) ([]search.Move, bool) {
-	if p.sharded {
-		p.memoMu.RLock()
-		defer p.memoMu.RUnlock()
-	}
-	moves, ok := p.succMemo[key]
-	return moves, ok
-}
-
-// memoPut records an expansion, bounded by succMemoMax. Keys are owned by
-// exactly one shard (the parallel search routes same-key states to one
-// worker), so concurrent puts never disagree about a key's value.
-func (p *mappingProblem) memoPut(key string, moves []search.Move) {
-	if p.sharded {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	if len(p.succMemo) < succMemoMax {
-		p.succMemo[key] = moves
-	}
 }
 
 // expCtx is the per-expansion view of a state shared by every move
@@ -312,54 +290,57 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 // pool costs more in synchronization than it saves in application time.
 const minParallelOps = 8
 
-// applyAll applies every candidate operator to db and returns the resulting
-// states positionally — nil where the operator was inapplicable or a no-op —
-// so the caller assembles moves in a deterministic order regardless of
-// worker count. An operator that returns its input database (µ when nothing
-// coalesces) is a no-op without hashing; any other result is a no-op when
-// its key equals the parent's. No-ops skip the heuristic pre-warm. With
-// more than one worker, operators are distributed over a bounded pool
-// through an atomic work-stealing counter, and each worker also pre-warms
-// the heuristic cache with estimates for the states it produced: this is
-// the concurrent successor generation plus concurrent heuristic evaluation
-// of the expansion step. Databases are immutable copy-on-write structures
-// and the Estimator is immutable, so the only shared mutable state is the
-// results slice (disjoint indices) and the cache (concurrency-safe by
-// contract when workers > 1).
+// applyAll applies every candidate operator to the parent's database and
+// returns the resulting canonical states positionally — nil where the
+// operator was inapplicable or a no-op — so the caller assembles moves in a
+// deterministic order regardless of worker count. An operator that returns
+// its input database (µ when nothing coalesces) is a no-op without hashing;
+// any other result is a no-op when its key equals the parent's. Every other
+// result is interned in the run's state table, and the call that creates a
+// state also estimates it (prewarm); agg is the parent's aggregate for
+// delta-merged estimates, nil without an incremental evaluator. With more
+// than one worker, operators are distributed over a bounded pool through an
+// atomic work-stealing counter: this is the concurrent successor generation
+// plus concurrent heuristic evaluation of the expansion step. Databases are
+// immutable copy-on-write structures and the Estimator is immutable, so the
+// only shared mutable state is the results slice (disjoint indices) and the
+// state table (locked, with atomically published estimates).
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered on
 // the worker that hit it and returned as a *search.PanicError — never
 // propagated, so a poisoned operator or heuristic fails the expansion (and
 // through it the run) instead of killing the process. The first panic wins;
 // remaining workers drain their queued operators and exit normally.
-func (p *mappingProblem) applyAll(parent *dbState, ops []fira.Op) ([]*dbState, error) {
+func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira.Op) ([]*dbState, error) {
 	db := parent.db
 	states := make([]*dbState, len(ops))
 	timed := p.met != nil || p.tracer != nil
 	var panicked atomic.Pointer[search.PanicError]
-	successor := func(next *relation.Database, err error) *dbState {
+	// successor interns a result that changes the state.
+	successor := func(next *relation.Database, err error) (*dbState, bool) {
 		if err != nil || next == db {
-			return nil
+			return nil, false
 		}
-		ns := newState(next)
-		if ns.key == parent.key {
-			return nil
+		key := next.Key()
+		if key == parent.key {
+			return nil, false
 		}
-		return ns
+		return p.table.intern(next, key)
 	}
 	apply := func(i int) {
 		if p.fault != nil {
 			p.fault(faults.SiteOpApply, ops[i].String())
 		}
 		var ns *dbState
+		var created bool
 		if !timed {
-			ns = successor(ops[i].Apply(db, p.reg))
+			ns, created = successor(ops[i].Apply(db, p.reg))
 		} else {
 			start := time.Now()
 			next, err := ops[i].Apply(db, p.reg)
 			elapsed := time.Since(start)
 			p.met.applyLatency(ops[i], elapsed)
-			ns = successor(next, err)
+			ns, created = successor(next, err)
 			if p.tracer != nil {
 				p.tracer.Event(obs.Event{
 					Kind: obs.EvOpApply, Label: ops[i].String(),
@@ -370,7 +351,7 @@ func (p *mappingProblem) applyAll(parent *dbState, ops []fira.Op) ([]*dbState, e
 		if ns == nil {
 			return
 		}
-		p.prewarm(parent, ns)
+		p.prewarm(db, agg, ns, created)
 		states[i] = ns
 	}
 	applySafe := func(worker, i int) {
@@ -425,51 +406,80 @@ func (p *mappingProblem) applyAll(parent *dbState, ops []fira.Op) ([]*dbState, e
 	return states, nil
 }
 
-// prewarm computes the heuristic estimate of a freshly generated state into
-// the run's cache, so the search loop's subsequent h() call is a lookup.
-// With an incremental evaluator, a cache miss delta-merges the replaced
-// relation's fragment against the parent's aggregate instead of re-encoding
-// the state, and attaches the child's aggregate so the child's own expansion
-// starts incremental too. A cache hit skips everything, exactly as the
-// from-scratch path does — IDA and RBFS regenerate the same states across
-// iterations, and paying even the cheap delta on every regeneration costs
-// more than the occasional lazy re-seed in Successors when a hit-path state
-// gets expanded.
-func (p *mappingProblem) prewarm(parent, ns *dbState) {
-	if p.est == nil || p.cache == nil {
-		return
+// prewarm estimates a successor as it is created, so the search loop's
+// subsequent h() call is a field read. The lookup counts as an estimate hit
+// when the state was already in the table — its creator estimated it, or is
+// doing so — and as a miss when this call created it and so computes the
+// estimate. With an incremental evaluator the miss delta-merges the replaced
+// relations' fragments against the parent's aggregate, and the estimate
+// keeps the child's aggregate so the child's own expansion starts
+// incremental too.
+func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, ns *dbState, created bool) {
+	p.lookup(!created)
+	if created {
+		p.publish(ns, p.evaluate(parent, agg, ns.db))
 	}
-	if _, ok := p.cache.Get(ns.key); ok {
-		return
+}
+
+// h is the run's search.Heuristic: a read of the state's published
+// estimate. The lookup misses for the start state, for states forged by the
+// cycle-check ablation, and, under ParallelSearch, for a state whose
+// creating shard has not yet published; a miss evaluates from scratch.
+func (p *mappingProblem) h(s search.State) int {
+	ds := s.(*dbState)
+	if e := ds.est.Load(); e != nil {
+		p.lookup(true)
+		return e.h
 	}
-	if p.inc != nil && parent.agg != nil {
-		if p.fault != nil {
-			p.fault(faults.SiteHeuristicEval, p.hLabel)
+	p.lookup(false)
+	return p.publish(ds, p.evaluate(nil, nil, ds.db))
+}
+
+// lookup records one estimate lookup in the heuristic.cache counters and,
+// with a tracer, as an EvCacheHit/EvCacheMiss event.
+func (p *mappingProblem) lookup(hit bool) {
+	p.met.estimate(hit)
+	if p.tracer != nil {
+		kind := obs.EvCacheMiss
+		if hit {
+			kind = obs.EvCacheHit
 		}
-		var start time.Time
-		if p.hEval != nil {
-			start = time.Now()
-		}
-		removed, added := relation.Diff(parent.db, ns.db)
-		v, agg := p.inc.EstimateDelta(parent.agg, heuristic.Delta{Removed: removed, Added: added})
-		ns.agg = agg
-		if p.hEval != nil {
-			p.hEval.Observe(time.Since(start))
-		}
-		p.cache.Put(ns.key, v)
-		return
+		p.tracer.Event(obs.Event{Kind: kind, Label: p.hLabel})
 	}
+}
+
+// evaluate computes db's estimate, by delta-merge from the parent's
+// aggregate when agg is non-nil and from scratch otherwise. It is the
+// fault-injection site for heuristic evaluation and is timed into hEval.
+func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, db *relation.Database) *estimate {
 	if p.fault != nil {
 		p.fault(faults.SiteHeuristicEval, p.hLabel)
 	}
-	if p.hEval == nil {
-		p.cache.Put(ns.key, p.est.Estimate(ns.db))
-		return
+	var start time.Time
+	if p.hEval != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	v := p.est.Estimate(ns.db)
-	p.hEval.Observe(time.Since(start))
-	p.cache.Put(ns.key, v)
+	e := &estimate{}
+	if agg != nil {
+		removed, added := relation.Diff(parent, db)
+		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: removed, Added: added})
+	} else {
+		e.h = p.est.Estimate(db)
+	}
+	if p.hEval != nil {
+		p.hEval.Observe(time.Since(start))
+	}
+	return e
+}
+
+// publish installs e as the state's estimate unless one is already there
+// and returns the state's h. Estimates are deterministic per key, so a
+// writer that loses the race would have published the same value.
+func (p *mappingProblem) publish(s *dbState, e *estimate) int {
+	if s.est.CompareAndSwap(nil, e) {
+		p.met.entry()
+	}
+	return e.h
 }
 
 // hasAll reports whether every key of want is present in have.

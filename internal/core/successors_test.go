@@ -26,7 +26,7 @@ func successorLabels(t *testing.T, src, tgt *relation.Database, opts Options) []
 	}
 	labels := make([]string, len(moves))
 	for i, m := range moves {
-		labels[i] = m.Label
+		labels[i] = m.Op.String()
 	}
 	return labels
 }

@@ -25,8 +25,9 @@ const restructureGolden = "testdata/restructure_golden.txt"
 
 // restructureGoldenRuns renders one block per discovery: a header line
 // with the task, configuration and states examined, then the mapping, one
-// operator per line, indented.
-func restructureGoldenRuns(t *testing.T) string {
+// operator per line, indented. workers sizes each discovery's successor
+// pool, which must not change the search.
+func restructureGoldenRuns(t *testing.T, workers int) string {
 	t.Helper()
 	type task struct {
 		label    string
@@ -60,7 +61,7 @@ func restructureGoldenRuns(t *testing.T) string {
 					Registry:        tk.reg,
 					Correspondences: tk.corrs,
 					Limits:          search.Limits{MaxStates: 50000},
-					Workers:         1,
+					Workers:         workers,
 				})
 				if err != nil {
 					t.Fatalf("%s %s/%s: %v", tk.label, algo, kind, err)
@@ -76,27 +77,33 @@ func restructureGoldenRuns(t *testing.T) string {
 }
 
 // TestRestructureSearchGolden compares every restructuring discovery with
-// the golden record: the same states examined and the same mapping text.
+// the golden record: the same states examined and the same mapping text,
+// with a sequential successor pool and with four workers racing to create
+// and estimate each expansion's states.
 func TestRestructureSearchGolden(t *testing.T) {
 	want, err := os.ReadFile(restructureGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := restructureGoldenRuns(t)
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s line %d:\n got  %q\n want %q", restructureGolden, i+1, g, w)
-		}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := restructureGoldenRuns(t, workers)
+			if got == string(want) {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Fatalf("%s line %d:\n got  %q\n want %q", restructureGolden, i+1, g, w)
+				}
+			}
+		})
 	}
 }

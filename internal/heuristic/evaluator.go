@@ -18,7 +18,7 @@ import (
 // this package used to expose is gone. Callers that only evaluate states
 // from scratch use this interface; callers that evaluate successors against
 // their parents detect the IncrementalEvaluator capability through
-// AsIncremental, the same way cache users detect ConcurrencySafe.
+// AsIncremental.
 type Evaluator interface {
 	// Kind returns the heuristic's kind.
 	Kind() Kind
@@ -50,9 +50,9 @@ type Agg interface{ isAgg() }
 
 // IncrementalEvaluator is the capability interface an Evaluator implements
 // when it can evaluate a successor by delta-merging the replaced relations'
-// TNF fragments against the parent's aggregate. The contract mirrors
-// Cache/ConcurrencySafe: the capability is optional, detected by
-// AsIncremental, and callers fall back to Estimate when it is absent.
+// TNF fragments against the parent's aggregate. The capability is optional,
+// detected by AsIncremental, and callers fall back to Estimate when it is
+// absent.
 //
 // For every evaluator in this package the incremental path is exactly
 // arithmetic on the same integer multiset counters Estimate computes from

@@ -3,7 +3,6 @@ package nested
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"tupelo/internal/search"
 )
@@ -125,7 +124,7 @@ func (p *xProblem) Successors(s search.State) ([]search.Move, error) {
 		if ns.key == s.Key() {
 			continue
 		}
-		moves = append(moves, search.Move{Label: label, To: ns, Cost: 1})
+		moves = append(moves, search.Move{Op: op, To: ns, Cost: 1})
 	}
 	return moves, nil
 }
@@ -223,89 +222,9 @@ func Discover(source, target *Node, opts XOptions) (*XResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	expr, err := parseLabels(res.Path)
-	if err != nil {
-		return nil, err
+	expr := make(XExpr, len(res.Path))
+	for i, m := range res.Path {
+		expr[i] = m.Op.(XOp)
 	}
 	return &XResult{Expr: expr, Stats: res.Stats}, nil
-}
-
-// parseLabels reconstructs the LX expression from move labels.
-func parseLabels(path []search.Move) (XExpr, error) {
-	var expr XExpr
-	for _, m := range path {
-		op, err := parseXOp(m.Label)
-		if err != nil {
-			return nil, fmt.Errorf("nested: internal error reconstructing expression: %v", err)
-		}
-		expr = append(expr, op)
-	}
-	return expr, nil
-}
-
-// ParseXOp parses the textual form of an LX operator.
-func parseXOp(s string) (XOp, error) {
-	open := strings.IndexByte(s, '[')
-	if open <= 0 || !strings.HasSuffix(s, "]") {
-		return nil, fmt.Errorf("bad operator %q", s)
-	}
-	name, args := s[:open], s[open+1:len(s)-1]
-	two := func() (string, string, bool) {
-		i := strings.IndexByte(args, ',')
-		if i <= 0 || i == len(args)-1 {
-			return "", "", false
-		}
-		return args[:i], args[i+1:], true
-	}
-	arrow := func(s string) (string, string, bool) {
-		i := strings.Index(s, "->")
-		if i <= 0 || i+2 >= len(s) {
-			return "", "", false
-		}
-		return s[:i], s[i+2:], true
-	}
-	switch name {
-	case "rename_tag":
-		from, to, ok := arrow(args)
-		if !ok {
-			return nil, fmt.Errorf("bad rename_tag %q", s)
-		}
-		return RenameTag{From: from, To: to}, nil
-	case "rename_attr":
-		tag, rest, ok := two()
-		if !ok {
-			return nil, fmt.Errorf("bad rename_attr %q", s)
-		}
-		from, to, ok := arrow(rest)
-		if !ok {
-			return nil, fmt.Errorf("bad rename_attr %q", s)
-		}
-		return RenameAttr{Tag: tag, From: from, To: to}, nil
-	case "attr_to_child":
-		tag, attr, ok := two()
-		if !ok {
-			return nil, fmt.Errorf("bad attr_to_child %q", s)
-		}
-		return AttrToChild{Tag: tag, Attr: attr}, nil
-	case "child_to_attr":
-		tag, child, ok := two()
-		if !ok {
-			return nil, fmt.Errorf("bad child_to_attr %q", s)
-		}
-		return ChildToAttr{Tag: tag, ChildTag: child}, nil
-	case "hoist":
-		tag, child, ok := two()
-		if !ok {
-			return nil, fmt.Errorf("bad hoist %q", s)
-		}
-		return Hoist{Tag: tag, ChildTag: child}, nil
-	case "text_to_attr":
-		tag, attr, ok := two()
-		if !ok {
-			return nil, fmt.Errorf("bad text_to_attr %q", s)
-		}
-		return TextToAttr{Tag: tag, Attr: attr}, nil
-	default:
-		return nil, fmt.Errorf("unknown operator %q", name)
-	}
 }

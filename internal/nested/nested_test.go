@@ -273,31 +273,6 @@ func TestDiscoverIdentityAndErrors(t *testing.T) {
 	}
 }
 
-func TestParseXOpRoundTrip(t *testing.T) {
-	ops := []XOp{
-		RenameTag{From: "a", To: "b"},
-		RenameAttr{Tag: "t", From: "a", To: "b"},
-		AttrToChild{Tag: "t", Attr: "a"},
-		ChildToAttr{Tag: "t", ChildTag: "c"},
-		Hoist{Tag: "t", ChildTag: "w"},
-		TextToAttr{Tag: "t", Attr: "a"},
-	}
-	for _, op := range ops {
-		back, err := parseXOp(op.String())
-		if err != nil {
-			t.Fatalf("parse %q: %v", op, err)
-		}
-		if back.String() != op.String() {
-			t.Fatalf("round trip: %q vs %q", back, op)
-		}
-	}
-	for _, bad := range []string{"", "x", "rename_tag[a]", "hoist[t]", "zzz[a,b]", "rename_attr[t,a]"} {
-		if _, err := parseXOp(bad); err == nil {
-			t.Fatalf("parseXOp(%q) should fail", bad)
-		}
-	}
-}
-
 func TestSizeAndTokenSets(t *testing.T) {
 	doc := MustParse(`<r a="1"><c b="2">t</c></r>`)
 	if doc.Size() != 4 { // 2 nodes + 2 attributes

@@ -3,12 +3,12 @@
 // structured Tracer for span-like search events.
 //
 // The paper's only performance instrument is the states-examined count;
-// everything the engine has grown since — shared heuristic caches, successor
-// worker pools, portfolio races — is invisible without a second layer of
-// measurement. This package provides that layer without pulling in any
-// dependency: instruments are plain atomics, the registry is a string-keyed
-// map behind an RWMutex, and exposition is expvar-style JSON or Prometheus
-// text, both writable to an io.Writer or served over HTTP.
+// everything the engine has grown since — memoized estimates and moves,
+// successor worker pools, portfolio races — is invisible without a second
+// layer of measurement. This package provides that layer without pulling
+// in any dependency: instruments are plain atomics, the registry is a
+// string-keyed map behind an RWMutex, and exposition is expvar-style JSON or
+// Prometheus text, both writable to an io.Writer or served over HTTP.
 //
 // Instruments are nil-tolerant throughout: methods on a nil *Registry,
 // *Counter, *Gauge, or *Timer are no-ops, so instrumented code paths read

@@ -23,9 +23,11 @@ const (
 	EvExpand
 	// EvMove is one candidate move of an expansion; Label is the operator.
 	EvMove
-	// EvCacheHit is a heuristic-cache hit; Label names the cache.
+	// EvCacheHit is a heuristic-estimate lookup that found the state's
+	// estimate already computed; Label names the (heuristic, k).
 	EvCacheHit
-	// EvCacheMiss is a heuristic-cache miss; Label names the cache.
+	// EvCacheMiss is a heuristic-estimate lookup that had to evaluate;
+	// Label names the (heuristic, k).
 	EvCacheMiss
 	// EvMemberStart marks one portfolio member entering the race; Label is
 	// the resolved member configuration.

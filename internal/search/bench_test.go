@@ -64,21 +64,3 @@ func BenchmarkParallelAStar(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelBeam sweeps the expansion pool of the level-synchronized
-// beam; the result is identical for every worker count, so this isolates the
-// barrier cost.
-func BenchmarkParallelBeam(b *testing.B) {
-	p := benchGrid()
-	h := p.manhattan()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ParallelBeamSearch(context.Background(), p, h, Limits{}, 32, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -9,14 +9,14 @@ import (
 // IDAStar runs Iterative Deepening A* (§2.3): a sequence of depth-first
 // probes, each bounded by an f-value limit, iteratively raising the limit to
 // the smallest f-value that exceeded it. Memory use is linear in the depth
-// of the search plus the bounded move-order cache; states may be re-examined
-// across iterations, which the paper accepts (and counts) in exchange for
-// the memory guarantee. The context is checked at every examined state.
+// of the search; states may be re-examined across iterations, which the
+// paper accepts (and counts) in exchange for the memory guarantee. The
+// context is checked at every examined state.
 func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
 	start := p.Start()
 	c := newCounter(ctx, "IDA", lim)
 	bound := h(start)
-	order := make(map[string][]Move)
+	var fl childFreeList
 	for {
 		c.stats.Iterations++
 		onPath := map[string]bool{start.Key(): true}
@@ -24,7 +24,7 @@ func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, 
 		// On abort, Stats.Depth stays 0 like every other algorithm:
 		// Stats.Depth documents the length of the solution path found, and
 		// the in-flight probe depth is not one.
-		next, res, err := idaProbe(p, h, c, start, 0, bound, &path, onPath, order)
+		next, res, err := idaProbe(p, h, c, start, 0, bound, &path, onPath, &fl)
 		if err != nil {
 			return nil, c.fail(err)
 		}
@@ -38,22 +38,10 @@ func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, 
 	}
 }
 
-// idaOrderMax bounds the move-order cache, mirroring the successor memo's
-// backstop: beyond it, expansions sort without recording.
-const idaOrderMax = 1 << 20
-
 // idaProbe performs one bounded depth-first probe. It returns the smallest
 // f-value that exceeded the bound (inf if the subtree is exhausted), or a
 // result if a goal was found on this probe.
-//
-// order caches each state's h-sorted move list across probes. The sort key
-// is (f, h) with f = g + cost + h, and g is one constant across all of a
-// state's children, so the order is the same at any depth the state is
-// reached — and IDA revisits states relentlessly (the deepening loop re-walks
-// the whole tree every iteration). A hit skips the per-child heuristic
-// lookups and the sort wholesale; only the examined/expanded counters, which
-// define the paper's performance measure, are still paid per visit.
-func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath map[string]bool, order map[string][]Move) (int, *Result, error) {
+func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath map[string]bool, fl *childFreeList) (int, *Result, error) {
 	f := g + h(s)
 	if c.best != nil {
 		c.candidate(s, f-g, func() []Move { return append([]Move(nil), *path...) })
@@ -79,37 +67,23 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	// with the non-monotone heuristics of §3 (f can decrease along good
 	// paths) it is what steers the depth-first probe toward the goal
 	// instead of leaving the order to operator enumeration.
-	sorted, ok := order[s.Key()]
-	if !ok || len(sorted) != len(moves) {
-		kids := make([]idaChild, 0, len(moves))
-		for _, m := range moves {
-			hv := h(m.To)
-			kids = append(kids, idaChild{move: m, h: hv, f: g + m.Cost + hv})
-		}
-		slices.SortStableFunc(kids, func(a, b idaChild) int {
-			if a.f != b.f {
-				return cmp.Compare(a.f, b.f)
-			}
-			return cmp.Compare(a.h, b.h)
-		})
-		sorted = make([]Move, len(kids))
-		for i, kid := range kids {
-			sorted[i] = kid.move
-		}
-		if len(order) < idaOrderMax {
-			order[s.Key()] = sorted
-		}
+	kids := fl.get(len(moves))
+	defer func() { fl.put(kids) }()
+	for _, m := range moves {
+		hv := h(m.To)
+		kids = append(kids, child{move: m, g: g + m.Cost, h: hv, f: g + m.Cost + hv})
 	}
+	sortChildren(kids)
 	min := inf
-	for _, m := range sorted {
-		k := m.To.Key()
+	for _, kid := range kids {
+		k := kid.move.To.Key()
 		if onPath[k] {
 			continue // cycle along the current path
 		}
 		onPath[k] = true
-		*path = append(*path, m)
+		*path = append(*path, kid.move)
 		c.frontier(len(*path))
-		t, res, err := idaProbe(p, h, c, m.To, g+m.Cost, bound, path, onPath, order)
+		t, res, err := idaProbe(p, h, c, kid.move.To, kid.g, bound, path, onPath, fl)
 		if err != nil || res != nil {
 			return t, res, err
 		}
@@ -122,9 +96,51 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	return min, nil, nil
 }
 
-// idaChild is a successor with its f-value for move ordering.
-type idaChild struct {
+// child is a successor with its g, h and (for RBFS, backed-up) f values,
+// the unit IDA* and RBFS order their expansions by.
+type child struct {
 	move Move
+	g    int
 	h    int
 	f    int
+}
+
+// sortChildren orders children by f, breaking ties by raw h. The sort is
+// stable, so equal children keep their move order (or, for RBFS, the order
+// the previous iteration left). The h tie-break matters for RBFS, whose
+// inheritance rule (f ← max(g+h, parent f)) flattens children onto a
+// plateau whenever the heuristic is non-monotone: without it the
+// exploration order would degenerate to operator enumeration order.
+func sortChildren(kids []child) {
+	slices.SortStableFunc(kids, func(a, b child) int {
+		if a.f != b.f {
+			return cmp.Compare(a.f, b.f)
+		}
+		return cmp.Compare(a.h, b.h)
+	})
+}
+
+// childFreeList recycles the children slices of one IDA* or RBFS search
+// across visits: both re-expand the same subtrees relentlessly and rebuild
+// each visit's children (RBFS's backed-up f-values depend on the inherited
+// bound), but the backing arrays can be reused. A search runs on a single
+// goroutine, so no locking; each visit pops a slice on entry and pushes it
+// back when it returns.
+type childFreeList struct {
+	free [][]child
+}
+
+func (fl *childFreeList) get(n int) []child {
+	if k := len(fl.free); k > 0 {
+		s := fl.free[k-1]
+		fl.free = fl.free[:k-1]
+		return s[:0]
+	}
+	return make([]child, 0, n)
+}
+
+func (fl *childFreeList) put(s []child) {
+	if cap(s) > 0 {
+		fl.free = append(fl.free, s[:0])
+	}
 }

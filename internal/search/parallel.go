@@ -1,13 +1,11 @@
 package search
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -26,11 +24,8 @@ import (
 // DESIGN.md §10 gives the termination argument and the determinism caveats.
 
 // parallelAlgoName labels the sharded A* in metrics, trace events, and error
-// text; parallelBeamAlgoName likewise for the level-synchronized beam.
-const (
-	parallelAlgoName     = "PA*"
-	parallelBeamAlgoName = "PBeam"
-)
+// text.
+const parallelAlgoName = "PA*"
 
 // shardOf assigns a state key to one of n shards: FNV-1a over the key bytes.
 // State keys are already near-uniform 128-bit hashes, but FNV keeps the
@@ -56,9 +51,9 @@ const shardInboxCap = 1024
 // its g value (read lock-free through bound) prunes every node whose f
 // exceeds it; nodes on the f == g plateau are still goal-tested (a second
 // goal with equal cost may win the deterministic tie-break) but not
-// expanded. The tie-break — minimum g, then lexicographically least label
-// sequence — makes the final choice independent of which shard reported its
-// goal first whenever both goals are generated at all.
+// expanded. The tie-break — minimum g, then lexicographically least
+// operator-text sequence — makes the final choice independent of which
+// shard reported its goal first whenever both goals are generated at all.
 type incumbent struct {
 	mu    sync.Mutex
 	set   bool
@@ -91,16 +86,16 @@ func (in *incumbent) offer(goal State, g int, path []Move) {
 	in.bound.Store(int64(g))
 }
 
-// lessMovePath orders move paths lexicographically by label, shorter prefix
-// first — a total, scheduling-independent order for tie-breaking goals of
-// equal cost.
+// lessMovePath orders move paths lexicographically by operator text,
+// shorter prefix first — a total, scheduling-independent order for
+// tie-breaking goals of equal cost.
 func lessMovePath(a, b []Move) bool {
 	for i := range a {
 		if i >= len(b) {
 			return false
 		}
-		if a[i].Label != b[i].Label {
-			return a[i].Label < b[i].Label
+		if ai, bi := a[i].Op.String(), b[i].Op.String(); ai != bi {
+			return ai < bi
 		}
 	}
 	return len(a) < len(b)
@@ -208,8 +203,8 @@ type parWorker struct {
 // Unlike sequential A*, the run does not return at the first goal: the goal
 // becomes an incumbent that prunes the remaining frontier (f > g* discarded;
 // f == g* goal-tested but not expanded), and the best goal under a
-// deterministic tie-break (minimum g, then lexicographically least label
-// path) is returned at quiescence. With an admissible heuristic the result
+// deterministic tie-break (minimum g, then lexicographically least
+// operator-text path) is returned at quiescence. With an admissible heuristic the result
 // cost is optimal, as for A*; speculative expansion means Stats.Examined can
 // exceed the sequential count (see DESIGN.md §10 for why, and for the
 // determinism caveats under inadmissible heuristics).
@@ -634,215 +629,11 @@ func (w *parWorker) expand(n *node, seq int) ([]Move, error) {
 	c.mGenerated.Add(int64(len(moves)))
 	w.ring.Record(obs.FKExpand, uint32(seq), int32(n.g), int32(len(moves)))
 	tr.Event(obs.Event{Kind: obs.EvExpand, Seq: seq, Depth: n.g, N: len(moves), Elapsed: elapsed})
-	for _, m := range moves {
-		tr.Event(obs.Event{Kind: obs.EvMove, Label: m.Label, Depth: n.g})
+	if c.o.Trace != nil {
+		// Operator text is rendered only for an attached tracer.
+		for _, m := range moves {
+			tr.Event(obs.Event{Kind: obs.EvMove, Label: m.Op.String(), Depth: n.g})
+		}
 	}
 	return moves, nil
-}
-
-// ParallelBeamSearch is BeamSearch with the expansion and scoring of each
-// level fanned out across `workers` goroutines. The search is synchronized
-// level by level — candidates are merged, deduplicated, sorted, and
-// truncated at a global barrier in the exact order the sequential code uses
-// — so the beams, the examined count, and the result are identical to
-// BeamSearch for every worker count (the strong determinism the sharded A*
-// deliberately trades away; see DESIGN.md §10). The Problem and Heuristic
-// must be safe for concurrent use when workers > 1.
-func ParallelBeamSearch(ctx context.Context, p Problem, h Heuristic, lim Limits, width, workers int) (*Result, error) {
-	if width <= 0 {
-		width = 8
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 {
-		lim.Cooperative = true
-	}
-	c := newCounter(ctx, parallelBeamAlgoName, lim)
-	type beamNode struct {
-		state State
-		g     int
-		path  []Move
-	}
-	frontier := []beamNode{{state: p.Start()}}
-	if c.best != nil {
-		c.candidate(p.Start(), h(p.Start()), func() []Move { return nil })
-	}
-	// As in BeamSearch: only admitted states are marked, so width-truncated
-	// states may be regenerated by later paths.
-	seen := map[string]bool{p.Start().Key(): true}
-
-	// levelExpansion is one frontier node's parallel work product: its move
-	// list with the heuristic value of every successor, positionally aligned.
-	type levelExpansion struct {
-		moves   []Move
-		hvs     []int
-		err     error
-		elapsed time.Duration
-	}
-
-	for len(frontier) > 0 {
-		for _, n := range frontier {
-			if err := c.examine(); err != nil {
-				return nil, c.fail(err)
-			}
-			if c.isGoal(p, n.state, n.g) {
-				return c.finish(&Result{Path: n.path, Goal: n.state}), nil
-			}
-		}
-		// Parallel phase: expand every node of the level and evaluate the
-		// heuristic of every successor on a bounded pool. The shared `seen`
-		// map is only read here; all writes happen at the barrier below.
-		results := make([]levelExpansion, len(frontier))
-		nw := workers
-		if nw > len(frontier) {
-			nw = len(frontier)
-		}
-		expandOne := func(i int) {
-			n := frontier[i]
-			if !c.depthOK(n.g + 1) {
-				return
-			}
-			start := time.Now()
-			moves, err := p.Successors(n.state)
-			results[i].elapsed = time.Since(start)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			hvs := make([]int, len(moves))
-			for j, m := range moves {
-				if !seen[m.To.Key()] {
-					hvs[j] = h(m.To)
-				}
-			}
-			results[i].moves, results[i].hvs = moves, hvs
-		}
-		if nw <= 1 {
-			for i := range frontier {
-				expandOne(i)
-			}
-		} else {
-			var cursor atomic.Int64
-			var panicked atomic.Pointer[PanicError]
-			var wg sync.WaitGroup
-			wg.Add(nw)
-			for wkr := 0; wkr < nw; wkr++ {
-				go func(wkr int) {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(frontier) || panicked.Load() != nil {
-							return
-						}
-						func() {
-							defer func() {
-								if rec := recover(); rec != nil {
-									pe := NewPanicError(fmt.Sprintf("parallel beam worker %d (level node %d)", wkr, i), rec)
-									panicked.CompareAndSwap(nil, pe)
-									if c.o.Enabled() {
-										c.o.Tracer().Event(obs.Event{Kind: obs.EvPanic, Label: pe.Origin, Err: pe})
-									}
-								}
-							}()
-							expandOne(i)
-						}()
-					}
-				}(wkr)
-			}
-			wg.Wait()
-			if pe := panicked.Load(); pe != nil {
-				return nil, c.fail(pe)
-			}
-		}
-		// Barrier: merge in frontier order, exactly as the sequential code
-		// generates, so dedup winners, sort ranks, and truncation are
-		// bit-identical to BeamSearch.
-		type scored struct {
-			node beamNode
-			key  string
-			f    int
-			seq  int
-		}
-		var next []scored
-		level := make(map[string]int)
-		seq := 0
-		for i, n := range frontier {
-			if !c.depthOK(n.g + 1) {
-				continue
-			}
-			res := results[i]
-			c.observeExpansion(n.g, res.moves, res.err, res.elapsed)
-			if res.err != nil {
-				return nil, c.fail(res.err)
-			}
-			for j, m := range res.moves {
-				k := m.To.Key()
-				if seen[k] {
-					continue
-				}
-				path := make([]Move, 0, len(n.path)+1)
-				path = append(path, n.path...)
-				path = append(path, m)
-				g := n.g + m.Cost
-				seq++
-				hv := res.hvs[j]
-				c.candidate(m.To, hv, func() []Move { return path })
-				s := scored{
-					node: beamNode{state: m.To, g: g, path: path},
-					key:  k,
-					f:    g + hv,
-					seq:  seq,
-				}
-				if i, dup := level[k]; dup {
-					if s.f < next[i].f {
-						next[i] = s
-					}
-					continue
-				}
-				level[k] = len(next)
-				next = append(next, s)
-			}
-		}
-		slices.SortStableFunc(next, func(a, b scored) int {
-			if a.f != b.f {
-				return cmp.Compare(a.f, b.f)
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		c.frontier(len(next))
-		if len(next) > width {
-			next = next[:width]
-		}
-		frontier = frontier[:0]
-		for _, s := range next {
-			seen[s.key] = true
-			frontier = append(frontier, s.node)
-		}
-	}
-	return nil, c.fail(ErrNotFound)
-}
-
-// observeExpansion replays one externally-timed expansion into the counter's
-// instruments and trace stream — counter.expand for work that already
-// happened on a worker goroutine. Successful expansions count their moves;
-// failed ones emit the error event (the caller converts the error itself).
-func (c *counter) observeExpansion(g int, moves []Move, err error, elapsed time.Duration) {
-	if !c.o.Enabled() {
-		if err == nil {
-			c.generated(len(moves))
-		}
-		return
-	}
-	c.hExpand.Observe(elapsed)
-	tr := c.o.Tracer()
-	if err != nil {
-		tr.Event(obs.Event{Kind: obs.EvExpand, Seq: c.stats.Examined, Depth: g, Err: err, Elapsed: elapsed})
-		return
-	}
-	c.generated(len(moves))
-	tr.Event(obs.Event{Kind: obs.EvExpand, Seq: c.stats.Examined, Depth: g, N: len(moves), Elapsed: elapsed})
-	for _, m := range moves {
-		tr.Event(obs.Event{Kind: obs.EvMove, Label: m.Label, Depth: g})
-	}
 }

@@ -74,13 +74,13 @@ func TestParallelAStarEquivalence(t *testing.T) {
 				}
 				found := false
 				for _, cand := range moves {
-					if cand.Label == m.Label && cand.To.Key() == m.To.Key() {
+					if cand.Op == m.Op && cand.To.Key() == m.To.Key() {
 						cur, found = cand.To, true
 						break
 					}
 				}
 				if !found {
-					t.Fatalf("path step %d (%s → %s) is not a legal move", i, m.Label, m.To.Key())
+					t.Fatalf("path step %d (%s → %s) is not a legal move", i, m.Op, m.To.Key())
 				}
 			}
 			if !p.IsGoal(cur) {
@@ -102,8 +102,8 @@ func TestParallelAStarEquivalence(t *testing.T) {
 }
 
 // TestParallelAStarDeterministicTieBreak: with a unique optimal path the
-// returned move labels are identical for every worker count — the incumbent
-// tie-break (min cost, then lexicographically least label sequence) removes
+// returned operators are identical for every worker count — the incumbent
+// tie-break (min cost, then lexicographically least operator text) removes
 // the scheduling dependence whenever the optimum is unique.
 func TestParallelAStarDeterministicTieBreak(t *testing.T) {
 	p := lineProblem{n: 40}
@@ -115,7 +115,7 @@ func TestParallelAStarDeterministicTieBreak(t *testing.T) {
 		}
 		var got strings.Builder
 		for _, m := range res.Path {
-			got.WriteString(m.Label)
+			got.WriteString(m.Op.String())
 			got.WriteString(",")
 		}
 		if got.String() != want {
@@ -338,74 +338,4 @@ func TestShardOfPartitions(t *testing.T) {
 			t.Fatalf("shard %d got %d of 4096 keys — hash badly skewed: %v", i, c, counts)
 		}
 	}
-}
-
-// TestParallelBeamMatchesSequential: the level-synchronized beam is
-// bit-identical to BeamSearch — same path, same examined count, same
-// frontier peak — for every worker count, because merge order is sequential.
-func TestParallelBeamMatchesSequential(t *testing.T) {
-	p := gridProblem{
-		w: 20, h: 20,
-		walls:  map[[2]int]bool{{6, 6}: true, {6, 7}: true, {7, 6}: true, {12, 3}: true},
-		start:  [2]int{0, 0},
-		target: [2]int{19, 19},
-	}
-	seq, err := BeamSearch(context.Background(), p, p.manhattan(), Limits{}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range parallelWorkerCounts {
-		res, err := ParallelBeamSearch(context.Background(), p, p.manhattan(), Limits{}, 6, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Stats.Examined != seq.Stats.Examined {
-			t.Fatalf("workers=%d: examined %d, sequential %d — beam must be deterministic",
-				workers, res.Stats.Examined, seq.Stats.Examined)
-		}
-		if res.Stats.MaxFrontier != seq.Stats.MaxFrontier {
-			t.Fatalf("workers=%d: frontier peak %d, sequential %d", workers, res.Stats.MaxFrontier, seq.Stats.MaxFrontier)
-		}
-		if len(res.Path) != len(seq.Path) {
-			t.Fatalf("workers=%d: path length %d, sequential %d", workers, len(res.Path), len(seq.Path))
-		}
-		for i := range res.Path {
-			if res.Path[i].Label != seq.Path[i].Label {
-				t.Fatalf("workers=%d: path diverges at step %d: %s vs %s",
-					workers, i, res.Path[i].Label, seq.Path[i].Label)
-			}
-		}
-	}
-}
-
-// panicAfterNProblem panics on its nth expansion, wherever the beam happens
-// to be by then.
-type panicAfterNProblem struct {
-	gridProblem
-	n     int64
-	calls atomic.Int64
-}
-
-func (p *panicAfterNProblem) Successors(s State) ([]Move, error) {
-	if p.calls.Add(1) == p.n {
-		panic("injected beam fault")
-	}
-	return p.gridProblem.Successors(s)
-}
-
-// TestParallelBeamPanicContainment: a panic on a beam expansion worker is
-// caught at the level barrier and surfaces as a search error.
-func TestParallelBeamPanicContainment(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	grid := gridProblem{w: 30, h: 30, walls: map[[2]int]bool{}, start: [2]int{0, 0}, target: [2]int{29, 29}}
-	p := &panicAfterNProblem{gridProblem: grid, n: 25}
-	_, err := ParallelBeamSearch(context.Background(), p, grid.manhattan(), Limits{}, 8, 4)
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	var serr *Error
-	if !errors.As(err, &serr) || serr.Cause() != "panic" {
-		t.Fatalf("cause = %v, want panic", err)
-	}
-	settleGoroutines(t, baseline)
 }

@@ -1,9 +1,7 @@
 package search
 
 import (
-	"cmp"
 	"context"
-	"slices"
 )
 
 // RecursiveBestFirst runs RBFS (Korf 1993; §2.3 of the paper): a localized,
@@ -19,8 +17,7 @@ func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits)
 	c.candidate(start, hs, func() []Move { return nil })
 	onPath := map[string]bool{start.Key(): true}
 	var path []Move
-	hCache := make(map[string][]int)
-	res, _, err := rbfs(p, h, c, start, 0, hs, inf, &path, onPath, hCache, &rbfsScratch{})
+	res, _, err := rbfs(p, h, c, start, 0, hs, inf, &path, onPath, &childFreeList{})
 	if err != nil {
 		return nil, c.fail(err)
 	}
@@ -30,28 +27,9 @@ func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits)
 	return c.finish(res), nil
 }
 
-// rbfsChild is a successor with its backed-up f-value. The raw h-value is
-// kept as a tie-breaker: RBFS's inheritance rule (f ← max(g+h, parent f))
-// flattens children onto a plateau whenever the heuristic is non-monotone,
-// and without the tie-break the exploration order would degenerate to
-// operator enumeration order.
-type rbfsChild struct {
-	move Move
-	g    int
-	h    int
-	f    int
-}
-
 // rbfs explores s with the given stored f-value under fLimit. It returns a
 // result if a goal is found, otherwise the revised backed-up f-value of s.
-//
-// hCache memoizes each state's per-move heuristic values (aligned with the
-// move list, which deterministic problems return identically on every
-// expansion). RBFS re-generates abandoned subtrees relentlessly; a hit turns
-// the per-child h lookups of a re-expansion into slice reads. The backed-up
-// f-values are NOT cached — they depend on the path's inherited bound and
-// must be rebuilt per visit.
-func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath map[string]bool, hCache map[string][]int, sc *rbfsScratch) (*Result, int, error) {
+func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath map[string]bool, fl *childFreeList) (*Result, int, error) {
 	if err := c.examine(); err != nil {
 		return nil, 0, err
 	}
@@ -65,30 +43,16 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 	if err != nil {
 		return nil, 0, err
 	}
-	hs, ok := hCache[s.Key()]
-	if !ok || len(hs) != len(moves) {
-		hs = make([]int, len(moves))
-		for i, m := range moves {
-			hs[i] = h(m.To)
-		}
-		if len(hCache) < idaOrderMax {
-			hCache[s.Key()] = hs
-		}
-	}
-	// Children live in a recycled slice: RBFS re-expands abandoned subtrees
-	// relentlessly, and the backed-up f-values must be rebuilt per visit (they
-	// depend on the inherited bound), so unlike the h-values the slice cannot
-	// be memoized — but its backing array can be reused across visits. The
-	// deferred put runs after the visit's loop is done with the slice on every
-	// exit path.
-	children := sc.get(len(moves))
-	defer func() { sc.put(children) }()
-	for i, m := range moves {
+	// The deferred put runs after the visit's loop is done with the slice on
+	// every exit path.
+	children := fl.get(len(moves))
+	defer func() { fl.put(children) }()
+	for _, m := range moves {
 		if onPath[m.To.Key()] {
 			continue
 		}
 		cg := g + m.Cost
-		ch := hs[i]
+		ch := h(m.To)
 		if c.best != nil {
 			c.candidate(m.To, ch, func() []Move {
 				cp := make([]Move, 0, len(*path)+1)
@@ -102,21 +66,13 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 		if f > cf {
 			cf = f
 		}
-		children = append(children, rbfsChild{move: m, g: cg, h: ch, f: cf})
+		children = append(children, child{move: m, g: cg, h: ch, f: cf})
 	}
 	if len(children) == 0 {
 		return nil, inf, nil
 	}
 	for {
-		// Order children by current backed-up f, breaking ties by raw h
-		// (stable for determinism: ties preserve the order the previous
-		// iteration left, exactly as the sort.SliceStable this replaces).
-		slices.SortStableFunc(children, func(a, b rbfsChild) int {
-			if a.f != b.f {
-				return cmp.Compare(a.f, b.f)
-			}
-			return cmp.Compare(a.h, b.h)
-		})
+		sortChildren(children)
 		best := &children[0]
 		// best.f >= inf means every child subtree is exhausted (dead ends or
 		// depth limits); without this check the top-level call, whose fLimit
@@ -135,34 +91,12 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 		onPath[k] = true
 		*path = append(*path, best.move)
 		c.frontier(len(*path))
-		res, revised, err := rbfs(p, h, c, best.move.To, best.g, best.f, alt, path, onPath, hCache, sc)
+		res, revised, err := rbfs(p, h, c, best.move.To, best.g, best.f, alt, path, onPath, fl)
 		if err != nil || res != nil {
 			return res, 0, err
 		}
 		*path = (*path)[:len(*path)-1]
 		delete(onPath, k)
 		best.f = revised
-	}
-}
-
-// rbfsScratch is a free-list of children slices for rbfs, reused across
-// visits of one search. A search runs on a single goroutine, so no locking;
-// each visit pops a slice on entry and pushes it back when it returns.
-type rbfsScratch struct {
-	free [][]rbfsChild
-}
-
-func (sc *rbfsScratch) get(n int) []rbfsChild {
-	if k := len(sc.free); k > 0 {
-		s := sc.free[k-1]
-		sc.free = sc.free[:k-1]
-		return s[:0]
-	}
-	return make([]rbfsChild, 0, n)
-}
-
-func (sc *rbfsScratch) put(s []rbfsChild) {
-	if cap(s) > 0 {
-		sc.free = append(sc.free, s[:0])
 	}
 }

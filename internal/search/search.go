@@ -37,8 +37,11 @@ import (
 // State is a node of the search space. Implementations must provide a
 // canonical key so that semantically equal states collapse; TUPELO uses a
 // compact 128-bit hash of the database's canonical form (raw bytes, not a
-// full fingerprint string), keeping the bestG/seen/onPath maps and the
-// heuristic caches cheap to hash and small in memory.
+// full fingerprint string), keeping the per-run path bookkeeping — the
+// onPath and bestG maps and the parallel engine's shard routing — cheap to
+// hash and small in memory. The search never caches anything by key: facts
+// derived from a state (its heuristic value, its moves) are the Problem's
+// and Heuristic's to remember.
 type State interface {
 	// Key returns a canonical identifier: equal keys mean equal states.
 	// Keys may be compact hashes, so "equal" holds up to the hash's
@@ -46,11 +49,14 @@ type State interface {
 	Key() string
 }
 
-// Move is an edge of the search space: a labelled transition to a successor.
+// Move is an edge of the search space: an operator and the successor it
+// produces.
 type Move struct {
-	// Label identifies the operator that produced the successor; TUPELO
-	// stores the textual form of the L operator here.
-	Label string
+	// Op is the operator that produced the successor; TUPELO stores the L
+	// operator itself here. The search renders its text only for EvMove
+	// trace events and for the parallel engine's tie-break between goals of
+	// equal cost.
+	Op fmt.Stringer
 	// To is the successor state.
 	To State
 	// Cost is the edge cost; TUPELO counts each transformation as 1.
@@ -130,9 +136,10 @@ type Stats struct {
 	// Generated is the number of successor states produced.
 	Generated int
 	// MaxFrontier is the peak size of algorithm-managed state: the open
-	// list for A*, greedy, and beam search, and the deepest search path
-	// held (recursion depth) for the linear-memory IDA and RBFS — the
-	// quantity their linear-memory guarantee bounds.
+	// list for A* and greedy search (for the sharded engines, the sum of
+	// the shards' peaks), and the deepest search path held (recursion
+	// depth) for the linear-memory IDA and RBFS — the quantity their
+	// linear-memory guarantee bounds.
 	MaxFrontier int
 	// Iterations counts IDA depth-bound iterations (0 for other methods).
 	Iterations int
@@ -592,8 +599,11 @@ func (c *counter) expand(p Problem, s State, g int) ([]Move, error) {
 	c.generated(len(moves))
 	c.ring.Record(obs.FKExpand, uint32(c.stats.Examined), int32(g), int32(len(moves)))
 	tr.Event(obs.Event{Kind: obs.EvExpand, Seq: c.stats.Examined, Depth: g, N: len(moves), Elapsed: elapsed})
-	for _, m := range moves {
-		tr.Event(obs.Event{Kind: obs.EvMove, Label: m.Label, Depth: g})
+	if c.o.Trace != nil {
+		// Operator text is rendered only for an attached tracer.
+		for _, m := range moves {
+			tr.Event(obs.Event{Kind: obs.EvMove, Label: m.Op.String(), Depth: g})
+		}
 	}
 	return moves, nil
 }

@@ -14,6 +14,11 @@ type intState int
 
 func (s intState) Key() string { return fmt.Sprintf("%d", int(s)) }
 
+// opName is a test operator whose text is its name.
+type opName string
+
+func (o opName) String() string { return string(o) }
+
 // lineProblem is a path graph 0 — 1 — ... — n with the goal at n.
 type lineProblem struct{ n int }
 
@@ -22,10 +27,10 @@ func (p lineProblem) Successors(s State) ([]Move, error) {
 	i := int(s.(intState))
 	var out []Move
 	if i > 0 {
-		out = append(out, Move{Label: "back", To: intState(i - 1), Cost: 1})
+		out = append(out, Move{Op: opName("back"), To: intState(i - 1), Cost: 1})
 	}
 	if i < p.n {
-		out = append(out, Move{Label: "fwd", To: intState(i + 1), Cost: 1})
+		out = append(out, Move{Op: opName("fwd"), To: intState(i + 1), Cost: 1})
 	}
 	return out, nil
 }
@@ -136,7 +141,7 @@ type deadEndProblem struct{}
 func (deadEndProblem) Start() State { return intState(0) }
 func (deadEndProblem) Successors(s State) ([]Move, error) {
 	if int(s.(intState)) < 3 {
-		return []Move{{Label: "next", To: s.(intState) + 1, Cost: 1}}, nil
+		return []Move{{Op: opName("next"), To: s.(intState) + 1, Cost: 1}}, nil
 	}
 	return nil, nil
 }
@@ -223,7 +228,7 @@ func (p gridProblem) Successors(s State) ([]Move, error) {
 		if nx < 0 || ny < 0 || nx >= p.w || ny >= p.h || p.walls[[2]int{nx, ny}] {
 			continue
 		}
-		out = append(out, Move{Label: dir.name, To: gridState{nx, ny}, Cost: 1})
+		out = append(out, Move{Op: opName(dir.name), To: gridState{nx, ny}, Cost: 1})
 	}
 	return out, nil
 }
@@ -329,7 +334,7 @@ func TestPropertyPathValidity(t *testing.T) {
 				moves, _ := p.Successors(cur)
 				ok := false
 				for _, cand := range moves {
-					if cand.Label == m.Label && cand.To.Key() == m.To.Key() {
+					if cand.Op == m.Op && cand.To.Key() == m.To.Key() {
 						ok = true
 						break
 					}

@@ -94,9 +94,6 @@ type (
 	PortfolioResult = core.PortfolioResult
 	// PortfolioRun reports one portfolio member's outcome.
 	PortfolioRun = core.PortfolioRun
-	// HeuristicCache memoizes heuristic estimates across runs; inject one
-	// through Options.Cache to share TNF encodings between discoveries.
-	HeuristicCache = heuristic.Cache
 	// Expr is an executable mapping expression in the language L.
 	Expr = fira.Expr
 	// Op is a single operator of L.
@@ -201,7 +198,8 @@ func MustDatabase(rels ...*Relation) *Database {
 }
 
 // DefaultOptions returns the paper's overall best configuration: RBFS with
-// the cosine similarity heuristic at its published scaling constant.
+// the cosine similarity heuristic at its published scaling constant. It is
+// Options{}.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Discover searches for a mapping expression carrying the source critical
@@ -220,19 +218,15 @@ func DiscoverContext(ctx context.Context, source, target *Database, opts Options
 
 // DiscoverPortfolio races several (algorithm, heuristic, k) configurations
 // over independent copies of the problem, returning the first verified
-// mapping and cancelling the rest. Members that agree on (heuristic, k)
-// share a heuristic cache. An empty PortfolioOptions races
-// DefaultPortfolio() with the default Options.
+// mapping and cancelling the rest. Members share no search state, not even
+// heuristic estimates when they agree on (heuristic, k). An empty
+// PortfolioOptions races DefaultPortfolio() with the default Options.
 func DiscoverPortfolio(ctx context.Context, source, target *Database, popts PortfolioOptions) (*PortfolioResult, error) {
 	return core.DiscoverPortfolio(ctx, source, target, popts)
 }
 
 // DefaultPortfolio returns the default racing lineup of DiscoverPortfolio.
 func DefaultPortfolio() []PortfolioConfig { return core.DefaultPortfolio() }
-
-// NewHeuristicCache returns a concurrency-safe heuristic cache suitable
-// for Options.Cache, for sharing TNF encodings across related discoveries.
-func NewHeuristicCache() HeuristicCache { return heuristic.NewSyncCache() }
 
 // Observability (package internal/obs): a race-safe metrics registry and a
 // structured trace-event stream, attached to runs through Options.Metrics
