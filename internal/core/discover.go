@@ -228,7 +228,7 @@ func BranchingFactor(source, target *relation.Database, opts Options) (int, erro
 
 // uniqueKeyProblem wraps a problem so that every state has a distinct key
 // (ablation of the cycle check). Forged states sit outside the state table,
-// so each starts with no estimate and no moves of its own.
+// so each starts with no estimate, no moves and no goal verdict of its own.
 type uniqueKeyProblem struct {
 	inner *mappingProblem
 	n     int

@@ -24,11 +24,12 @@ import (
 //
 // Each discovery run keeps one canonical dbState per key in its stateTable
 // and hands the search only canonical states, so the state itself carries
-// everything the run derives about its key. IDA* and RBFS re-examine states
+// everything the run derives about its key: its heuristic estimate, its
+// move list and its goal verdict. IDA* and RBFS re-examine states
 // relentlessly — on the paper's exp1 workload 96% of expansions are of a
 // state already expanded — and each revisit reads these fields instead of
-// recomputing. Both facts are deterministic per key and published once
-// through an atomic, so goroutines that race to publish agree.
+// recomputing. All three facts are deterministic per key and published
+// through atomics, so goroutines that race to publish agree.
 type dbState struct {
 	db  *relation.Database
 	key string
@@ -40,7 +41,19 @@ type dbState struct {
 	// expansion; nil before that, and always nil under a FaultHook, whose
 	// injected faults must fire on every expansion.
 	moves atomic.Pointer[[]search.Move]
+	// goal is the state's goal verdict: verdictUntested until its first
+	// goal test (mappingProblem.IsGoal), then verdictNotGoal or verdictGoal.
+	// The goal test has no fault site, so the verdict stays on under a
+	// FaultHook.
+	goal atomic.Uint32
 }
+
+// Goal verdicts stored in dbState.goal.
+const (
+	verdictUntested uint32 = iota
+	verdictNotGoal
+	verdictGoal
+)
 
 // estimate is a state's heuristic value and, when the run's evaluator is
 // incremental and the value was delta-merged from the parent, the state's

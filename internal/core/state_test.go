@@ -31,10 +31,12 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 
 // TestMemoTableMatchesScratch checks the facts the state table hands the
 // search against recomputation, for every state the search examined: the
-// published h equals a from-scratch estimate, the published move list
-// equals a fresh expansion of the state's own database with the move memo
-// off, and every state and every move's successor is the table's canonical
-// state for its key. It covers the tree searches, A*, the successor pool
+// published h equals a from-scratch estimate, the stored goal verdict
+// equals the nested-loop reference scan (Database.Contains, not the
+// containment index that produced it), the published move list equals a
+// fresh expansion of the state's own database with the move memo off, and
+// every state and every move's successor is the table's canonical state for
+// its key. It covers the tree searches, A*, the successor pool
 // and the sharded search, and under -race the table's concurrent use.
 func TestMemoTableMatchesScratch(t *testing.T) {
 	flightsSrc, flightsTgt, err := datagen.FlightsScaled(3, 2)
@@ -101,22 +103,29 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if want := scratch.Estimate(s.db); e.h != want {
 			t.Fatalf("state %x: table h = %d, from-scratch estimate = %d", s.key, e.h, want)
 		}
+		want := verdictNotGoal
+		if s.db.Contains(tgt) {
+			want = verdictGoal
+		}
+		if got := s.goal.Load(); got != want {
+			t.Fatalf("state %x: stored goal verdict = %d, reference scan gives %d", s.key, got, want)
+		}
 		moves := s.moves.Load()
 		if moves == nil {
 			continue // examined but never expanded: a goal or a pruned leaf
 		}
 		expanded++
-		want, err := fresh.Successors(&dbState{db: s.db, key: s.key})
+		wantMoves, err := fresh.Successors(&dbState{db: s.db, key: s.key})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(*moves) != len(want) {
-			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(*moves), len(want))
+		if len(*moves) != len(wantMoves) {
+			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(*moves), len(wantMoves))
 		}
 		for i, m := range *moves {
-			if m.Op.String() != want[i].Op.String() || m.To.Key() != want[i].To.Key() {
+			if m.Op.String() != wantMoves[i].Op.String() || m.To.Key() != wantMoves[i].To.Key() {
 				t.Fatalf("state %x move %d: table %s → %x, fresh %s → %x",
-					s.key, i, m.Op, m.To.Key(), want[i].Op, want[i].To.Key())
+					s.key, i, m.Op, m.To.Key(), wantMoves[i].Op, wantMoves[i].To.Key())
 			}
 			if !canonical(m.To.(*dbState)) {
 				t.Fatalf("state %x move %d (%s): successor is not the table's state for its key", s.key, i, m.Op)

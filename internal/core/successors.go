@@ -50,10 +50,11 @@ type mappingProblem struct {
 	tRelValSyms  map[string]map[relation.Symbol]bool
 
 	// goalIx is the precomputed containment index over the target critical
-	// instance: the goal test runs once per examined state, and the indexed
-	// form replaces Database.Contains's nested-loop tuple scan with hash
-	// lookups. It answers exactly what Database.Contains answers (the scan is
-	// kept as the reference implementation, cross-checked by tests).
+	// instance: the goal test runs once per distinct examined state (IsGoal
+	// stores the verdict on the state), and the indexed form replaces
+	// Database.Contains's nested-loop tuple scan with hash lookups. It
+	// answers exactly what Database.Contains answers (the scan is kept as
+	// the reference implementation, cross-checked by tests).
 	goalIx *relation.ContainmentIndex
 
 	// table holds the run's canonical state for every key: the start state
@@ -153,7 +154,7 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 	p.tValSymSet = internSet(p.tVals)
 	for _, r := range target.Relations() {
 		rv := make(map[relation.Symbol]bool)
-		for j, a := range r.Attrs() {
+		for j, a := range r.AttrView() {
 			av := p.tAttrValSyms[a]
 			if av == nil {
 				av = make(map[relation.Symbol]bool)
@@ -186,10 +187,23 @@ func (p *mappingProblem) Start() search.State {
 }
 
 // IsGoal implements search.Problem: the state is a structurally identical
-// superset of the target critical instance. The test runs against the
-// precomputed containment index, equivalent to db.Contains(p.target).
+// superset of the target critical instance. The first test of a state runs
+// against the precomputed containment index, equivalent to
+// db.Contains(p.target), and stores the verdict on the state; every revisit
+// reads it. Racing goroutines compute the same verdict, so the plain store
+// is safe.
 func (p *mappingProblem) IsGoal(s search.State) bool {
-	return p.goalIx.Contains(s.(*dbState).db)
+	ds := s.(*dbState)
+	if v := ds.goal.Load(); v != verdictUntested {
+		return v == verdictGoal
+	}
+	goal := p.goalIx.Contains(ds.db)
+	v := verdictNotGoal
+	if goal {
+		v = verdictGoal
+	}
+	ds.goal.Store(v)
+	return goal
 }
 
 // Successors implements search.Problem. Operator arguments are instantiated
@@ -570,7 +584,7 @@ func (p *mappingProblem) renameAttMoves(x *expCtx) []fira.Op {
 	missing := missingFrom(p.tAttrsSorted, x.attrs)
 	var ops []fira.Op
 	for _, r := range x.rels {
-		for _, a := range r.Attrs() {
+		for _, a := range r.AttrView() {
 			if p.prune && p.tAttrs[a] {
 				continue // a is already a target attribute name
 			}
@@ -619,7 +633,7 @@ func (p *mappingProblem) dropMoves(x *expCtx) []fira.Op {
 		if r.Arity() <= 1 {
 			continue
 		}
-		for _, a := range r.Attrs() {
+		for _, a := range r.AttrView() {
 			if p.prune && p.tAttrs[a] {
 				continue // target needs this attribute
 			}
@@ -635,7 +649,7 @@ func (p *mappingProblem) dropMoves(x *expCtx) []fira.Op {
 func (p *mappingProblem) promoteMoves(x *expCtx) []fira.Op {
 	var ops []fira.Op
 	for _, r := range x.rels {
-		attrs := r.Attrs()
+		attrs := r.AttrView()
 		for nj, nameAttr := range attrs {
 			if p.prune && !p.columnFeedsTargetAttrs(r, nj) {
 				continue
@@ -688,7 +702,7 @@ func (p *mappingProblem) demoteMoves(x *expCtx) []fira.Op {
 		}
 		if p.prune {
 			useful := p.tVals[r.Name()]
-			for _, a := range r.Attrs() {
+			for _, a := range r.AttrView() {
 				if p.tVals[a] {
 					useful = true
 					break
@@ -708,7 +722,7 @@ func (p *mappingProblem) demoteMoves(x *expCtx) []fira.Op {
 func (p *mappingProblem) derefMoves(x *expCtx) []fira.Op {
 	var ops []fira.Op
 	for _, r := range x.rels {
-		for pj, ptr := range r.Attrs() {
+		for pj, ptr := range r.AttrView() {
 			vals := r.DistinctSymbols(pj)
 			if len(vals) == 0 {
 				continue
@@ -745,7 +759,7 @@ func (p *mappingProblem) derefMoves(x *expCtx) []fira.Op {
 func (p *mappingProblem) partitionMoves(x *expCtx) []fira.Op {
 	var ops []fira.Op
 	for _, r := range x.rels {
-		for j, a := range r.Attrs() {
+		for j, a := range r.AttrView() {
 			if p.prune {
 				useful := false
 				for _, s := range r.DistinctSymbols(j) {
@@ -787,7 +801,7 @@ func (p *mappingProblem) productMoves(x *expCtx) []fira.Op {
 }
 
 func attrDisjoint(l, r *relation.Relation) bool {
-	for _, a := range r.Attrs() {
+	for _, a := range r.AttrView() {
 		if l.HasAttr(a) {
 			return false
 		}
@@ -800,7 +814,7 @@ func attrDisjoint(l, r *relation.Relation) bool {
 func (p *mappingProblem) targetSpans(l, r *relation.Relation) bool {
 	for _, t := range p.target.Relations() {
 		hasL, hasR := false, false
-		for _, a := range t.Attrs() {
+		for _, a := range t.AttrView() {
 			if l.HasAttr(a) {
 				hasL = true
 			}
@@ -848,7 +862,7 @@ func sameAttrSet(l, r *relation.Relation) bool {
 	if l.Arity() != r.Arity() {
 		return false
 	}
-	for _, a := range r.Attrs() {
+	for _, a := range r.AttrView() {
 		if !l.HasAttr(a) {
 			return false
 		}
@@ -864,7 +878,7 @@ func (p *mappingProblem) mergeMoves(x *expCtx) []fira.Op {
 		if p.prune && !r.HasEmptyCell() {
 			continue
 		}
-		for _, a := range r.Attrs() {
+		for _, a := range r.AttrView() {
 			ops = append(ops, fira.Merge{Rel: r.Name(), Attr: a})
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Tuple is a single row of a relation. Its length always equals the number
@@ -77,21 +78,16 @@ type Relation struct {
 
 // canonMemo holds the lazily computed derived forms of a relation. The
 // fields group into independent sync.Once-guarded families so each consumer
-// pays only for what it uses: the hot search path needs hash + fragment and
-// never renders the string fingerprint; diagnostic paths (Fingerprint,
-// Equal) render the canonical strings on demand.
+// pays only for what it uses. Every search successor builds at least one
+// relation, so the memo keeps inline only what the successor path reads —
+// the hash, the TNF fragment, the distinct symbols and the wide-schema
+// attribute index — and moves the rest behind the cold pointer, allocated
+// on first use.
 type canonMemo struct {
 	// Compact identity: two 64-bit lanes mixed over the per-symbol content
 	// signatures. Content-based, so stable across processes.
 	hashOnce sync.Once
 	hash     [16]byte
-
-	// Canonical string form: sorted-attr row renderings and fingerprint.
-	// This is the retained string-path reference the differential tests
-	// cross-check the columnar identities against.
-	canonOnce sync.Once
-	rows      []string // canonical rows: sorted-attr rendering, sorted
-	fp        string   // full canonical fingerprint string
 
 	// TNF fragment (fragment.go).
 	fragOnce sync.Once
@@ -102,6 +98,29 @@ type canonMemo struct {
 	symColsOnce sync.Once
 	symCols     [][]Symbol
 
+	// Attribute name → position, built on first lookup over a wide schema.
+	// Narrow schemas — the common case — resolve attributes by linear scan
+	// and never build the map: search successors are created by the million,
+	// and most are hashed and discarded without a single attribute lookup,
+	// so constructors must not pay for an index eagerly.
+	indexOnce sync.Once
+	index     map[string]int
+
+	// cold holds the forms the search never reads; nil until the first
+	// caller of coldMemo publishes one.
+	cold atomic.Pointer[coldMemo]
+}
+
+// coldMemo holds the derived forms of a relation that only diagnostics,
+// comparisons, decoding and copy-on-write insertion read.
+type coldMemo struct {
+	// Canonical string form: sorted-attr row renderings and fingerprint.
+	// This is the retained string-path reference the differential tests
+	// cross-check the columnar identities against.
+	canonOnce sync.Once
+	rows      []string // canonical rows: sorted-attr rendering, sorted
+	fp        string   // full canonical fingerprint string
+
 	// Distinct values per column, decoded and sorted; indexed like attrs.
 	colsOnce sync.Once
 	cols     [][]string
@@ -111,14 +130,16 @@ type canonMemo struct {
 	// check of copy-on-write insertion into one map lookup.
 	rowSetOnce sync.Once
 	rowSet     map[string]bool
+}
 
-	// Attribute name → position, built on first lookup over a wide schema.
-	// Narrow schemas — the common case — resolve attributes by linear scan
-	// and never build the map: search successors are created by the million,
-	// and most are hashed and discarded without a single attribute lookup,
-	// so constructors must not pay for an index eagerly.
-	indexOnce sync.Once
-	index     map[string]int
+// coldMemo returns the relation's cold memo, publishing an empty one on
+// first use; racing callers agree on the one that won the swap.
+func (r *Relation) coldMemo() *coldMemo {
+	if c := r.memo.cold.Load(); c != nil {
+		return c
+	}
+	r.memo.cold.CompareAndSwap(nil, &coldMemo{})
+	return r.memo.cold.Load()
 }
 
 // attrScanMax is the widest schema resolved by linear scan; beyond it,
@@ -174,18 +195,25 @@ func newEmpty(name string, attrs []string) (*Relation, error) {
 	if err := validateSchema(name, attrs); err != nil {
 		return nil, err
 	}
-	r := &Relation{
+	nameSym := Intern(name)
+	attrSyms := make([]Symbol, len(attrs))
+	for j, a := range attrs {
+		attrSyms[j] = Intern(a)
+	}
+	return emptyWithSchema(name, nameSym, append([]string(nil), attrs...), attrSyms), nil
+}
+
+// emptyWithSchema builds a rowless relation over an already validated and
+// interned schema, taking ownership of attrs and attrSyms.
+func emptyWithSchema(name string, nameSym Symbol, attrs []string, attrSyms []Symbol) *Relation {
+	return &Relation{
 		name:     name,
-		nameSym:  Intern(name),
-		attrs:    append([]string(nil), attrs...),
-		attrSyms: make([]Symbol, len(attrs)),
+		nameSym:  nameSym,
+		attrs:    attrs,
+		attrSyms: attrSyms,
 		cols:     make([][]Symbol, len(attrs)),
 		memo:     &canonMemo{},
 	}
-	for j, a := range r.attrs {
-		r.attrSyms[j] = Intern(a)
-	}
-	return r, nil
 }
 
 // New creates a relation. It fails if the name or any attribute is empty,
@@ -313,7 +341,7 @@ func (r *Relation) appendRowKey(buf []byte, i int) []byte {
 // lookup, so a chain of n copy-on-write inserts costs O(n·arity) key
 // encodings instead of the O(n²) tuple scans it once did.
 func (r *Relation) rowSet() map[string]bool {
-	m := r.memo
+	m := r.coldMemo()
 	m.rowSetOnce.Do(func() {
 		set := make(map[string]bool, r.nrows)
 		buf := make([]byte, 0, 4*len(r.cols))
@@ -344,6 +372,11 @@ func (r *Relation) NameSymbol() Symbol { return r.nameSym }
 
 // Attrs returns a copy of the ordered attribute list.
 func (r *Relation) Attrs() []string { return append([]string(nil), r.attrs...) }
+
+// AttrView returns the ordered attribute list, shared: callers must treat
+// the slice as read-only. It is Attrs without the defensive copy, for the
+// move generators that read every relation's schema on every expansion.
+func (r *Relation) AttrView() []string { return r.attrs }
 
 // AttrSymbols returns the interned attribute names in schema order, shared:
 // callers must treat the slice as read-only.
@@ -529,8 +562,8 @@ func (r *Relation) withColumnSyms(attr string, col []Symbol) (*Relation, error) 
 	return &Relation{
 		name:     r.name,
 		nameSym:  r.nameSym,
-		attrs:    append(r.Attrs(), attr),
-		attrSyms: append(append([]Symbol(nil), r.attrSyms...), Intern(attr)),
+		attrs:    append(append(make([]string, 0, len(r.attrs)+1), r.attrs...), attr),
+		attrSyms: append(append(make([]Symbol, 0, len(r.attrSyms)+1), r.attrSyms...), Intern(attr)),
 		cols:     cols,
 		nrows:    r.nrows,
 		memo:     &canonMemo{},
@@ -555,16 +588,12 @@ func (r *Relation) WithColumnSyms(attr string, col []Symbol) (*Relation, error) 
 	return r.withColumnSyms(attr, col)
 }
 
-// projectCols builds a relation from the receiver's rows restricted to the
-// column positions idx (in idx order) under the given schema, collapsing
-// duplicate rows first-wins. When no duplicates arise the projected columns
-// are shared with the receiver capacity-capped; otherwise surviving rows
-// are gathered into fresh columns.
-func (r *Relation) projectCols(attrs []string, idx []int) (*Relation, error) {
-	out, err := newEmpty(r.name, attrs)
-	if err != nil {
-		return nil, err
-	}
+// projectCols fills out, a rowless relation over the projected schema, with
+// the receiver's rows restricted to the column positions idx (in idx
+// order), collapsing duplicate rows first-wins. When no duplicates arise the
+// projected columns are shared with the receiver capacity-capped; otherwise
+// surviving rows are gathered into fresh columns.
+func (r *Relation) projectCols(out *Relation, idx []int) *Relation {
 	if r.nrows <= 1 {
 		// A single row cannot duplicate anything; share the columns.
 		for k, j := range idx {
@@ -572,7 +601,7 @@ func (r *Relation) projectCols(attrs []string, idx []int) (*Relation, error) {
 			out.cols[k] = c[:len(c):len(c)]
 		}
 		out.nrows = r.nrows
-		return out, nil
+		return out
 	}
 	seen := make(map[string]bool, r.nrows)
 	keep := make([]int, 0, r.nrows)
@@ -594,7 +623,7 @@ func (r *Relation) projectCols(attrs []string, idx []int) (*Relation, error) {
 			out.cols[k] = c[:len(c):len(c)]
 		}
 		out.nrows = r.nrows
-		return out, nil
+		return out
 	}
 	for k, j := range idx {
 		src := r.cols[j]
@@ -605,26 +634,36 @@ func (r *Relation) projectCols(attrs []string, idx []int) (*Relation, error) {
 		out.cols[k] = c
 	}
 	out.nrows = len(keep)
-	return out, nil
+	return out
 }
 
 // WithoutAttr returns a copy with attribute a dropped (the paper's π̄
 // operator at the relation level). Duplicate rows that arise from the drop
-// collapse, per set semantics.
+// collapse, per set semantics. Dropping an attribute keeps a valid schema
+// valid, so the projected schema is built once, straight from the
+// receiver's names and symbols; the column positions live on the stack up
+// to attrScanMax attributes.
 func (r *Relation) WithoutAttr(a string) (*Relation, error) {
 	j := r.lookup(a)
 	if j < 0 {
 		return nil, fmt.Errorf("relation %s: no attribute %q", r.name, a)
 	}
-	attrs := make([]string, 0, len(r.attrs)-1)
-	idx := make([]int, 0, len(r.attrs)-1)
+	n := len(r.attrs) - 1
+	attrs := make([]string, 0, n)
+	attrSyms := make([]Symbol, 0, n)
+	var idxArr [attrScanMax]int
+	idx := idxArr[:0]
+	if n > attrScanMax {
+		idx = make([]int, 0, n)
+	}
 	for i, name := range r.attrs {
 		if i != j {
 			attrs = append(attrs, name)
+			attrSyms = append(attrSyms, r.attrSyms[i])
 			idx = append(idx, i)
 		}
 	}
-	return r.projectCols(attrs, idx)
+	return r.projectCols(emptyWithSchema(r.name, r.nameSym, attrs, attrSyms), idx), nil
 }
 
 // Project returns a copy containing only the named attributes, in the given
@@ -638,7 +677,11 @@ func (r *Relation) Project(attrs []string) (*Relation, error) {
 		}
 		idx[i] = j
 	}
-	return r.projectCols(attrs, idx)
+	out, err := newEmpty(r.name, attrs)
+	if err != nil {
+		return nil, err
+	}
+	return r.projectCols(out, idx), nil
 }
 
 // distinctSymbols computes the per-column distinct symbols exactly once, in
@@ -678,7 +721,7 @@ func (r *Relation) DistinctSymbols(j int) []Symbol {
 // distinctValues computes the per-column sorted distinct values exactly
 // once, decoding the distinct symbol sets.
 func (r *Relation) distinctValues() [][]string {
-	m := r.memo
+	m := r.coldMemo()
 	m.colsOnce.Do(func() {
 		syms := r.distinctSymbols()
 		strs := strsSnapshot()
@@ -785,20 +828,22 @@ func (r *Relation) computeCanonical() (rows []string, fp string) {
 	return rows, string(fpBuf)
 }
 
-// canonicalize computes the canonical string form exactly once. Safe for
-// concurrent callers: parallel successor workers fingerprinting states that
-// share this relation synchronize on the memo's sync.Once.
-func (r *Relation) canonicalize() {
-	r.memo.canonOnce.Do(func() {
-		r.memo.rows, r.memo.fp = r.computeCanonical()
+// canonicalize computes the canonical string form exactly once and returns
+// the cold memo holding it. Safe for concurrent callers: parallel successor
+// workers fingerprinting states that share this relation synchronize on the
+// memo's sync.Once.
+func (r *Relation) canonicalize() *coldMemo {
+	m := r.coldMemo()
+	m.canonOnce.Do(func() {
+		m.rows, m.fp = r.computeCanonical()
 	})
+	return m
 }
 
 // canonicalRows returns the memoized canonical row rendering; used for
 // order-insensitive comparison.
 func (r *Relation) canonicalRows() []string {
-	r.canonicalize()
-	return r.memo.rows
+	return r.canonicalize().rows
 }
 
 // Equal reports semantic equality: same name, same attribute set (order
@@ -868,8 +913,7 @@ func (r *Relation) Contains(s *Relation) bool {
 // search successor that shares this relation copy-on-write pays nothing to
 // re-identify it.
 func (r *Relation) Fingerprint() string {
-	r.canonicalize()
-	return r.memo.fp
+	return r.canonicalize().fp
 }
 
 // sortedAttrOrder returns the attribute positions in sorted-attribute-name

@@ -64,3 +64,26 @@ func BenchmarkParallelAStar(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTreeSearch measures IDA*'s and RBFS's per-visit bookkeeping —
+// the path-key check, building and ordering the children, RBFS's
+// re-insertion of a revised child — on the walled "barrier" grid, whose
+// detour makes both searches revisit states many times over.
+func BenchmarkTreeSearch(b *testing.B) {
+	p := walledGrids()["barrier"]
+	h := p.manhattan()
+	for _, algo := range []Algorithm{IDA, RBFS} {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(algo, p, h, Limits{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(res.Stats.Examined), "states/op")
+				}
+			}
+		})
+	}
+}

@@ -17,14 +17,16 @@ func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, 
 	c := newCounter(ctx, "IDA", lim)
 	bound := h(start)
 	var fl childFreeList
+	// Every probe pops what it pushes, so one path-key slice serves all
+	// iterations.
+	onPath := []string{start.Key()}
 	for {
 		c.stats.Iterations++
-		onPath := map[string]bool{start.Key(): true}
 		var path []Move
 		// On abort, Stats.Depth stays 0 like every other algorithm:
 		// Stats.Depth documents the length of the solution path found, and
 		// the in-flight probe depth is not one.
-		next, res, err := idaProbe(p, h, c, start, 0, bound, &path, onPath, &fl)
+		next, res, err := idaProbe(p, h, c, start, 0, bound, &path, &onPath, &fl)
 		if err != nil {
 			return nil, c.fail(err)
 		}
@@ -40,8 +42,10 @@ func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, 
 
 // idaProbe performs one bounded depth-first probe. It returns the smallest
 // f-value that exceeded the bound (inf if the subtree is exhausted), or a
-// result if a goal was found on this probe.
-func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath map[string]bool, fl *childFreeList) (int, *Result, error) {
+// result if a goal was found on this probe. onPath holds the keys of the
+// states on the current path, the start state first; s's key is already on
+// it.
+func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath *[]string, fl *childFreeList) (int, *Result, error) {
 	f := g + h(s)
 	if c.best != nil {
 		c.candidate(s, f-g, func() []Move { return append([]Move(nil), *path...) })
@@ -69,26 +73,27 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	// instead of leaving the order to operator enumeration.
 	kids := fl.get(len(moves))
 	defer func() { fl.put(kids) }()
-	for _, m := range moves {
+	for i, m := range moves {
 		hv := h(m.To)
-		kids = append(kids, child{move: m, g: g + m.Cost, h: hv, f: g + m.Cost + hv})
+		kids = append(kids, child{i: i, g: g + m.Cost, h: hv, f: g + m.Cost + hv})
 	}
 	sortChildren(kids)
 	min := inf
 	for _, kid := range kids {
-		k := kid.move.To.Key()
-		if onPath[k] {
+		m := moves[kid.i]
+		k := m.To.Key()
+		if slices.Contains(*onPath, k) {
 			continue // cycle along the current path
 		}
-		onPath[k] = true
-		*path = append(*path, kid.move)
+		*onPath = append(*onPath, k)
+		*path = append(*path, m)
 		c.frontier(len(*path))
-		t, res, err := idaProbe(p, h, c, kid.move.To, kid.g, bound, path, onPath, fl)
+		t, res, err := idaProbe(p, h, c, m.To, kid.g, bound, path, onPath, fl)
 		if err != nil || res != nil {
 			return t, res, err
 		}
 		*path = (*path)[:len(*path)-1]
-		delete(onPath, k)
+		*onPath = (*onPath)[:len(*onPath)-1]
 		if t < min {
 			min = t
 		}
@@ -96,28 +101,44 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	return min, nil, nil
 }
 
-// child is a successor with its g, h and (for RBFS, backed-up) f values,
-// the unit IDA* and RBFS order their expansions by.
+// child is one successor of a visit with its g, h and (for RBFS,
+// backed-up) f values, the unit IDA* and RBFS order their expansions by. i
+// indexes the visit's move list instead of holding the Move, so a children
+// slice holds no pointers: the garbage collector never scans the recycled
+// slices, and reordering them needs no write barriers.
 type child struct {
-	move Move
-	g    int
-	h    int
-	f    int
+	i, g, h, f int
 }
 
-// sortChildren orders children by f, breaking ties by raw h. The sort is
-// stable, so equal children keep their move order (or, for RBFS, the order
-// the previous iteration left). The h tie-break matters for RBFS, whose
-// inheritance rule (f ← max(g+h, parent f)) flattens children onto a
-// plateau whenever the heuristic is non-monotone: without it the
-// exploration order would degenerate to operator enumeration order.
+// compareChildren is the (f, h) order of a visit's children. The h
+// tie-break matters for RBFS, whose inheritance rule (f ← max(g+h, parent
+// f)) flattens children onto a plateau whenever the heuristic is
+// non-monotone: without it the exploration order would degenerate to
+// operator enumeration order.
+func compareChildren(a, b child) int {
+	if a.f != b.f {
+		return cmp.Compare(a.f, b.f)
+	}
+	return cmp.Compare(a.h, b.h)
+}
+
+// sortChildren orders a visit's children by compareChildren. The sort is
+// stable, so equal children keep their move order. IDA* sorts each visit
+// once; RBFS sorts once and then re-inserts the one child whose backed-up
+// value changed (reinsertFirst).
 func sortChildren(kids []child) {
-	slices.SortStableFunc(kids, func(a, b child) int {
-		if a.f != b.f {
-			return cmp.Compare(a.f, b.f)
-		}
-		return cmp.Compare(a.h, b.h)
-	})
+	slices.SortStableFunc(kids, compareChildren)
+}
+
+// reinsertFirst restores the order of kids after RBFS revised kids[0].f,
+// given that kids[1:] is still sorted: it swaps kids[0] forward past every
+// child that now sorts strictly before it. That is exactly where a stable
+// re-sort puts it — only element 0 changed, and it came before every child
+// equal to it — and a lowered value leaves it first, as the sort would.
+func reinsertFirst(kids []child) {
+	for i := 1; i < len(kids) && compareChildren(kids[i], kids[i-1]) < 0; i++ {
+		kids[i], kids[i-1] = kids[i-1], kids[i]
+	}
 }
 
 // childFreeList recycles the children slices of one IDA* or RBFS search
@@ -125,7 +146,7 @@ func sortChildren(kids []child) {
 // each visit's children (RBFS's backed-up f-values depend on the inherited
 // bound), but the backing arrays can be reused. A search runs on a single
 // goroutine, so no locking; each visit pops a slice on entry and pushes it
-// back when it returns.
+// back when it returns. The slices hold pointer-free child records.
 type childFreeList struct {
 	free [][]child
 }

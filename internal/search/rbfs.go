@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"slices"
 )
 
 // RecursiveBestFirst runs RBFS (Korf 1993; §2.3 of the paper): a localized,
@@ -15,9 +16,9 @@ func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits)
 	c := newCounter(ctx, "RBFS", lim)
 	hs := h(start)
 	c.candidate(start, hs, func() []Move { return nil })
-	onPath := map[string]bool{start.Key(): true}
+	onPath := []string{start.Key()}
 	var path []Move
-	res, _, err := rbfs(p, h, c, start, 0, hs, inf, &path, onPath, &childFreeList{})
+	res, _, err := rbfs(p, h, c, start, 0, hs, inf, &path, &onPath, &childFreeList{})
 	if err != nil {
 		return nil, c.fail(err)
 	}
@@ -29,7 +30,9 @@ func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits)
 
 // rbfs explores s with the given stored f-value under fLimit. It returns a
 // result if a goal is found, otherwise the revised backed-up f-value of s.
-func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath map[string]bool, fl *childFreeList) (*Result, int, error) {
+// onPath holds the keys of the states on the current path, the start state
+// first; s's key is already on it.
+func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath *[]string, fl *childFreeList) (*Result, int, error) {
 	if err := c.examine(); err != nil {
 		return nil, 0, err
 	}
@@ -47,8 +50,8 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 	// every exit path.
 	children := fl.get(len(moves))
 	defer func() { fl.put(children) }()
-	for _, m := range moves {
-		if onPath[m.To.Key()] {
+	for i, m := range moves {
+		if slices.Contains(*onPath, m.To.Key()) {
 			continue
 		}
 		cg := g + m.Cost
@@ -66,13 +69,15 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 		if f > cf {
 			cf = f
 		}
-		children = append(children, child{move: m, g: cg, h: ch, f: cf})
+		children = append(children, child{i: i, g: cg, h: ch, f: cf})
 	}
 	if len(children) == 0 {
 		return nil, inf, nil
 	}
+	// Sort once; after each revision only the best child's value changed,
+	// and reinsertFirst moves it to where a stable re-sort would.
+	sortChildren(children)
 	for {
-		sortChildren(children)
 		best := &children[0]
 		// best.f >= inf means every child subtree is exhausted (dead ends or
 		// depth limits); without this check the top-level call, whose fLimit
@@ -87,16 +92,17 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 		if alt > fLimit {
 			alt = fLimit
 		}
-		k := best.move.To.Key()
-		onPath[k] = true
-		*path = append(*path, best.move)
+		m := moves[best.i]
+		*onPath = append(*onPath, m.To.Key())
+		*path = append(*path, m)
 		c.frontier(len(*path))
-		res, revised, err := rbfs(p, h, c, best.move.To, best.g, best.f, alt, path, onPath, fl)
+		res, revised, err := rbfs(p, h, c, m.To, best.g, best.f, alt, path, onPath, fl)
 		if err != nil || res != nil {
 			return res, 0, err
 		}
 		*path = (*path)[:len(*path)-1]
-		delete(onPath, k)
+		*onPath = (*onPath)[:len(*onPath)-1]
 		best.f = revised
+		reinsertFirst(children)
 	}
 }

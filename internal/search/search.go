@@ -37,11 +37,12 @@ import (
 // State is a node of the search space. Implementations must provide a
 // canonical key so that semantically equal states collapse; TUPELO uses a
 // compact 128-bit hash of the database's canonical form (raw bytes, not a
-// full fingerprint string), keeping the per-run path bookkeeping — the
-// onPath and bestG maps and the parallel engine's shard routing — cheap to
-// hash and small in memory. The search never caches anything by key: facts
-// derived from a state (its heuristic value, its moves) are the Problem's
-// and Heuristic's to remember.
+// full fingerprint string), keeping the per-run path bookkeeping — IDA*'s
+// and RBFS's current-path key slices, A*'s bestG map and the parallel
+// engine's shard routing — cheap to compare, hash and store. The search
+// never caches anything by key: facts derived from a state (its heuristic
+// value, its moves, its goal verdict) are the Problem's and Heuristic's to
+// remember.
 type State interface {
 	// Key returns a canonical identifier: equal keys mean equal states.
 	// Keys may be compact hashes, so "equal" holds up to the hash's
