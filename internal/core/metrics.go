@@ -14,6 +14,24 @@ var opKindNames = []string{
 	"partition", "product", "union", "merge", "apply", "other",
 }
 
+// opKindMetricNames are the per-operator-kind instrument names, in
+// opKindNames order: built once, not for every problem a run constructs.
+var opKindMetricNames = func() []kindMetricNames {
+	out := make([]kindMetricNames, len(opKindNames))
+	for i, k := range opKindNames {
+		out[i] = kindMetricNames{
+			kind:     k,
+			proposed: obs.Name("core.ops.proposed", "op", k),
+			applied:  obs.Name("core.ops.applied", "op", k),
+			applySec: obs.Name("core.op.apply.seconds", "op", k),
+		}
+	}
+	return out
+}()
+
+// kindMetricNames is one operator kind and the names of its three instruments.
+type kindMetricNames struct{ kind, proposed, applied, applySec string }
+
 // opKind names an operator's family for per-kind metrics.
 func opKind(op fira.Op) string {
 	switch op.(type) {
@@ -101,10 +119,10 @@ func newOpMetrics(reg *obs.Registry, hLabel string) *opMetrics {
 		estMisses:    reg.Counter(obs.Name("heuristic.cache.misses", "cache", hLabel)),
 		estEntries:   reg.Gauge(obs.Name("heuristic.cache.entries", "cache", hLabel)),
 	}
-	for _, k := range opKindNames {
-		m.proposed[k] = reg.Counter(obs.Name("core.ops.proposed", "op", k))
-		m.applied[k] = reg.Counter(obs.Name("core.ops.applied", "op", k))
-		m.applySec[k] = reg.Histogram(obs.Name("core.op.apply.seconds", "op", k))
+	for _, n := range opKindMetricNames {
+		m.proposed[n.kind] = reg.Counter(n.proposed)
+		m.applied[n.kind] = reg.Counter(n.applied)
+		m.applySec[n.kind] = reg.Histogram(n.applySec)
 	}
 	return m
 }

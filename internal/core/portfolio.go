@@ -145,9 +145,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 	if tracer == nil {
 		tracer = obs.Nop
 	}
-	memberTimer := func(cfg PortfolioConfig) *obs.Timer {
-		return base.Metrics.Timer(obs.Name("portfolio.member.duration", "member", cfg.String()))
-	}
 	totalWorkers := base.Workers
 	if totalWorkers <= 0 {
 		totalWorkers = runtime.GOMAXPROCS(0)
@@ -157,9 +154,14 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		perMember = 1
 	}
 
+	// A member carries its label (cfg.String()) and duration timer,
+	// resolved once: every start, lose, cancel and win event and every
+	// outcome would otherwise format them again.
 	type member struct {
-		cfg  PortfolioConfig
-		opts Options
+		cfg   PortfolioConfig
+		label string
+		opts  Options
+		timer *obs.Timer
 	}
 	buildMember := func(cfg PortfolioConfig) (member, error) {
 		o := base
@@ -180,10 +182,14 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		if err != nil {
 			return member{}, fmt.Errorf("core: portfolio member %s: %w", cfg, err)
 		}
-		return member{
-			cfg:  PortfolioConfig{Algorithm: o.Algorithm, Heuristic: o.Heuristic, K: o.K},
-			opts: o,
-		}, nil
+		rcfg := PortfolioConfig{Algorithm: o.Algorithm, Heuristic: o.Heuristic, K: o.K}
+		return member{cfg: rcfg, label: rcfg.String(), opts: o}, nil
+	}
+	// Timers are resolved outside buildMember so that only members that run
+	// register one: not a lineup that fails validation, not a hedge
+	// candidate that is already racing.
+	memberTimer := func(label string) *obs.Timer {
+		return base.Metrics.Timer(obs.Name("portfolio.member.duration", "member", label))
 	}
 	members := make([]member, len(configs))
 	for i, cfg := range configs {
@@ -192,6 +198,9 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 			return nil, err
 		}
 		members[i] = m
+	}
+	for i := range members {
+		members[i].timer = memberTimer(members[i].label)
 	}
 
 	raceCtx, cancel := context.WithCancel(ctx)
@@ -215,8 +224,8 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 				// panic in this goroutine's own spine (tracing, timing) must
 				// also lose the race, not kill the process.
 				if r := recover(); r != nil {
-					pe := search.NewPanicError("portfolio member "+m.cfg.String(), r)
-					tracer.Event(obs.Event{Kind: obs.EvPanic, Label: m.cfg.String(), Err: pe})
+					pe := search.NewPanicError("portfolio member "+m.label, r)
+					tracer.Event(obs.Event{Kind: obs.EvPanic, Label: m.label, Err: pe})
 					var dur time.Duration
 					if !start.IsZero() {
 						dur = time.Since(start)
@@ -234,7 +243,7 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 				case <-t.C:
 				}
 			}
-			tracer.Event(obs.Event{Kind: obs.EvMemberStart, Label: m.cfg.String(), N: len(members)})
+			tracer.Event(obs.Event{Kind: obs.EvMemberStart, Label: m.label, N: len(members)})
 			start = time.Now()
 			res, err := discoverNormalized(raceCtx, source, target, m.opts)
 			if err == nil && !res.Partial {
@@ -275,6 +284,7 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 			if err != nil || inUse(m.cfg) {
 				continue
 			}
+			m.timer = memberTimer(m.label)
 			return m, true
 		}
 		return member{}, false
@@ -287,8 +297,10 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 	if seed == 0 {
 		seed = 1
 	}
-	// Drawn only from the collector loop below, so the source needs no lock.
-	retryRNG := rand.New(rand.NewSource(seed))
+	// Built on the first retry, seeded as if built up front, so a race
+	// without retries never pays for seeding it. Drawn only from the
+	// collector loop below, so the source needs no lock.
+	var retryRNG *rand.Rand
 
 	runs := make([]PortfolioRun, len(members))
 	partials := make([]*Result, len(members))
@@ -299,11 +311,12 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 	var bestErr error
 	for outstanding > 0 {
 		o := <-ch
+		m := &members[o.idx]
 		run := &runs[o.idx]
-		run.Config = members[o.idx].cfg
+		run.Config = m.cfg
 		run.Attempts = o.attempt + 1
 		run.Duration += o.dur
-		memberTimer(run.Config).Observe(o.dur)
+		m.timer.Observe(o.dur)
 		// A best-effort member that degraded reports the abort that
 		// truncated it; for race bookkeeping it is a failed member whose
 		// partial is kept aside for the no-winner fallback.
@@ -327,14 +340,17 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 						members[o.idx] = hm
 					}
 				}
-				base.Metrics.Counter(obs.Name("portfolio.retries", "member", next.cfg.String())).Inc()
+				base.Metrics.Counter(obs.Name("portfolio.retries", "member", next.label)).Inc()
+				if retryRNG == nil {
+					retryRNG = rand.New(rand.NewSource(seed))
+				}
 				launch(o.idx, o.attempt+1, next, retryBackoff(retryRNG, retryDelay, o.attempt))
 				continue // outstanding unchanged: the slot runs again
 			}
 			if errors.Is(fail, context.Canceled) {
-				tracer.Event(obs.Event{Kind: obs.EvMemberCancel, Label: run.Config.String(), N: run.Stats.Examined, Elapsed: o.dur})
+				tracer.Event(obs.Event{Kind: obs.EvMemberCancel, Label: m.label, N: run.Stats.Examined, Elapsed: o.dur})
 			} else {
-				tracer.Event(obs.Event{Kind: obs.EvMemberLose, Label: run.Config.String(), N: run.Stats.Examined, Err: fail, Elapsed: o.dur})
+				tracer.Event(obs.Event{Kind: obs.EvMemberLose, Label: m.label, N: run.Stats.Examined, Err: fail, Elapsed: o.dur})
 			}
 			if bestErr == nil || preferError(fail, bestErr) {
 				bestErr = fail
@@ -347,21 +363,21 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		if winner != nil {
 			// A slower member also succeeded before noticing the cancel; it
 			// still lost the race, so mark it cancelled in the stream.
-			tracer.Event(obs.Event{Kind: obs.EvMemberCancel, Label: run.Config.String(), N: run.Stats.Examined, Elapsed: o.dur})
+			tracer.Event(obs.Event{Kind: obs.EvMemberCancel, Label: m.label, N: run.Stats.Examined, Elapsed: o.dur})
 			continue
 		}
-		if verr := Verify(o.res.Expr, source, target, members[o.idx].opts.Registry); verr != nil {
+		if verr := Verify(o.res.Expr, source, target, m.opts.Registry); verr != nil {
 			// Should be unreachable — the goal test is containment — but a
 			// portfolio promises a *verified* winner, so check anyway.
 			run.Err = fmt.Errorf("core: portfolio member %s returned unverifiable mapping: %w", run.Config, verr)
 			bestErr = run.Err
-			tracer.Event(obs.Event{Kind: obs.EvMemberLose, Label: run.Config.String(), N: run.Stats.Examined, Err: run.Err, Elapsed: o.dur})
+			tracer.Event(obs.Event{Kind: obs.EvMemberLose, Label: m.label, N: run.Stats.Examined, Err: run.Err, Elapsed: o.dur})
 			continue
 		}
 		winner = o.res
 		winnerCfg = run.Config
-		base.Metrics.Counter(obs.Name("portfolio.wins", "member", winnerCfg.String())).Inc()
-		tracer.Event(obs.Event{Kind: obs.EvMemberWin, Label: winnerCfg.String(), N: run.Stats.Examined, Goal: true, Elapsed: o.dur})
+		base.Metrics.Counter(obs.Name("portfolio.wins", "member", m.label)).Inc()
+		tracer.Event(obs.Event{Kind: obs.EvMemberWin, Label: m.label, N: run.Stats.Examined, Goal: true, Elapsed: o.dur})
 		cancel() // losers stop at their next examined state
 	}
 
@@ -373,7 +389,7 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 	if winner == nil {
 		if base.Limits.BestEffort {
 			if best, ok := bestPartial(partials, target, base); ok {
-				base.Metrics.Counter(obs.Name("portfolio.partial", "member", members[best].cfg.String())).Inc()
+				base.Metrics.Counter(obs.Name("portfolio.partial", "member", members[best].label)).Inc()
 				return &PortfolioResult{Result: partials[best], Winner: members[best].cfg, Runs: runs}, nil
 			}
 		}

@@ -104,6 +104,7 @@ type mappingProblem struct {
 }
 
 func newProblem(source, target *relation.Database, opts Options) *mappingProblem {
+	hLabel := cacheLabel(opts)
 	p := &mappingProblem{
 		source:       source,
 		target:       target,
@@ -116,10 +117,10 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		tVals:        target.ValueSet(),
 		tAttrValSyms: make(map[string]map[relation.Symbol]bool),
 		tRelValSyms:  make(map[string]map[relation.Symbol]bool),
-		met:          newOpMetrics(opts.Metrics, cacheLabel(opts)),
+		met:          newOpMetrics(opts.Metrics, hLabel),
 		tracer:       opts.Tracer,
 		fault:        opts.FaultHook,
-		hLabel:       cacheLabel(opts),
+		hLabel:       hLabel,
 		goalIx:       relation.NewContainmentIndex(target),
 		// The memo stays on under a Tracer: a traced run that re-applied
 		// every operator on every revisit was two orders of magnitude slower
@@ -139,7 +140,7 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 	}
 	p.est = heuristic.New(opts.Heuristic, target, opts.K)
 	if opts.Metrics != nil {
-		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", cacheLabel(opts)))
+		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", hLabel))
 	}
 	if !opts.DisableIncremental {
 		p.inc, _ = heuristic.AsIncremental(p.est)

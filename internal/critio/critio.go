@@ -39,10 +39,12 @@ type Instance struct {
 	Corrs []lambda.Correspondence
 }
 
-// Read parses a critical instance from r.
+// Read parses a critical instance from r. Lines may be up to 1 MiB long;
+// the scanner starts from its default 4 KiB buffer and doubles it only for
+// longer lines, so parsing a small instance allocates little.
 func Read(r io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024)
 	var (
 		rels    []*relation.Relation
 		corrs   []lambda.Correspondence

@@ -1,6 +1,7 @@
 package critio
 
 import (
+	"bufio"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -132,6 +133,28 @@ func TestReadErrors(t *testing.T) {
 				t.Fatalf("ReadString(%q) should fail", tc.text)
 			}
 		})
+	}
+}
+
+// TestReadLongLines pins the scanner's line limit: a data line far beyond
+// the scanner's initial buffer parses in full, as does one just under
+// 1 MiB, and a line over 1 MiB fails with the scanner's too-long error.
+func TestReadLongLines(t *testing.T) {
+	for _, n := range []int{70 << 10, 1<<20 - 64} {
+		long := strings.Repeat("v", n)
+		inst, err := ReadString("relation R\n  A B\n  " + long + " x\n  y z\n")
+		if err != nil {
+			t.Fatalf("%d-byte field: %v", n, err)
+		}
+		want := relation.MustDatabase(relation.MustNew("R", []string{"A", "B"},
+			relation.Tuple{long, "x"}, relation.Tuple{"y", "z"}))
+		if !inst.DB.Equal(want) {
+			t.Fatalf("%d-byte field: parsed relation differs", n)
+		}
+	}
+	_, err := ReadString("relation R\n  A\n  " + strings.Repeat("v", 1<<20+1) + "\n")
+	if want := "critio: " + bufio.ErrTooLong.Error(); err == nil || err.Error() != want {
+		t.Fatalf("line over 1 MiB: err = %v, want %s", err, want)
 	}
 }
 

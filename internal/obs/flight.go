@@ -8,17 +8,19 @@ import (
 	"time"
 )
 
-// This file implements the search flight recorder: an always-on,
-// allocation-free forensic event log modeled on an aircraft flight data
-// recorder. Every search goroutine (the sequential search loop, each shard
-// worker of the parallel engines) owns a fixed-size ring buffer of compact
-// binary records; recording is a couple of plain stores into the ring — no
-// locks, no allocations, single-digit nanoseconds — so it can stay enabled
-// on production runs. When a run dies (panic, memory-budget abort, deadline)
-// the rings hold the last ringSize events of every goroutine leading up to
-// the failure, and are dumped as a JSONL stream (`tupelo-flight/v1`) that
-// cmd/tupelo-trace can analyze. DESIGN.md §11 documents the overhead
-// methodology.
+// This file implements the search flight recorder: an always-on forensic
+// event log modeled on an aircraft flight data recorder. Every search
+// goroutine (the sequential search loop, each shard worker of the parallel
+// engines) owns a ring buffer of compact binary records; recording is a
+// couple of plain stores into the ring — no locks, single-digit
+// nanoseconds — so it can stay enabled on production runs. A ring starts at
+// flightRingStart records and doubles up to the recorder's ring size as it
+// fills, so a short run pays for the records it writes, not for the
+// capacity a long one needs; a ring at its cap records without allocating. When a run dies
+// (panic, memory-budget abort, deadline) the rings hold the last ringSize
+// events of every goroutine leading up to the failure, and are dumped as a
+// JSONL stream (`tupelo-flight/v1`) that cmd/tupelo-trace can analyze.
+// DESIGN.md §11 documents the overhead methodology.
 //
 // Concurrency model: each FlightRing is written by exactly one goroutine
 // (the one that asked for it), so the hot path needs no atomics; the dump
@@ -95,8 +97,17 @@ type FlightEvent struct {
 // refreshes of its coarse timestamp. Power of two.
 const flightStampInterval = 64
 
+// flightRingStart is the number of records a new ring allocates; it doubles
+// up to the recorder's ring size as the ring fills. It must be a power of
+// two and a multiple of flightStampInterval: every growth point is then a
+// multiple of flightStampInterval, so Record grows the ring only inside the
+// branch that refreshes the clock.
+const flightRingStart = 64
+
 // DefaultFlightRingSize is the per-goroutine ring capacity when
-// NewFlightRecorder is given a non-positive size: 4096 records ≈ 96 KiB.
+// NewFlightRecorder is given a non-positive size: 4096 records ≈ 96 KiB once
+// a ring has filled. A ring allocates flightRingStart records up front and
+// grows to this cap only as a run writes them.
 const DefaultFlightRingSize = 4096
 
 // FlightRecorder hands out per-goroutine rings and assembles dumps. A nil
@@ -114,8 +125,9 @@ type FlightRecorder struct {
 	dumpOnce  sync.Once
 }
 
-// NewFlightRecorder returns a recorder whose rings hold ringSize records
-// each (rounded up to a power of two; <= 0 means DefaultFlightRingSize).
+// NewFlightRecorder returns a recorder whose rings hold up to ringSize
+// records each (rounded up to a power of two; <= 0 means
+// DefaultFlightRingSize). Rings start smaller and grow to that cap on demand.
 func NewFlightRecorder(ringSize int) *FlightRecorder {
 	if ringSize <= 0 {
 		ringSize = DefaultFlightRingSize
@@ -137,16 +149,19 @@ func (r *FlightRecorder) SetAutoDump(w io.Writer) {
 	r.mu.Unlock()
 }
 
-// Ring allocates a new ring owned by the calling goroutine. Rings are never
-// reclaimed — a recorder is scoped to one run or one portfolio race — and a
-// nil recorder returns a nil ring, whose Record is a no-op.
+// Ring allocates a new ring owned by the calling goroutine: min(ring size,
+// flightRingStart) records, doubled by Record up to the ring size as the
+// ring fills. Rings are never reclaimed — a recorder is scoped to one run or
+// one portfolio race — and a nil recorder returns a nil ring, whose Record
+// is a no-op.
 func (r *FlightRecorder) Ring(label string) *FlightRing {
 	if r == nil {
 		return nil
 	}
+	n := min(r.size, flightRingStart)
 	g := &FlightRing{
-		rec:   make([]FlightEvent, r.size),
-		mask:  uint64(r.size - 1),
+		rec:   make([]FlightEvent, n),
+		mask:  uint64(n - 1),
 		label: label,
 		r:     r,
 	}
@@ -308,13 +323,21 @@ type FlightRing struct {
 
 // Record appends one event. On a nil ring (recorder disabled) it is a single
 // nil-check. The hot path is three plain stores plus an amortized wall-clock
-// read every flightStampInterval records; see BenchmarkFlightRecord.
+// read every flightStampInterval records; see BenchmarkFlightRecord. A ring
+// that is full but below its cap doubles in that same amortized branch:
+// before the first wrap record i sits at index i under either mask, so the
+// old records copy over in place.
 func (g *FlightRing) Record(k FlightKind, seq uint32, a, b int32) {
 	if g == nil {
 		return
 	}
 	if g.pos&(flightStampInterval-1) == 0 {
 		g.coarse = int64(time.Since(g.r.start))
+		if g.pos == uint64(len(g.rec)) && len(g.rec) < g.r.size {
+			rec := make([]FlightEvent, 2*len(g.rec))
+			copy(rec, g.rec)
+			g.rec, g.mask = rec, uint64(len(rec)-1)
+		}
 	}
 	e := &g.rec[g.pos&g.mask]
 	e.At = g.coarse

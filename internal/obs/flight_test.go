@@ -179,6 +179,76 @@ func TestFlightConcurrentRings(t *testing.T) {
 	}
 }
 
+// TestFlightRingGrowsOnDemand pins the on-demand ring: a new ring holds at
+// most flightRingStart slots, whatever the count n of records written,
+// Records, Len and Dump hold exactly the last min(n, cap) of them, oldest
+// first, and once a ring has reached its cap Record allocates nothing.
+func TestFlightRingGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{8, 64, 4096} {
+		for _, n := range []int{0, 1, 63, 64, 65, 200, capacity - 1, capacity, capacity + 1, 3*capacity + 5} {
+			r := NewFlightRecorder(capacity)
+			g := r.Ring("main")
+			if len(g.rec) > flightRingStart {
+				t.Fatalf("cap %d: new ring holds %d slots, want at most %d", capacity, len(g.rec), flightRingStart)
+			}
+			for i := 0; i < n; i++ {
+				g.Record(FKExamine, uint32(i), int32(i%7), int32(i%5))
+			}
+			want := min(n, capacity)
+			first := n - want // the oldest surviving record
+			if g.Len() != want {
+				t.Fatalf("cap %d, n %d: Len = %d, want %d", capacity, n, g.Len(), want)
+			}
+			recs := r.Records("main")
+			if len(recs) != want {
+				t.Fatalf("cap %d, n %d: Records = %d, want %d", capacity, n, len(recs), want)
+			}
+			for j, e := range recs {
+				i := first + j
+				if e.Kind != FKExamine || e.Seq != uint32(i) || e.A != int32(i%7) || e.B != int32(i%5) {
+					t.Fatalf("cap %d, n %d: record %d = %+v, want record %d", capacity, n, j, e, i)
+				}
+			}
+			var buf bytes.Buffer
+			if err := r.Dump(&buf); err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+			var hdr flightHeader
+			if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+				t.Fatal(err)
+			}
+			if hdr.RingSize != capacity {
+				t.Fatalf("cap %d: dump ring_size = %d", capacity, hdr.RingSize)
+			}
+			if got := len(lines) - 1; got != want {
+				t.Fatalf("cap %d, n %d: dump holds %d records, want %d", capacity, n, got, want)
+			}
+			for j, line := range lines[1:] {
+				var rec flightRecordJSON
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatal(err)
+				}
+				i := first + j
+				if rec.I != uint64(i) || rec.Seq != uint32(i) || rec.A != int32(i%7) || rec.B != int32(i%5) {
+					t.Fatalf("cap %d, n %d: dump line %d = %+v, want record %d", capacity, n, j, rec, i)
+				}
+			}
+		}
+
+		g := NewFlightRecorder(capacity).Ring("main")
+		for i := 0; i < capacity; i++ {
+			g.Record(FKExamine, uint32(i), 0, 0)
+		}
+		if len(g.rec) != capacity {
+			t.Fatalf("cap %d: ring holds %d slots after %d records", capacity, len(g.rec), capacity)
+		}
+		if allocs := testing.AllocsPerRun(3*capacity, func() { g.Record(FKExamine, 7, 3, 1) }); allocs != 0 {
+			t.Fatalf("cap %d: Record at cap allocates %v per op, want 0", capacity, allocs)
+		}
+	}
+}
+
 func TestFlightRecordZeroAllocs(t *testing.T) {
 	r := NewFlightRecorder(1024)
 	g := r.Ring("main")

@@ -31,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -534,20 +535,24 @@ func (r *Registry) Handler() http.Handler {
 
 // Name renders a metric name with label pairs: Name("search.examined",
 // "algo", "RBFS") is `search.examined{algo="RBFS"}`. Pairs must come in
-// key/value order; an odd trailing key is ignored.
+// key/value order; an odd trailing key is ignored. Values are quoted by
+// strconv.Quote, exactly as fmt's %q quotes a string, without going through
+// fmt: every search run resolves several names.
 func Name(base string, pairs ...string) string {
 	if len(pairs) < 2 {
 		return base
 	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteByte('{')
+	var stackBuf [128]byte // names fit; the result string is the one allocation
+	buf := append(stackBuf[:0], base...)
+	buf = append(buf, '{')
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", pairs[i], pairs[i+1])
+		buf = append(buf, pairs[i]...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, pairs[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	buf = append(buf, '}')
+	return string(buf)
 }

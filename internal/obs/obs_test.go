@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -162,6 +163,20 @@ func TestName(t *testing.T) {
 	}
 	if got := Name("a.b", "k", "v", "x", "y"); got != `a.b{k="v",x="y"}` {
 		t.Fatalf("Name = %q", got)
+	}
+	// Values are quoted exactly as fmt's %q quotes a string.
+	for _, v := range []string{
+		`say "hi"`, `C:\dir`, "two\nlines", "a\tb", "Größe ✓ 名前", "bad\xffbyte", "",
+		strings.Repeat("long ", 40),
+	} {
+		want := "m{" + fmt.Sprintf("%s=%q", "k", v) + "}"
+		if got := Name("m", "k", v); got != want {
+			t.Errorf("Name(%q) = %s, want %s", v, got, want)
+		}
+		want = "m{" + fmt.Sprintf("%s=%q", "op", "x") + "," + fmt.Sprintf("%s=%q", "k", v) + "}"
+		if got := Name("m", "op", "x", "k", v); got != want {
+			t.Errorf("Name(op, %q) = %s, want %s", v, got, want)
+		}
 	}
 }
 

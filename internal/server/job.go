@@ -192,7 +192,11 @@ type JobResponse struct {
 	// AbortCause names what truncated a partial result (limit, memory,
 	// deadline, canceled).
 	AbortCause string `json:"abort_cause,omitempty"`
-	// ElapsedMS is the server-side handling time, queue wait excluded.
+	// ElapsedMS is the server-side handling time, from the moment the
+	// handler starts reading the request to the response: body read and
+	// parse, repository lookup, admission, queue wait for an execution
+	// slot, search and repository commit. A repository hit covers read,
+	// parse and lookup only.
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 

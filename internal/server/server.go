@@ -380,8 +380,7 @@ func (s *Server) runJob(ctx context.Context, j *job, id int64) jobOutcome {
 
 	timer := s.cfg.Metrics.Timer("server.job.duration")
 	pres, runErr := core.DiscoverPortfolio(ctx, src, tgt, popts)
-	elapsed := time.Since(started)
-	timer.Observe(elapsed)
+	timer.Observe(time.Since(started))
 
 	// Persist forensics before shaping the response: a dump exists only if
 	// some member died abnormally.
@@ -435,7 +434,6 @@ func (s *Server) runJob(ctx context.Context, j *job, id int64) jobOutcome {
 		K:         res.K,
 		Examined:  res.Stats.Examined,
 		Attempts:  attempts,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}
 	outcome := "solved"
 	verdict := ""

@@ -46,6 +46,16 @@ type testEnv struct {
 
 func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	t.Helper()
+	srv, store := newTestServer(t, mutate)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return &testEnv{srv: srv, ts: ts, repo: store}
+}
+
+// newTestServer builds a server over a fresh repository without listening,
+// for tests that drive its Handler directly.
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *repo.Repo) {
+	t.Helper()
 	metrics := obs.NewRegistry()
 	store, err := repo.Open(t.TempDir(), repo.Options{Metrics: metrics})
 	if err != nil {
@@ -66,9 +76,7 @@ func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return &testEnv{srv: srv, ts: ts, repo: store}
+	return srv, store
 }
 
 // submit posts a job and decodes the response into out (JobResponse or
@@ -317,6 +325,87 @@ func TestQueueFullReturns429(t *testing.T) {
 		t.Fatalf("cause = %q, want queue-full", er.Cause)
 	}
 	wg.Wait()
+}
+
+// TestElapsedIncludesQueueWait pins what elapsed_ms measures: the time
+// since the handler started, so a job that waited for the execution slot
+// reports that wait. Job 1 holds the only slot on a fault-delayed h1 search;
+// job 2 (cosine, not delayed) queues behind it for at least 50ms.
+func TestElapsedIncludesQueueWait(t *testing.T) {
+	inj := faults.NewInjector(1, faults.Fault{
+		Site: faults.SiteHeuristicEval, Match: "h1/", Every: 1, Kind: faults.Delay, Sleep: 20 * time.Millisecond,
+	})
+	env := newEnv(t, func(c *Config) {
+		c.FaultHook = inj.Hit
+		c.MaxConcurrent = 1
+	})
+	state := func() (running, queued int) {
+		env.srv.mu.Lock()
+		defer env.srv.mu.Unlock()
+		return env.srv.running, env.srv.queued
+	}
+	// post submits a job without failing the test, so it can run on its own
+	// goroutine; job 1 ends by cancellation, so its error is expected.
+	post := func(ctx context.Context, req JobRequest) (out JobResponse, status int, err error) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return out, 0, err
+		}
+		hreq, err := http.NewRequestWithContext(ctx, "POST", env.ts.URL+"/v1/jobs", bytes.NewReader(body))
+		if err != nil {
+			return out, 0, err
+		}
+		resp, err := env.ts.Client().Do(hreq)
+		if err != nil {
+			return out, 0, err
+		}
+		defer resp.Body.Close()
+		return out, resp.StatusCode, json.NewDecoder(resp.Body).Decode(&out)
+	}
+
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	done1 := make(chan struct{})
+	go func() {
+		defer close(done1)
+		post(ctx1, JobRequest{Tenant: "one", Source: hardSource, Target: hardTarget, Portfolio: []string{"rbfs/h1"}})
+	}()
+	waitFor(t, 5*time.Second, "job 1 running", func() bool { r, _ := state(); return r == 1 })
+
+	type reply struct {
+		resp   JobResponse
+		status int
+		err    error
+	}
+	reply2 := make(chan reply, 1)
+	go func() {
+		src, tgt := pairN(2)
+		var r reply
+		r.resp, r.status, r.err = post(context.Background(), JobRequest{Tenant: "two", Source: src, Target: tgt, Portfolio: []string{"rbfs/cosine"}})
+		reply2 <- r
+	}()
+	waitFor(t, 5*time.Second, "job 2 queued", func() bool { _, q := state(); return q == 1 })
+	tq := time.Now()
+	time.Sleep(60 * time.Millisecond)
+	tw := time.Now()
+	if r, q := state(); r != 1 || q != 1 {
+		t.Fatalf("at tw: running=%d queued=%d, want job 1 still running and job 2 still queued", r, q)
+	}
+
+	// Job 1 has done its part; cancelling it frees the slot for job 2.
+	cancel1()
+	<-done1
+	r2 := <-reply2
+	if r2.err != nil || r2.status != 200 {
+		t.Fatalf("job 2: status %d, err %v", r2.status, r2.err)
+	}
+	if r2.resp.Cached || !r2.resp.Solved {
+		t.Fatalf("job 2 should be a fresh solve: %+v", r2.resp)
+	}
+	waited := float64(tw.Sub(tq)) / float64(time.Millisecond)
+	if r2.resp.ElapsedMS < waited {
+		t.Fatalf("job 2 elapsed_ms = %.2f, but it was queued for at least %.2f ms", r2.resp.ElapsedMS, waited)
+	}
 }
 
 // TestTenantQuota429 pins per-tenant admission: one tenant cannot occupy

@@ -321,9 +321,10 @@ func NewProfile() *Profile { return obs.NewProfile() }
 // structural run/portfolio events through unchanged. n <= 1 returns t.
 func SampleTracer(t Tracer, n int) Tracer { return obs.Sample(t, n) }
 
-// NewFlightRecorder returns a flight recorder whose rings hold ringSize
-// records each (<= 0 selects the default of 4096); direct its automatic
-// crash dumps with SetAutoDump.
+// NewFlightRecorder returns a flight recorder whose rings hold up to
+// ringSize records each (<= 0 selects the default of 4096); a ring starts
+// at 64 records and doubles to that cap only as a run fills it. Direct its
+// automatic crash dumps with SetAutoDump.
 func NewFlightRecorder(ringSize int) *FlightRecorder { return obs.NewFlightRecorder(ringSize) }
 
 // NewReportBuilder returns a report builder whose root span starts now.
