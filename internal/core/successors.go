@@ -264,22 +264,33 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 }
 
 // expCtx is the per-expansion view of a state shared by every move
-// generator: the sorted relation slice and the name sets, each computed once
-// per expansion instead of once per generator.
+// generator: the sorted relation slice, computed once per expansion instead
+// of once per generator.
 type expCtx struct {
-	db       *relation.Database
-	rels     []*relation.Relation
-	relNames map[string]bool
-	attrs    map[string]bool
+	db   *relation.Database
+	rels []*relation.Relation
 }
 
 func newExpCtx(db *relation.Database) *expCtx {
-	return &expCtx{
-		db:       db,
-		rels:     db.Relations(),
-		relNames: db.RelationNames(),
-		attrs:    db.AttrNames(),
+	return &expCtx{db: db, rels: db.Relations()}
+}
+
+// hasRel reports whether the state has a relation named name.
+func (x *expCtx) hasRel(name string) bool {
+	_, ok := x.db.Relation(name)
+	return ok
+}
+
+// hasAttr reports whether some relation of the state has attribute a. A
+// state holds a handful of relations, so scanning them beats building a
+// name set per expanded state.
+func (x *expCtx) hasAttr(a string) bool {
+	for _, r := range x.rels {
+		if r.HasAttr(a) {
+			return true
+		}
 	}
+	return false
 }
 
 // candidateOps instantiates every candidate operator for the state,
@@ -497,23 +508,17 @@ func (p *mappingProblem) publish(s *dbState, e *estimate) int {
 	return e.h
 }
 
-// hasAll reports whether every key of want is present in have.
-func hasAll(want, have map[string]bool) bool {
-	for k := range want {
-		if !have[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// missingFrom returns the members of wantSorted absent from have, in order.
-// The want side is always a fixed target token list, so sorting happened
-// once at problem construction; per-expansion calls just filter.
-func missingFrom(wantSorted []string, have map[string]bool) []string {
-	out := make([]string, 0, len(wantSorted))
-	for _, k := range wantSorted {
-		if !have[k] {
+// missingFrom returns the members of wantSorted that have reports absent,
+// in order, and nil when none is. The want side is always a fixed target
+// token list, so sorting happened once at problem construction;
+// per-expansion calls just filter.
+func missingFrom(wantSorted []string, have func(string) bool) []string {
+	var out []string
+	for i, k := range wantSorted {
+		if !have(k) {
+			if out == nil {
+				out = make([]string, 0, len(wantSorted)-i)
+			}
 			out = append(out, k)
 		}
 	}
@@ -536,11 +541,11 @@ func sortedKeys(set map[string]bool) []string {
 // renameRelMoves proposes ρ^rel: rename a state relation that the target
 // does not know to a target relation name the state is missing.
 func (p *mappingProblem) renameRelMoves(x *expCtx) []fira.Op {
-	if p.prune && hasAll(p.tRels, x.relNames) {
+	missing := missingFrom(p.tRelsSorted, x.hasRel)
+	if len(missing) == 0 {
 		// Obviously inapplicable: every target relation name is present.
 		return nil
 	}
-	missing := missingFrom(p.tRelsSorted, x.relNames)
 	var ops []fira.Op
 	for _, r := range x.rels {
 		if p.prune && p.tRels[r.Name()] {
@@ -577,12 +582,12 @@ func (p *mappingProblem) relRenameEvidence(r *relation.Relation, to string) bool
 // renameAttMoves proposes ρ^att: rename an attribute the target does not
 // know to a target attribute name missing from the state (schema matching).
 func (p *mappingProblem) renameAttMoves(x *expCtx) []fira.Op {
-	if p.prune && hasAll(p.tAttrs, x.attrs) {
+	missing := missingFrom(p.tAttrsSorted, x.hasAttr)
+	if len(missing) == 0 {
 		// The paper's §2.3 example rule: all target attribute names are
 		// already present, so attribute renaming cannot help.
 		return nil
 	}
-	missing := missingFrom(p.tAttrsSorted, x.attrs)
 	var ops []fira.Op
 	for _, r := range x.rels {
 		for _, a := range r.AttrView() {

@@ -103,3 +103,78 @@ func TestOpApplyAllocsLinear(t *testing.T) {
 		})
 	}
 }
+
+// successorDB is the source of the exp1 matching pair at n=8: one relation
+// S of arity 8 over A1…A8 holding the single row a1…a8.
+func successorDB() *relation.Database {
+	attrs := make([]string, 8)
+	row := make(relation.Tuple, 8)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("A%d", i+1)
+		row[i] = fmt.Sprintf("a%d", i+1)
+	}
+	db := relation.MustDatabase(relation.MustNew("S", attrs, row))
+	db.Key() // a search identifies a state before it expands it
+	return db
+}
+
+// successorOps are the exp1 successors the allocation budget covers, with
+// that budget: allocations of Apply plus Key, and of those plus the derived
+// forms a new state's estimate and move generation read (the relation's
+// TNF fragment and distinct symbols).
+var successorOps = []struct {
+	name            string
+	op              Op
+	apply, identify float64
+}{
+	{"rename", RenameAtt{Rel: "S", From: "A3", To: "B3"}, 6, 10},
+	{"drop", Drop{Rel: "S", Attr: "A3"}, 7, 11},
+}
+
+var keySink string
+
+// TestSuccessorAllocations bounds what one successor of a one-row state
+// allocates. Each search successor is built, keyed and, when new, estimated
+// and expanded, so these counts multiply by the millions in an exp1 sweep.
+func TestSuccessorAllocations(t *testing.T) {
+	db := successorDB()
+	for _, tc := range successorOps {
+		t.Run(tc.name, func(t *testing.T) {
+			succ := func() *relation.Database {
+				next, err := tc.op.Apply(db, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keySink = next.Key()
+				return next
+			}
+			apply := testing.AllocsPerRun(100, func() { succ() })
+			identify := testing.AllocsPerRun(100, func() {
+				r, _ := succ().Relation("S")
+				r.TNFFragment()
+				r.DistinctSymbols(0)
+			})
+			if apply > tc.apply || identify > tc.identify {
+				t.Errorf("Apply+Key: %.0f allocations (budget %.0f); with fragment and distinct symbols: %.0f (budget %.0f)",
+					apply, tc.apply, identify, tc.identify)
+			}
+		})
+	}
+}
+
+// BenchmarkSuccessor measures building and keying one exp1 successor.
+func BenchmarkSuccessor(b *testing.B) {
+	db := successorDB()
+	for _, tc := range successorOps {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				next, err := tc.op.Apply(db, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keySink = next.Key()
+			}
+		})
+	}
+}

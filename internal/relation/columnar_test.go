@@ -123,33 +123,51 @@ func TestPropertyHashIffFingerprint(t *testing.T) {
 }
 
 // TestPropertyDistinctValuesMatchRowScan: the memoized column-path distinct
-// values must equal a naive scan over the decoded string rows.
+// symbols (first-occurrence order) and values (sorted) must equal a naive
+// scan over the decoded string rows — for random relations, and for
+// one-row and rowless ones, whose columns are their own distinct symbols.
 func TestPropertyDistinctValuesMatchRowScan(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, "R")
+	matches := func(r *Relation) bool {
 		rows := r.Rows()
 		for j, a := range r.Attrs() {
 			seen := make(map[string]bool)
-			var want []string
+			var first []string
 			for _, row := range rows {
 				if !seen[row[j]] {
 					seen[row[j]] = true
-					want = append(want, row[j])
+					first = append(first, row[j])
 				}
 			}
-			sort.Strings(want)
+			syms := r.DistinctSymbols(j)
+			if len(syms) != len(first) {
+				return false
+			}
+			for i, s := range syms {
+				if s.String() != first[i] {
+					return false
+				}
+			}
+			sort.Strings(first)
 			got := r.DistinctValues(a)
-			if len(got) != len(want) {
+			if len(got) != len(first) {
 				return false
 			}
 			for i := range got {
-				if got[i] != want[i] {
+				if got[i] != first[i] {
 					return false
 				}
 			}
 		}
 		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := randomRelation(rng, "R")
+		row := make(Tuple, r.Arity())
+		for j := range row {
+			row[j] = fmt.Sprintf("%d", rng.Intn(3)) // repeats across columns
+		}
+		return matches(r) && matches(MustNew("R", r.Attrs(), row)) && matches(MustNew("R", r.Attrs()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

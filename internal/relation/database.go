@@ -21,9 +21,10 @@ type Database struct {
 	rels []*Relation // sorted by name, names unique
 
 	// memo caches the derived name/attribute/value sets, computed lazily
-	// once. Databases are immutable after publication, like Relations, and
-	// move generation asks for these sets on every expansion.
-	memo *dbMemo
+	// once. Databases are immutable after publication, like Relations. The
+	// memo is embedded, so a database header is one allocation; a Database
+	// is never copied by value (go vet's copylocks check guards this).
+	memo dbMemo
 }
 
 // dbMemo holds the lazily computed set views of a database. The maps are
@@ -41,7 +42,7 @@ type dbMemo struct {
 // Callers guarantee rels is sorted by name with unique names; the slice is
 // owned by the new database.
 func newDB(rels []*Relation) *Database {
-	return &Database{rels: rels, memo: &dbMemo{}}
+	return &Database{rels: rels}
 }
 
 // find returns the index of the named relation in the sorted slice, or
@@ -261,7 +262,7 @@ func (db *Database) Key() string {
 // RelationNames returns the set of relation names, memoized and shared:
 // callers must treat the map as read-only.
 func (db *Database) RelationNames() map[string]bool {
-	m := db.memo
+	m := &db.memo
 	m.namesOnce.Do(func() {
 		out := make(map[string]bool, len(db.rels))
 		for _, r := range db.rels {
@@ -275,7 +276,7 @@ func (db *Database) RelationNames() map[string]bool {
 // AttrNames returns the set of attribute names across all relations,
 // memoized and shared: callers must treat the map as read-only.
 func (db *Database) AttrNames() map[string]bool {
-	m := db.memo
+	m := &db.memo
 	m.attrsOnce.Do(func() {
 		out := make(map[string]bool)
 		for _, r := range db.rels {
@@ -291,7 +292,7 @@ func (db *Database) AttrNames() map[string]bool {
 // ValueSet returns the set of data values across all relations, memoized
 // and shared: callers must treat the map as read-only.
 func (db *Database) ValueSet() map[string]bool {
-	m := db.memo
+	m := &db.memo
 	m.valsOnce.Do(func() {
 		out := make(map[string]bool)
 		strs := strsSnapshot()

@@ -167,7 +167,7 @@ func (f *Fragment) Parts() []string {
 // after publication; see the memo field on Relation). Safe for concurrent
 // callers.
 func (r *Relation) TNFFragment() *Fragment {
-	m := r.memo
+	m := &r.memo
 	m.fragOnce.Do(func() {
 		m.frag = r.computeFragment()
 	})
@@ -188,6 +188,10 @@ func (r *Relation) computeFragment() *Fragment {
 		f.RowCount = 1
 		f.Vec = []TripleCount{{Triple{r.nameSym, emptySym, emptySym}, 1}}
 		f.VecSq = 1
+		return f
+	}
+	if r.nrows == 1 {
+		r.oneRowFragment(f)
 		return f
 	}
 	// Atts: attribute names are unique, so each column owns one entry. The
@@ -246,6 +250,53 @@ func (r *Relation) computeFragment() *Fragment {
 		i += n
 	}
 	return f
+}
+
+// oneRowFragment fills f for a one-row relation — the shape of every exp1
+// state — without computeFragment's sort scratch: each column holds one
+// cell, so Vec has one triple per column, in the symbol order of Atts, and
+// Vals has at most one entry per column. Atts and Vals share one allocation.
+func (r *Relation) oneRowFragment(f *Fragment) {
+	arity := len(r.attrs)
+	f.RowCount = arity
+	buf := make([]SymbolCount, 2*arity)
+	f.Atts = buf[:arity:arity]
+	// Insertion sort by symbol; N carries the column index until Vec is
+	// built.
+	for j, a := range r.attrSyms {
+		k := j
+		for ; k > 0 && f.Atts[k-1].Sym > a; k-- {
+			f.Atts[k] = f.Atts[k-1]
+		}
+		f.Atts[k] = SymbolCount{a, int32(j)}
+	}
+	f.Vec = make([]TripleCount, arity)
+	for k, a := range f.Atts {
+		f.Vec[k] = TripleCount{Triple{r.nameSym, a.Sym, r.cols[a.N][0]}, 1}
+		f.Atts[k].N = 1
+	}
+	f.VecSq = int64(arity)
+	// Vals: insert each non-empty cell into the sorted multiset, counting a
+	// value repeated across columns once per column.
+	vals := buf[arity:arity]
+	for _, c := range r.cols {
+		v := c[0]
+		if v == emptySym {
+			continue
+		}
+		k := len(vals)
+		for k > 0 && vals[k-1].Sym > v {
+			k--
+		}
+		if k > 0 && vals[k-1].Sym == v {
+			vals[k-1].N++
+			continue
+		}
+		vals = append(vals, SymbolCount{})
+		copy(vals[k+1:], vals[k:])
+		vals[k] = SymbolCount{v, 1}
+	}
+	f.Vals = vals
 }
 
 // runs counts the runs of equal symbols in a sorted slice.

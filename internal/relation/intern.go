@@ -25,6 +25,22 @@ type sigPair struct {
 	lo, hi uint64
 }
 
+// ordKey is a string's order key: its first 8 bytes, big-endian, padded
+// with zero bytes. Keys order like the strings they prefix — ordKey(a) <
+// ordKey(b) implies a < b — so sorting by key and comparing the strings only
+// on equal keys is exactly the string order, at one integer compare for
+// names that differ in their first 8 bytes.
+func ordKey(s string) uint64 {
+	var k uint64
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
+}
+
 // interner is the run-wide concurrent string dictionary. The table only
 // grows: tokens come from the source and target critical instances plus the
 // bounded vocabulary the FIRA operators synthesize from them (e.g. partition
@@ -32,8 +48,8 @@ type sigPair struct {
 // the process — see DESIGN.md, "Incremental heuristics and interning".
 //
 // Reads vastly outnumber writes once a search is warm, so lookups take an
-// RLock; the write lock is only held while inserting a new token. The strs
-// and sigs slices are append-only: a snapshot of either slice header taken
+// RLock; the write lock is only held while inserting a new token. The strs,
+// sigs and ords slices are append-only: a snapshot of any of them taken
 // under RLock stays valid for every symbol issued before the snapshot, even
 // while concurrent inserts grow (and possibly reallocate) the live slice.
 type interner struct {
@@ -41,6 +57,7 @@ type interner struct {
 	ids  map[string]Symbol
 	strs []string
 	sigs []sigPair
+	ords []uint64 // ordKey of each string
 }
 
 var globalIntern = &interner{ids: make(map[string]Symbol, 256)}
@@ -67,6 +84,7 @@ func Intern(s string) Symbol {
 		lo: leUint64(d[0:8]),
 		hi: leUint64(d[8:16]),
 	})
+	in.ords = append(in.ords, ordKey(s))
 	in.ids[s] = sym
 	return sym
 }
@@ -105,13 +123,14 @@ func strsSnapshot() []string {
 	return s
 }
 
-// sigSnapshot is strsSnapshot's counterpart for the content signatures.
-func sigSnapshot() []sigPair {
+// sigOrdSnapshot is strsSnapshot's counterpart for the content signatures
+// and the order keys, both taken under one RLock.
+func sigOrdSnapshot() ([]sigPair, []uint64) {
 	in := globalIntern
 	in.mu.RLock()
-	s := in.sigs
+	sigs, ords := in.sigs, in.ords
 	in.mu.RUnlock()
-	return s
+	return sigs, ords
 }
 
 // SymbolStrings decodes a symbol slice to its strings in one pass, under a

@@ -84,3 +84,44 @@ func TestFragmentMemoConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestHashWhileInterning races Hash against interning: every rename below
+// interns a fresh attribute name while other goroutines hash, so Hash reads
+// its signature and order-key snapshot while the dictionary grows. The
+// renames share the one-row base relation's column headers, and each must
+// hash like the same relation built from scratch.
+func TestHashWhileInterning(t *testing.T) {
+	base := MustNew("S", []string{"attribute_1", "attribute_2"}, Tuple{"v1", "v2"})
+	want := base.Hash()
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				name := fmt.Sprintf("attribute_%d_%d", g, i)
+				ren, err := base.WithAttrRenamed("attribute_1", name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fresh := MustNew("S", []string{name, "attribute_2"}, Tuple{"v1", "v2"})
+				if ren.Hash() != fresh.Hash() || ren.TNFFragment().VecSq != 2 || len(ren.DistinctSymbols(0)) != 1 {
+					t.Errorf("rename to %s: derived forms differ from a fresh build", name)
+					return
+				}
+				back, err := ren.WithAttrRenamed(name, "attribute_1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if back.Hash() != want {
+					t.Errorf("renaming %s back changed the hash", name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

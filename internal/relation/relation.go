@@ -71,9 +71,10 @@ type Relation struct {
 	// columns before the value escapes — so the memoization is sound, and
 	// the sync.Onces make the lazy computations safe when parallel successor
 	// workers race to identify states that share a relation. The memo is
-	// held by pointer so a fresh one is allocated wherever a new Relation is
-	// built (New, Clone) and never copied along with in-progress state.
-	memo *canonMemo
+	// embedded, so a relation and its memo are one allocation; every
+	// constructor builds a fresh Relation, and none is ever copied by value
+	// (go vet's copylocks check guards the sync.Onces).
+	memo canonMemo
 }
 
 // canonMemo holds the lazily computed derived forms of a relation. The
@@ -156,7 +157,7 @@ func (r *Relation) lookup(a string) int {
 		}
 		return -1
 	}
-	m := r.memo
+	m := &r.memo
 	m.indexOnce.Do(func() {
 		idx := make(map[string]int, len(r.attrs))
 		for i, name := range r.attrs {
@@ -212,7 +213,6 @@ func emptyWithSchema(name string, nameSym Symbol, attrs []string, attrSyms []Sym
 		attrs:    attrs,
 		attrSyms: attrSyms,
 		cols:     make([][]Symbol, len(attrs)),
-		memo:     &canonMemo{},
 	}
 }
 
@@ -304,7 +304,6 @@ func NewFromColumns(name string, attrs []string, cols [][]Symbol, nrows int) (*R
 		attrSyms: make([]Symbol, len(attrs)),
 		cols:     cols,
 		nrows:    nrows,
-		memo:     &canonMemo{},
 	}
 	for j, a := range r.attrs {
 		r.attrSyms[j] = Intern(a)
@@ -471,29 +470,15 @@ func (r *Relation) Clone() *Relation {
 		attrSyms: append([]Symbol(nil), r.attrSyms...),
 		cols:     cols,
 		nrows:    r.nrows,
-		memo:     &canonMemo{}, // fresh: the copy may be mutated before publication
 	}
 }
 
-// shallowClone copies the relation's schema (name, attrs) and shares its
-// column storage. Columns are immutable after publication and never mutated
-// by this package, so sharing is safe; the full-capacity slice expressions
-// keep an append on the copy (Insert) from aliasing into the original's
-// backing arrays. Constructors that only touch schema — the rename
-// operators of the search hot path — use this instead of Clone to avoid
-// re-copying every cell of the relation.
-func (r *Relation) shallowClone() *Relation {
-	out := r.shallowCloneSharedSchema()
-	out.attrs = append([]string(nil), r.attrs...)
-	out.attrSyms = append([]Symbol(nil), r.attrSyms...)
-	return out
-}
-
-// shallowCloneSharedSchema is shallowClone without the attribute copies: the
-// attrs and attrSyms slices are shared with the receiver. Only safe for
-// callers that never write into them (WithName, Insert); a later rename on
-// the clone goes through shallowClone again and copies before mutating, so
-// the sharing never propagates a write.
+// shallowCloneSharedSchema copies the relation header and shares its schema
+// (attrs, attrSyms) and column storage. Columns are immutable after
+// publication and never mutated by this package, so sharing is safe; the
+// full-capacity slice expressions keep an append on the copy (Insert) from
+// aliasing into the original's backing arrays. Only safe for callers that
+// never write into the schema slices (WithName, Insert).
 func (r *Relation) shallowCloneSharedSchema() *Relation {
 	cols := make([][]Symbol, len(r.cols))
 	for j, c := range r.cols {
@@ -506,7 +491,6 @@ func (r *Relation) shallowCloneSharedSchema() *Relation {
 		attrSyms: r.attrSyms,
 		cols:     cols,
 		nrows:    r.nrows,
-		memo:     &canonMemo{},
 	}
 }
 
@@ -533,10 +517,22 @@ func (r *Relation) WithAttrRenamed(old, new string) (*Relation, error) {
 	if r.lookup(new) >= 0 && new != old {
 		return nil, fmt.Errorf("relation %s: attribute %q already exists", r.name, new)
 	}
-	out := r.shallowClone()
-	out.attrs[i] = new
-	out.attrSyms[i] = Intern(new)
-	return out, nil
+	attrs := append([]string(nil), r.attrs...)
+	attrSyms := append([]Symbol(nil), r.attrSyms...)
+	attrs[i] = new
+	attrSyms[i] = Intern(new)
+	// The rename shares the receiver's column headers as well as its
+	// columns. That is safe because nothing appends to a published
+	// relation's columns in place: Insert re-caps them through
+	// shallowCloneSharedSchema before it appends.
+	return &Relation{
+		name:     r.name,
+		nameSym:  r.nameSym,
+		attrs:    attrs,
+		attrSyms: attrSyms,
+		cols:     r.cols,
+		nrows:    r.nrows,
+	}, nil
 }
 
 // withColumnSyms is the engine behind WithColumn and WithColumnSyms: append
@@ -566,7 +562,6 @@ func (r *Relation) withColumnSyms(attr string, col []Symbol) (*Relation, error) 
 		attrSyms: append(append(make([]Symbol, 0, len(r.attrSyms)+1), r.attrSyms...), Intern(attr)),
 		cols:     cols,
 		nrows:    r.nrows,
-		memo:     &canonMemo{},
 	}, nil
 }
 
@@ -688,9 +683,14 @@ func (r *Relation) Project(attrs []string) (*Relation, error) {
 // first-occurrence order. Move generators ask set-membership questions
 // ("does this column carry a target attribute name?") on every expansion of
 // a state whose relations are mostly shared with its ancestors, so the
-// memoized form turns repeated scans into slice reads over int32s.
+// memoized form turns repeated scans into slice reads over int32s. A
+// relation of at most one row has no duplicates to remove: its columns are
+// the answer.
 func (r *Relation) distinctSymbols() [][]Symbol {
-	m := r.memo
+	if r.nrows <= 1 {
+		return r.cols
+	}
+	m := &r.memo
 	m.symColsOnce.Do(func() {
 		cols := make([][]Symbol, len(r.cols))
 		seen := make(map[Symbol]bool)
@@ -920,20 +920,31 @@ func (r *Relation) Fingerprint() string {
 // order — the column order every canonical rendering (fingerprint, hash)
 // shares, so projections of both sides of any comparison align.
 func (r *Relation) sortedAttrOrder() []int {
-	return r.appendSortedAttrOrder(make([]int, 0, len(r.attrs)))
+	_, ords := sigOrdSnapshot()
+	return r.appendSortedAttrOrder(make([]int, 0, len(r.attrs)), ords)
 }
 
 // appendSortedAttrOrder appends the sorted attribute positions to order,
-// letting hot callers provide stack-array backing.
-func (r *Relation) appendSortedAttrOrder(order []int) []int {
+// letting hot callers provide stack-array backing. ords is an order-key
+// snapshot covering the attribute symbols.
+func (r *Relation) appendSortedAttrOrder(order []int, ords []uint64) []int {
 	for i := range r.attrs {
 		order = append(order, i)
 	}
 	// Insertion sort: arities are small (the paper's schemas stay in single
 	// digits) and this avoids sort.Slice's closure and reflection overhead
-	// on a path hit once per relation ever created.
+	// on a path hit once per relation ever created. It compares order keys
+	// and falls back to the strings only when two keys tie, which is
+	// exactly the string order (see ordKey).
+	less := func(a, b int) bool {
+		ka, kb := ords[r.attrSyms[a]], ords[r.attrSyms[b]]
+		if ka != kb {
+			return ka < kb
+		}
+		return r.attrs[a] < r.attrs[b]
+	}
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && r.attrs[order[j]] < r.attrs[order[j-1]]; j-- {
+		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -963,9 +974,9 @@ const (
 // interning order, exactly like the byte-encoding digest it replaced — but
 // it never touches a string: hashing is ~4 multiply-xor mixes per cell.
 func (r *Relation) Hash() [16]byte {
-	m := r.memo
+	m := &r.memo
 	m.hashOnce.Do(func() {
-		sigs := sigSnapshot()
+		sigs, ords := sigOrdSnapshot()
 		// Hash runs once per relation ever created — millions per search —
 		// so the two scratch slices live in stack arrays at the paper's
 		// single-digit arities and tuple counts.
@@ -974,7 +985,7 @@ func (r *Relation) Hash() [16]byte {
 		if len(r.attrs) > attrScanMax {
 			order = make([]int, 0, len(r.attrs))
 		}
-		order = r.appendSortedAttrOrder(order)
+		order = r.appendSortedAttrOrder(order, ords)
 		h0 := mix64(uint64(len(r.attrs)+1) * hashK0)
 		h1 := mix64(uint64(len(r.attrs)+2) * hashK1)
 		absorb := func(x uint64) {

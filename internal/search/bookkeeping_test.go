@@ -1,6 +1,8 @@
 package search
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -29,6 +31,14 @@ func walledGrids() map[string]gridProblem {
 		"cup": {w: 6, h: 6, start: [2]int{0, 2}, target: [2]int{3, 2},
 			walls: walls([2]int{2, 1}, [2]int{2, 2}, [2]int{2, 3}, [2]int{3, 1},
 				[2]int{3, 3}, [2]int{4, 1}, [2]int{4, 3})},
+		// Scattered walls and mud, the target itself in mud: a visit's
+		// children differ in g, so (f, h) order can put a child with a
+		// lower h after one with a higher h.
+		"mud": {w: 6, h: 6, start: [2]int{0, 0}, target: [2]int{5, 5},
+			walls: walls([2]int{4, 0}, [2]int{5, 1}, [2]int{2, 2}, [2]int{1, 3},
+				[2]int{2, 3}, [2]int{2, 5}),
+			mud: map[[2]int]int{{1, 2}: 3, {1, 4}: 1, {1, 5}: 1, {2, 4}: 1,
+				{3, 4}: 1, {5, 3}: 1, {5, 5}: 3}},
 	}
 }
 
@@ -73,6 +83,93 @@ func TestTreeSearchBookkeepingPinned(t *testing.T) {
 					t.Errorf("path = %s, want %s", got, w.path)
 				}
 			})
+		}
+	}
+}
+
+// bestEffortOutcome renders what a budgeted run hands back: the goal it
+// reached, or the partial's key, H and path; with the run's MaxFrontier.
+func bestEffortOutcome(res *Result, err error) string {
+	if err == nil {
+		return fmt.Sprintf("goal %s %s frontier=%d", res.Goal.Key(), pathOps(res.Path), res.Stats.MaxFrontier)
+	}
+	var se *Error
+	if !errors.As(err, &se) || se.Partial == nil {
+		return "error " + err.Error()
+	}
+	p := se.Partial
+	return fmt.Sprintf("%s h=%d %s frontier=%d", p.State.Key(), p.H, pathOps(p.Path), se.Stats.MaxFrontier)
+}
+
+// TestTreeSearchBestEffortPartialsPinned pins what IDA* and RBFS hand back
+// under BestEffort when a state budget stops them on the walled grids: the
+// best partial's key, H and path and the run's MaxFrontier, or the goal
+// where the budget suffices. IDA* offers a child over its bound without
+// entering it, so these pin that every such child is still offered.
+func TestTreeSearchBestEffortPartialsPinned(t *testing.T) {
+	want := map[string]string{
+		"barrier/IDA/3":    "0,2 h=3 SS frontier=3",
+		"barrier/IDA/7":    "0,2 h=3 SS frontier=4",
+		"barrier/IDA/20":   "0,2 h=3 SS frontier=5",
+		"barrier/IDA/50":   "0,2 h=3 SS frontier=7",
+		"barrier/IDA/120":  "0,2 h=3 SS frontier=9",
+		"barrier/IDA/300":  "0,2 h=3 SS frontier=11",
+		"barrier/RBFS/3":   "0,2 h=3 SS frontier=3",
+		"barrier/RBFS/7":   "0,2 h=3 SS frontier=4",
+		"barrier/RBFS/20":  "0,2 h=3 SS frontier=5",
+		"barrier/RBFS/50":  "0,2 h=3 SS frontier=6",
+		"barrier/RBFS/120": "0,2 h=3 SS frontier=8",
+		"barrier/RBFS/300": "0,2 h=3 SS frontier=10",
+		"zigzag/IDA/3":     "0,3 h=6 SSS frontier=3",
+		"zigzag/IDA/7":     "2,4 h=3 SSSSEE frontier=7",
+		"zigzag/IDA/20":    "2,4 h=3 SSSSEE frontier=8",
+		"zigzag/IDA/50":    "4,4 h=1 SSSSEENNNNEESSSS frontier=16",
+		"zigzag/IDA/120":   "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"zigzag/IDA/300":   "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"zigzag/RBFS/3":    "0,3 h=6 SSS frontier=3",
+		"zigzag/RBFS/7":    "2,4 h=3 SSSSEE frontier=7",
+		"zigzag/RBFS/20":   "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"zigzag/RBFS/50":   "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"zigzag/RBFS/120":  "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"zigzag/RBFS/300":  "goal 5,4 SSSSEENNNNEESSSSE frontier=17",
+		"cup/IDA/3":        "1,2 h=2 E frontier=2",
+		"cup/IDA/7":        "1,2 h=2 E frontier=3",
+		"cup/IDA/20":       "1,2 h=2 E frontier=6",
+		"cup/IDA/50":       "1,2 h=2 E frontier=6",
+		"cup/IDA/120":      "1,2 h=2 E frontier=8",
+		"cup/IDA/300":      "goal 3,2 ENNEEEESSWW frontier=11",
+		"cup/RBFS/3":       "1,2 h=2 E frontier=2",
+		"cup/RBFS/7":       "1,2 h=2 E frontier=3",
+		"cup/RBFS/20":      "1,2 h=2 E frontier=5",
+		"cup/RBFS/50":      "1,2 h=2 E frontier=6",
+		"cup/RBFS/120":     "1,2 h=2 E frontier=7",
+		"cup/RBFS/300":     "goal 3,2 SSEEEEENNWW frontier=11",
+		"mud/IDA/3":        "0,3 h=7 SSS frontier=3",
+		"mud/IDA/7":        "1,5 h=4 SSSSSE frontier=6",
+		"mud/IDA/20":       "5,5 h=0 SEEESSESSE frontier=10",
+		"mud/IDA/50":       "5,5 h=0 SEEESSESSE frontier=10",
+		"mud/IDA/120":      "5,5 h=0 SEEESSESSE frontier=10",
+		"mud/IDA/300":      "5,5 h=0 SEEESSESSE frontier=11",
+		"mud/RBFS/3":       "0,3 h=7 SSS frontier=3",
+		"mud/RBFS/7":       "1,5 h=4 SSSSSE frontier=5",
+		"mud/RBFS/20":      "5,5 h=0 SEEESSESSE frontier=9",
+		"mud/RBFS/50":      "5,5 h=0 SEEESSESSE frontier=9",
+		"mud/RBFS/120":     "5,5 h=0 SEEESSESSE frontier=9",
+		"mud/RBFS/300":     "5,5 h=0 SEEESSESSE frontier=11",
+	}
+	grids := walledGrids()
+	for _, name := range []string{"barrier", "zigzag", "cup", "mud"} {
+		p := grids[name]
+		for _, algo := range []Algorithm{IDA, RBFS} {
+			for _, budget := range []int{3, 7, 20, 50, 120, 300} {
+				id := fmt.Sprintf("%s/%s/%d", name, algo, budget)
+				t.Run(id, func(t *testing.T) {
+					res, err := Run(algo, p, p.manhattan(), Limits{MaxStates: budget, BestEffort: true})
+					if got := bestEffortOutcome(res, err); got != want[id] {
+						t.Errorf("got %q, want %q", got, want[id])
+					}
+				})
+			}
 		}
 	}
 }

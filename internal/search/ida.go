@@ -85,6 +85,25 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 		if slices.Contains(*onPath, k) {
 			continue // cycle along the current path
 		}
+		if kid.f > bound {
+			// The child's probe would return kid.f at once: do what its
+			// entry does without entering it.
+			c.frontier(len(*path) + 1)
+			if kid.f < min {
+				min = kid.f
+			}
+			if c.best == nil {
+				// Children come in (f, h) order, so no later one can
+				// lower min.
+				break
+			}
+			// Under BestEffort every remaining child is still offered:
+			// a later child can carry a lower h behind a higher f.
+			c.best.offer(m.To, kid.h, func() []Move {
+				return append(append(make([]Move, 0, len(*path)+1), *path...), m)
+			})
+			continue
+		}
 		*onPath = append(*onPath, k)
 		*path = append(*path, m)
 		c.frontier(len(*path))

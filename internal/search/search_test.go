@@ -201,10 +201,12 @@ func TestUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// gridProblem is a 2-D grid with walls; moves are 4-directional.
+// gridProblem is a 2-D grid with walls; moves are 4-directional. A move
+// costs 1 plus the mud of the cell it enters.
 type gridProblem struct {
 	w, h          int
 	walls         map[[2]int]bool
+	mud           map[[2]int]int
 	start, target [2]int
 }
 
@@ -228,7 +230,7 @@ func (p gridProblem) Successors(s State) ([]Move, error) {
 		if nx < 0 || ny < 0 || nx >= p.w || ny >= p.h || p.walls[[2]int{nx, ny}] {
 			continue
 		}
-		out = append(out, Move{Op: opName(dir.name), To: gridState{nx, ny}, Cost: 1})
+		out = append(out, Move{Op: opName(dir.name), To: gridState{nx, ny}, Cost: 1 + p.mud[[2]int{nx, ny}]})
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package tnf
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -51,10 +52,32 @@ func randomSparseDatabase(rng *rand.Rand) *relation.Database {
 	return relation.MustDatabase(rels...)
 }
 
-// checkFragments runs prop over both generators.
+// randomOneRowDatabase draws one-row relations, the shape of every exp1
+// state, for which TNFFragment takes its own branch: arities 1 to 12,
+// values from a pool small enough that some repeat across columns, and
+// empty cells.
+func randomOneRowDatabase(rng *rand.Rand) *relation.Database {
+	rels := make([]*relation.Relation, 1+rng.Intn(3))
+	for i := range rels {
+		arity := 1 + rng.Intn(12)
+		names := rng.Perm(12)
+		attrs := make([]string, arity)
+		row := make(relation.Tuple, arity)
+		for j := range attrs {
+			attrs[j] = "a" + strconv.Itoa(names[j])
+			if rng.Intn(4) > 0 {
+				row[j] = "v" + strconv.Itoa(rng.Intn(4))
+			}
+		}
+		rels[i] = relation.MustNew("R"+strconv.Itoa(i), attrs, row)
+	}
+	return relation.MustDatabase(rels...)
+}
+
+// checkFragments runs prop over every generator.
 func checkFragments(t *testing.T, prop func(db *relation.Database) bool) {
 	t.Helper()
-	for _, gen := range []func(*rand.Rand) *relation.Database{randomDatabase, randomSparseDatabase} {
+	for _, gen := range []func(*rand.Rand) *relation.Database{randomDatabase, randomSparseDatabase, randomOneRowDatabase} {
 		f := func(seed int64) bool { return prop(gen(rand.New(rand.NewSource(seed)))) }
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatal(err)
