@@ -23,38 +23,39 @@ import (
 // search examines shows here.
 const restructureGolden = "testdata/restructure_golden.txt"
 
-// restructureGoldenRuns renders one block per discovery: a header line
-// with the task, configuration and states examined, then the mapping, one
-// operator per line, indented. workers sizes each discovery's successor
-// pool, which must not change the search.
-func restructureGoldenRuns(t *testing.T, workers int) string {
+// goldenTask is one discovery input of a restructuring golden.
+type goldenTask struct {
+	label    string
+	src, tgt *relation.Database
+	corrs    []lambda.Correspondence
+	reg      *lambda.Registry
+}
+
+// flightsGoldenTasks returns the Fig. 1 Flights pairs at the given
+// routes×carriers sizes.
+func flightsGoldenTasks(t *testing.T, sizes [][2]int) []goldenTask {
 	t.Helper()
-	type task struct {
-		label    string
-		src, tgt *relation.Database
-		corrs    []lambda.Correspondence
-		reg      *lambda.Registry
-	}
-	var tasks []task
-	for _, size := range [][2]int{{2, 2}, {3, 2}, {4, 3}, {6, 4}, {8, 4}} {
+	var tasks []goldenTask
+	for _, size := range sizes {
 		src, tgt, err := datagen.FlightsScaled(size[0], size[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks = append(tasks, task{label: fmt.Sprintf("flights %dx%d", size[0], size[1]), src: src, tgt: tgt})
+		tasks = append(tasks, goldenTask{label: fmt.Sprintf("flights %dx%d", size[0], size[1]), src: src, tgt: tgt})
 	}
-	dom := datagen.Inventory()
-	for n := 1; n <= 4; n++ {
-		src, tgt, corrs, err := dom.Task(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks = append(tasks, task{label: fmt.Sprintf("inventory n=%d", n), src: src, tgt: tgt, corrs: corrs, reg: dom.Registry})
-	}
+	return tasks
+}
+
+// goldenRuns renders one block per discovery: a header line with the
+// task, configuration and states examined, then the mapping, one operator
+// per line, indented. workers sizes each discovery's successor pool, which
+// must not change the search.
+func goldenRuns(t *testing.T, tasks []goldenTask, kinds []heuristic.Kind, workers int) string {
+	t.Helper()
 	var b strings.Builder
 	for _, tk := range tasks {
 		for _, algo := range BothAlgorithms() {
-			for _, kind := range []heuristic.Kind{heuristic.H1, heuristic.H3, heuristic.Cosine} {
+			for _, kind := range kinds {
 				res, err := core.Discover(tk.src, tk.tgt, core.Options{
 					Algorithm:       algo,
 					Heuristic:       kind,
@@ -76,18 +77,34 @@ func restructureGoldenRuns(t *testing.T, workers int) string {
 	return b.String()
 }
 
-// TestRestructureSearchGolden compares every restructuring discovery with
-// the golden record: the same states examined and the same mapping text,
-// with a sequential successor pool and with four workers racing to create
-// and estimate each expansion's states.
-func TestRestructureSearchGolden(t *testing.T) {
-	want, err := os.ReadFile(restructureGolden)
+// restructureGoldenRuns renders the restructure golden: Flights at five
+// sizes and the Inventory λ tasks under h1, h3 and cosine.
+func restructureGoldenRuns(t *testing.T, workers int) string {
+	t.Helper()
+	tasks := flightsGoldenTasks(t, [][2]int{{2, 2}, {3, 2}, {4, 3}, {6, 4}, {8, 4}})
+	dom := datagen.Inventory()
+	for n := 1; n <= 4; n++ {
+		src, tgt, corrs, err := dom.Task(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, goldenTask{label: fmt.Sprintf("inventory n=%d", n), src: src, tgt: tgt, corrs: corrs, reg: dom.Registry})
+	}
+	return goldenRuns(t, tasks, []heuristic.Kind{heuristic.H1, heuristic.H3, heuristic.Cosine}, workers)
+}
+
+// compareGolden checks run's output, with a sequential successor pool and
+// with four workers racing to create and estimate each expansion's states,
+// against the golden file at path, reporting the first differing line.
+func compareGolden(t *testing.T, path string, run func(t *testing.T, workers int) string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := restructureGoldenRuns(t, workers)
+			got := run(t, workers)
 			if got == string(want) {
 				return
 			}
@@ -101,9 +118,31 @@ func TestRestructureSearchGolden(t *testing.T) {
 					w = wl[i]
 				}
 				if g != w {
-					t.Fatalf("%s line %d:\n got  %q\n want %q", restructureGolden, i+1, g, w)
+					t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
 				}
 			}
 		})
 	}
+}
+
+// TestRestructureSearchGolden compares every restructuring discovery with
+// the golden record: the same states examined and the same mapping text.
+func TestRestructureSearchGolden(t *testing.T) {
+	compareGolden(t, restructureGolden, restructureGoldenRuns)
+}
+
+// levenshteinGolden pins the hL searches: Flights 2×2, 3×2 and 4×3 under
+// IDA and RBFS with the normalized Levenshtein heuristic, whose estimates
+// come from the edit-distance kernel and which restructureGolden does not
+// cover. A kernel that changes a single distance changes which states the
+// search examines.
+const levenshteinGolden = "testdata/restructure_golden_levenshtein.txt"
+
+// TestRestructureSearchGoldenLevenshtein compares the hL discoveries with
+// their golden record.
+func TestRestructureSearchGoldenLevenshtein(t *testing.T) {
+	tasks := flightsGoldenTasks(t, [][2]int{{2, 2}, {3, 2}, {4, 3}})
+	compareGolden(t, levenshteinGolden, func(t *testing.T, workers int) string {
+		return goldenRuns(t, tasks, []heuristic.Kind{heuristic.Levenshtein}, workers)
+	})
 }

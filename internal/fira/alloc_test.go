@@ -178,3 +178,114 @@ func BenchmarkSuccessor(b *testing.B) {
 		})
 	}
 }
+
+// promotedPrices is the 8-route × 4-carrier FlightsB-style Prices relation
+// after ↑ promoted its routes: 32 rows over Carrier, Route, Cost, AgentFee
+// and one column per route, each row holding its cost under its own route
+// and the absent value under the other seven.
+func promotedPrices(tb testing.TB) *relation.Database {
+	tb.Helper()
+	src, err := relation.NewBuilder("Prices", []string{"Carrier", "Route", "Cost", "AgentFee"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for c := 0; c < 4; c++ {
+		for r := 0; r < 8; r++ {
+			row := relation.Tuple{fmt.Sprintf("Air%02d", c+1), fmt.Sprintf("RT%02d", r+1),
+				fmt.Sprintf("%d", 100*(c+1)+10*r), fmt.Sprintf("%d", 10+c)}
+			if err := src.Add(row); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	db, err := Promote{Rel: "Prices", NameAttr: "Route", ValueAttr: "Cost"}.Apply(relation.MustDatabase(src.Relation()), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// coalescingPrices is promotedPrices with Route and Cost dropped, Example
+// 2's state before µ: merging it on Carrier coalesces each carrier's eight
+// rows into one, 32 rows into 4.
+func coalescingPrices(tb testing.TB) *relation.Database {
+	tb.Helper()
+	db, err := Expr{Drop{Rel: "Prices", Attr: "Route"}, Drop{Rel: "Prices", Attr: "Cost"}}.Eval(promotedPrices(tb), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+var (
+	mergeCoalesce = Merge{Rel: "Prices", Attr: "Carrier"}
+	dropRoute     = Drop{Rel: "Prices", Attr: "Route"}
+)
+
+// TestRestructureKernelAllocations bounds what the restructuring kernels
+// allocate on Flights-shaped input: a coalescing µ rebuilds in symbol space
+// without decoding a row or keying a map, π̄ deduplicates its 32 rows
+// without a map or a key per row, and a 32-row relation's distinct column
+// symbols share one backing array.
+func TestRestructureKernelAllocations(t *testing.T) {
+	coalescing := coalescingPrices(t)
+	promoted := promotedPrices(t)
+	apply := func(op Op, db *relation.Database) func() {
+		return func() {
+			if _, err := op.Apply(db, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(50, apply(mergeCoalesce, coalescing)); got > 48 {
+		t.Errorf("coalescing µ: %.0f allocations, budget 48", got)
+	}
+	if got := testing.AllocsPerRun(50, apply(dropRoute, promoted)); got > 10 {
+		t.Errorf("π̄ on the promoted relation: %.0f allocations, budget 10", got)
+	}
+	// DistinctSymbols is memoized, so each run asks a fresh relation over
+	// the same columns; the budget counts what the call adds to that.
+	r, _ := promoted.Relation("Prices")
+	fresh := func() *relation.Relation {
+		f, err := r.WithName("Fresh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	base := testing.AllocsPerRun(50, func() { fresh() })
+	withDistinct := testing.AllocsPerRun(50, func() { fresh().DistinctSymbols(0) })
+	if got := withDistinct - base; got > 4 {
+		t.Errorf("DistinctSymbols on a fresh 32-row relation: %.0f allocations, budget 4", got)
+	}
+}
+
+// BenchmarkMergeCoalesce measures the µ of Example 2 at Fig. 1 scale ×4:
+// merging coalescingPrices on Carrier, 32 rows into 4.
+func BenchmarkMergeCoalesce(b *testing.B) {
+	db := coalescingPrices(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := mergeCoalesce.Apply(db, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, _ := out.Relation("Prices"); r.Len() != 4 {
+			b.Fatalf("merge left %d tuples, want 4", r.Len())
+		}
+	}
+}
+
+// BenchmarkDropFlights measures π̄ of Route on the promoted 32-row Prices
+// relation, the first projection of Example 2.
+func BenchmarkDropFlights(b *testing.B) {
+	db := promotedPrices(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dropRoute.Apply(db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package fira
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -584,9 +583,9 @@ func TestPropertyMergeIdempotent(t *testing.T) {
 }
 
 // µ's identity check is exact: Apply returns its input database exactly
-// when the full rebuild equals the input, and otherwise returns a result
-// equal to the rebuild. Every attribute is tried as the merge column,
-// including the absent value as a group key.
+// when the string-based reference (referenceMerge) equals the input, and
+// otherwise returns a result equal to the reference. Every attribute is
+// tried as the merge column, including the absent value as a group key.
 func TestPropertyMergeIdentityExact(t *testing.T) {
 	identities, merges := 0, 0
 	f := func(seed int64) bool {
@@ -601,11 +600,11 @@ func TestPropertyMergeIdentityExact(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			ref, err := o.rebuild(db, r, j)
+			ref, err := referenceMerge(r, j)
 			if err != nil {
 				return false
 			}
-			if ref.Equal(db) {
+			if ref.Equal(r) {
 				identities++
 				if got != db {
 					return false
@@ -613,7 +612,7 @@ func TestPropertyMergeIdentityExact(t *testing.T) {
 				continue
 			}
 			merges++
-			if got == db || !got.Equal(ref) {
+			if got == db || !got.Equal(relation.MustDatabase(ref)) {
 				return false
 			}
 		}
@@ -633,23 +632,7 @@ func TestPropertyMergeIdentityExact(t *testing.T) {
 // carrier still differ on Route, so no group coalesces — the shape of most
 // merges the restructuring search proposes.
 func BenchmarkMergeIdentity(b *testing.B) {
-	src, err := relation.NewBuilder("Prices", []string{"Carrier", "Route", "Cost", "AgentFee"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for c := 0; c < 4; c++ {
-		for r := 0; r < 8; r++ {
-			row := relation.Tuple{fmt.Sprintf("Air%02d", c+1), fmt.Sprintf("RT%02d", r+1),
-				fmt.Sprintf("%d", 100*(c+1)+10*r), fmt.Sprintf("%d", 10+c)}
-			if err := src.Add(row); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	db, err := Promote{Rel: "Prices", NameAttr: "Route", ValueAttr: "Cost"}.Apply(relation.MustDatabase(src.Relation()), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	db := promotedPrices(b)
 	op := Merge{Rel: "Prices", Attr: "Carrier"}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -525,59 +525,67 @@ func compatible(r *relation.Relation, a, b int32, empty relation.Symbol) bool {
 	return true
 }
 
-// rebuild evaluates µ on column j of r by grouping, sorting and coalescing
+// rebuild evaluates µ on column j of r by sorting, grouping and coalescing
 // every group to fixpoint, and returns db with r replaced by the result.
+// It works in symbol space. The rows are copied once into one n × arity
+// array and sorted by the merge column, then by every column in schema
+// order, comparing in string order (relation.SymbolOrder): symbol numbering
+// depends on interning order, so comparing raw symbols would make the
+// fixpoint's result run-dependent. A group is a run of equal merge-column
+// symbols. The result needs no deduplication: the rows of a fixpoint are
+// pairwise incompatible, hence distinct, and rows of different groups
+// differ on the merge column.
 func (o Merge) rebuild(db *relation.Database, r *relation.Relation, j int) (*relation.Database, error) {
-	// Group symbol rows by the merge attribute. Group ordering and the
-	// canonical order within groups both compare decoded strings — symbol
-	// numbering depends on interning order, so sorting symbols directly
-	// would make the fixpoint's result run-dependent. Each row decodes
-	// exactly once.
-	type mergeRow struct {
-		syms []relation.Symbol
-		strs []string
+	n, arity := r.Len(), r.Arity()
+	cells := make([]relation.Symbol, n*arity)
+	rows := make([][]relation.Symbol, n)
+	for i := range rows {
+		rows[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	groups := make(map[relation.Symbol][]mergeRow)
-	var keys []relation.Symbol
-	for i := 0; i < r.Len(); i++ {
-		syms := make([]relation.Symbol, r.Arity())
-		for jj := 0; jj < r.Arity(); jj++ {
-			syms[jj] = r.Column(jj)[i]
+	for c := 0; c < arity; c++ {
+		for i, s := range r.Column(c) {
+			cells[i*arity+c] = s
 		}
-		k := syms[j]
-		if _, seen := groups[k]; !seen {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], mergeRow{syms: syms, strs: relation.SymbolStrings(syms)})
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
-	out, err := relation.NewBuilder(o.Rel, r.Attrs())
+	order := relation.SymbolOrder()
+	slices.SortFunc(rows, func(a, b []relation.Symbol) int {
+		if c := order(a[j], b[j]); c != 0 {
+			return c
+		}
+		for k := range a {
+			if c := order(a[k], b[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	empty := relation.EmptySymbol()
+	out := rows[:0]
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && rows[hi][j] == rows[lo][j] {
+			hi++
+		}
+		// mergeGroup leaves its fixpoint in a prefix of the group, and out
+		// never runs ahead of lo, so the append moves rows down in place.
+		out = append(out, mergeGroup(rows[lo:hi], empty)...)
+		lo = hi
+	}
+	m := len(out)
+	backing := make([]relation.Symbol, m*arity)
+	cols := make([][]relation.Symbol, arity)
+	for c := range cols {
+		col := backing[c*m : (c+1)*m : (c+1)*m]
+		for i, row := range out {
+			col[i] = row[c]
+		}
+		cols[c] = col
+	}
+	merged, err := relation.NewFromColumns(o.Rel, r.AttrView(), cols, m)
 	if err != nil {
 		return nil, err
 	}
-	empty := relation.EmptySymbol()
-	for _, k := range keys {
-		rows := groups[k]
-		sort.Slice(rows, func(a, b int) bool {
-			ra, rb := rows[a].strs, rows[b].strs
-			for i := range ra {
-				if ra[i] != rb[i] {
-					return ra[i] < rb[i]
-				}
-			}
-			return false
-		})
-		syms := make([][]relation.Symbol, len(rows))
-		for i, row := range rows {
-			syms[i] = row.syms
-		}
-		for _, row := range mergeGroup(syms, empty) {
-			if err := out.AddSymbols(row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return db.WithRelation(out.Relation()), nil
+	return db.WithRelation(merged), nil
 }
 
 // mergeGroup coalesces compatible tuples within one merge group to fixpoint.

@@ -94,7 +94,7 @@ func New(kind Kind, target *relation.Database, k float64) Evaluator {
 	case H1, H2, H3:
 		return &setEvaluator{b}
 	case Levenshtein:
-		return &levEvaluator{b}
+		return &levEvaluator{base: b, pat: newEditPattern(canonicalString(target))}
 	case Euclid, EuclidNorm, Cosine:
 		return &vecEvaluator{b}
 	case Hybrid:
@@ -108,9 +108,10 @@ func New(kind Kind, target *relation.Database, k float64) Evaluator {
 }
 
 // targetView is the target critical instance seen through its interned TNF
-// fragments: the projection sets, term vector, canonical string, and shape
-// every evaluator compares states against. Built once per New and shared,
-// read-only, by every evaluation.
+// fragments: the projection sets, term vector and shape the evaluators
+// compare states against. Built once per New and shared, read-only, by
+// every evaluation. hL's canonical string lives on its own evaluator, the
+// only reader, as an edit pattern.
 type targetView struct {
 	rel, att, val map[relation.Symbol]bool
 	tTotal        int // |rel| + |att| + |val|, the Jaccard target mass
@@ -119,7 +120,6 @@ type targetView struct {
 	frags  map[relation.Symbol]*relation.Fragment
 	normSq int64
 	norm   float64
-	str    string
 	shape  shape
 }
 
@@ -145,7 +145,6 @@ func newTargetView(target *relation.Database) *targetView {
 	}
 	tv.tTotal = len(tv.rel) + len(tv.att) + len(tv.val)
 	tv.norm = math.Sqrt(float64(tv.normSq))
-	tv.str = canonicalString(target)
 	tv.shape = shapeOf(target)
 	return tv
 }
@@ -649,21 +648,26 @@ func (e *vecEvaluator) EstimateDelta(parent Agg, d Delta) (int, Agg) {
 }
 
 // levEvaluator is hL, the normalized Levenshtein distance of canonical
-// strings. It is not incremental: the edit-distance dynamic program needs
-// the whole string anyway, so an aggregate would save nothing — only the
-// string assembly benefits from the memoized fragment parts.
-type levEvaluator struct{ base }
+// strings. It owns the target's canonical string as an edit pattern, built
+// once; each estimate runs the bit-parallel distance of the state's string
+// against the pattern. It is not incremental: the distance needs the whole
+// string anyway, so an aggregate would save nothing — only the string
+// assembly benefits from the memoized fragment parts.
+type levEvaluator struct {
+	base
+	pat *editPattern
+}
 
 func (e *levEvaluator) Estimate(x *relation.Database) int {
 	s := canonicalString(x)
 	max := len(s)
-	if len(e.tv.str) > max {
-		max = len(e.tv.str)
+	if e.pat.m > max {
+		max = e.pat.m
 	}
 	if max == 0 {
 		return 0
 	}
-	d := LevenshteinDistance(s, e.tv.str)
+	d := e.pat.distance(s)
 	return int(math.Round(e.k * float64(d) / float64(max)))
 }
 

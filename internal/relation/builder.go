@@ -7,9 +7,9 @@ import "fmt"
 // row keys Insert's memoized row set uses — and symbols are appended to the
 // columns in place instead of cloning the whole relation per insertion as
 // the copy-on-write Insert does. The fira operators that construct
-// multi-row outputs with possible duplicates (merge, union) build through
-// it; operators whose outputs are provably duplicate-free (demote, product,
-// partition) splice columns directly via NewFromColumns.
+// multi-row outputs with possible duplicates (union) build through it;
+// operators whose outputs are provably duplicate-free (demote, product,
+// partition, merge) splice columns directly via NewFromColumns.
 //
 // A Builder is single-goroutine. Relation finalizes it; using a finalized
 // builder is an error, so the published relation stays immutable.

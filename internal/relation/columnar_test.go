@@ -3,7 +3,9 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -124,8 +126,9 @@ func TestPropertyHashIffFingerprint(t *testing.T) {
 
 // TestPropertyDistinctValuesMatchRowScan: the memoized column-path distinct
 // symbols (first-occurrence order) and values (sorted) must equal a naive
-// scan over the decoded string rows — for random relations, and for
-// one-row and rowless ones, whose columns are their own distinct symbols.
+// scan over the decoded string rows — for random relations of up to 70
+// insertions, on both sides of rowScanMax, and for one-row and rowless
+// ones, whose columns are their own distinct symbols.
 func TestPropertyDistinctValuesMatchRowScan(t *testing.T) {
 	matches := func(r *Relation) bool {
 		rows := r.Rows()
@@ -162,7 +165,7 @@ func TestPropertyDistinctValuesMatchRowScan(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, "R")
+		r := randomRelationRows(rng, "R", 70)
 		row := make(Tuple, r.Arity())
 		for j := range row {
 			row[j] = fmt.Sprintf("%d", rng.Intn(3)) // repeats across columns
@@ -261,5 +264,143 @@ func TestConcurrentMemoFamilies(t *testing.T) {
 		if views[0].dup != r.Len() {
 			t.Fatalf("concurrent duplicate insert grew the relation: %d -> %d", r.Len(), views[0].dup)
 		}
+	}
+}
+
+// dedupRelation builds a relation of exactly n distinct rows over two to
+// four columns whose small shared domain makes values repeat, so dropping
+// or projecting away columns collapses rows.
+func dedupRelation(rng *rand.Rand, n int) *Relation {
+	arity := 2 + rng.Intn(3)
+	dom := 2
+	for pow(dom, arity) < 2*n {
+		dom++
+	}
+	b, err := NewBuilder("R", []string{"A", "B", "C", "D"}[:arity])
+	if err != nil {
+		panic(err)
+	}
+	row := make(Tuple, arity)
+	for b.Len() < n {
+		for j := range row {
+			row[j] = fmt.Sprintf("%d", rng.Intn(dom))
+		}
+		if err := b.Add(row); err != nil {
+			panic(err)
+		}
+	}
+	return b.Relation()
+}
+
+func pow(b, e int) int {
+	p := 1
+	for ; e > 0; e-- {
+		p *= b
+	}
+	return p
+}
+
+// mapProjection is the reference projection: decoded rows restricted to
+// the columns idx, deduplicated first-wins through a map of joined values.
+func mapProjection(r *Relation, idx []int) []Tuple {
+	seen := make(map[string]bool)
+	var out []Tuple
+	for _, row := range r.Rows() {
+		p := make(Tuple, len(idx))
+		for k, j := range idx {
+			p[k] = row[j]
+		}
+		if key := strings.Join(p, "\x00"); !seen[key] {
+			seen[key] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// mapDistinct is the reference for DistinctSymbols: column j's decoded
+// values, deduplicated first-wins through a map.
+func mapDistinct(r *Relation, j int) []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, row := range r.Rows() {
+		if !seen[row[j]] {
+			seen[row[j]] = true
+			out = append(out, row[j])
+		}
+	}
+	return out
+}
+
+// TestPropertyDedupMatchesMapReference holds WithoutAttr, Project and
+// DistinctSymbols to map-based references at row counts on both sides of
+// rowScanMax, where deduplication switches from scanning to a map. The
+// rows repeat values, so projections collapse rows on both paths, and the
+// survivors must be the first occurrences, in order.
+func TestPropertyDedupMatchesMapReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, rowScanMax - 1, rowScanMax, rowScanMax + 1, 2 * rowScanMax} {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			collapsed := 0
+			sameRows := func(got *Relation, attrs []string, want []Tuple) bool {
+				if !slices.Equal(got.Attrs(), attrs) || got.Len() != len(want) {
+					return false
+				}
+				for i, row := range got.Rows() {
+					if !row.Equal(want[i]) {
+						return false
+					}
+				}
+				if len(want) < n {
+					collapsed++
+				}
+				return true
+			}
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				r := dedupRelation(rng, n)
+				attrs := r.Attrs()
+				for j, a := range attrs {
+					idx := make([]int, 0, len(attrs)-1)
+					for k := range attrs {
+						if k != j {
+							idx = append(idx, k)
+						}
+					}
+					got, err := r.WithoutAttr(a)
+					if err != nil || !sameRows(got, slices.Delete(slices.Clone(attrs), j, j+1), mapProjection(r, idx)) {
+						t.Logf("drop %s of\n%s\ngot\n%s", a, r, got)
+						return false
+					}
+				}
+				idx := rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))]
+				proj := make([]string, len(idx))
+				for k, j := range idx {
+					proj[k] = attrs[j]
+				}
+				got, err := r.Project(proj)
+				if err != nil || !sameRows(got, proj, mapProjection(r, idx)) {
+					t.Logf("project %v of\n%s\ngot\n%s", proj, r, got)
+					return false
+				}
+				fresh, _ := r.WithName("Fresh") // an unmemoized relation over the same columns
+				for j := range attrs {
+					var syms []string
+					for _, s := range fresh.DistinctSymbols(j) {
+						syms = append(syms, s.String())
+					}
+					if !slices.Equal(syms, mapDistinct(r, j)) {
+						t.Logf("distinct symbols of column %d of\n%s\ngot %q", j, r, syms)
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatal(err)
+			}
+			if n > 2 && collapsed == 0 {
+				t.Fatalf("no projection of %d rows collapsed a row; the generator must repeat values", n)
+			}
+		})
 	}
 }

@@ -133,15 +133,36 @@ func sigOrdSnapshot() ([]sigPair, []uint64) {
 	return sigs, ords
 }
 
-// SymbolStrings decodes a symbol slice to its strings in one pass, under a
-// single dictionary lock acquisition. The result is the caller's to keep.
-func SymbolStrings(syms []Symbol) []string {
-	strs := strsSnapshot()
-	out := make([]string, len(syms))
-	for i, s := range syms {
-		out[i] = strs[s]
+// SymbolOrder returns a comparator that orders symbols as their strings
+// order, over one snapshot of the dictionary taken now: it covers every
+// symbol issued before the call. It compares order keys and falls back to
+// the strings only when two keys tie — the rule attribute sorting shares
+// (orderedLess) — so operators that must order cells the way their strings
+// order, independent of interning order, never decode a cell.
+func SymbolOrder() func(a, b Symbol) int {
+	in := globalIntern
+	in.mu.RLock()
+	strs, ords := in.strs, in.ords
+	in.mu.RUnlock()
+	return func(a, b Symbol) int {
+		switch {
+		case a == b:
+			return 0
+		case orderedLess(ords[a], ords[b], strs[a], strs[b]):
+			return -1
+		}
+		return 1 // distinct symbols stand for distinct strings
 	}
-	return out
+}
+
+// orderedLess reports whether string a orders before string b, given their
+// order keys: the keys decide unless they tie, which is exactly the string
+// order (see ordKey).
+func orderedLess(ka, kb uint64, a, b string) bool {
+	if ka != kb {
+		return ka < kb
+	}
+	return a < b
 }
 
 // EmptySymbol returns the interned empty string — the absent-value marker

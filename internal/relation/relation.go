@@ -17,6 +17,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -280,8 +281,8 @@ func MustNew(name string, attrs []string, rows ...Tuple) *Relation {
 // when arity is zero and is validated against every column otherwise. No
 // duplicate detection is performed: callers guarantee the rows are
 // distinct, which the column-splicing FIRA operators (demote, product,
-// partition) can prove structurally. This is the zero-decode construction
-// path of the search hot loop.
+// partition, merge) can prove structurally. This is the zero-decode
+// construction path of the search hot loop.
 func NewFromColumns(name string, attrs []string, cols [][]Symbol, nrows int) (*Relation, error) {
 	if err := validateSchema(name, attrs); err != nil {
 		return nil, err
@@ -583,6 +584,19 @@ func (r *Relation) WithColumnSyms(attr string, col []Symbol) (*Relation, error) 
 	return r.withColumnSyms(attr, col)
 }
 
+// rowScanMax is the most rows a relation deduplicates by scanning: up to
+// it, projection compares each row with the rows already kept, and a
+// column's distinct symbols are found by scanning the ones found so far.
+// Beyond it, both key a map. A scan's cost grows with the rows kept; the
+// map's cost per row is flat but includes a hashed insert and, for
+// projection, an encoded string key. Deduplicating 32 four-column rows
+// (2-vCPU Linux container, Go 1.24) took 0.9–2.1 µs scanning against
+// 2.7–3.7 µs through the map when rows differ in their leading columns, as
+// the restructuring workload's promoted relations do, and 5.3 µs against
+// 3.7 µs in the worst case, rows that differ only in their last column. At
+// 64 rows the scan's typical case already ties the map.
+const rowScanMax = 32
+
 // projectCols fills out, a rowless relation over the projected schema, with
 // the receiver's rows restricted to the column positions idx (in idx
 // order), collapsing duplicate rows first-wins. When no duplicates arise the
@@ -598,19 +612,12 @@ func (r *Relation) projectCols(out *Relation, idx []int) *Relation {
 		out.nrows = r.nrows
 		return out
 	}
-	seen := make(map[string]bool, r.nrows)
-	keep := make([]int, 0, r.nrows)
-	buf := make([]byte, 0, 4*len(idx))
-	for i := 0; i < r.nrows; i++ {
-		buf = buf[:0]
-		for _, j := range idx {
-			buf = appendSymKey(buf, r.cols[j][i])
-		}
-		if seen[string(buf)] {
-			continue
-		}
-		seen[string(buf)] = true
-		keep = append(keep, i)
+	var keep []int
+	if r.nrows <= rowScanMax {
+		var keepArr [rowScanMax]int
+		keep = r.scanDistinctRows(keepArr[:0], idx)
+	} else {
+		keep = r.mapDistinctRows(idx)
 	}
 	if len(keep) == r.nrows {
 		for k, j := range idx {
@@ -630,6 +637,46 @@ func (r *Relation) projectCols(out *Relation, idx []int) *Relation {
 	}
 	out.nrows = len(keep)
 	return out
+}
+
+// scanDistinctRows appends to keep the first row of every distinct
+// restriction to the columns idx, comparing each row with the rows already
+// kept: no map, no key per row.
+func (r *Relation) scanDistinctRows(keep, idx []int) []int {
+rows:
+	for i := 0; i < r.nrows; i++ {
+	kept:
+		for _, k := range keep {
+			for _, j := range idx {
+				if c := r.cols[j]; c[i] != c[k] {
+					continue kept
+				}
+			}
+			continue rows // duplicate of kept row k
+		}
+		keep = append(keep, i)
+	}
+	return keep
+}
+
+// mapDistinctRows is scanDistinctRows for relations beyond rowScanMax rows:
+// one encoded symbol key per row in a set.
+func (r *Relation) mapDistinctRows(idx []int) []int {
+	seen := make(map[string]bool, r.nrows)
+	keep := make([]int, 0, r.nrows)
+	buf := make([]byte, 0, 4*len(idx))
+	for i := 0; i < r.nrows; i++ {
+		buf = buf[:0]
+		for _, j := range idx {
+			buf = appendSymKey(buf, r.cols[j][i])
+		}
+		if seen[string(buf)] {
+			continue
+		}
+		seen[string(buf)] = true
+		keep = append(keep, i)
+	}
+	return keep
 }
 
 // WithoutAttr returns a copy with attribute a dropped (the paper's π̄
@@ -685,7 +732,9 @@ func (r *Relation) Project(attrs []string) (*Relation, error) {
 // a state whose relations are mostly shared with its ancestors, so the
 // memoized form turns repeated scans into slice reads over int32s. A
 // relation of at most one row has no duplicates to remove: its columns are
-// the answer.
+// the answer. Up to rowScanMax rows, each column scans the symbols it has
+// found so far, and all columns share one backing array; beyond, a set
+// filters each column.
 func (r *Relation) distinctSymbols() [][]Symbol {
 	if r.nrows <= 1 {
 		return r.cols
@@ -693,6 +742,20 @@ func (r *Relation) distinctSymbols() [][]Symbol {
 	m := &r.memo
 	m.symColsOnce.Do(func() {
 		cols := make([][]Symbol, len(r.cols))
+		if r.nrows <= rowScanMax {
+			backing := make([]Symbol, 0, r.nrows*len(r.cols))
+			for j, c := range r.cols {
+				start := len(backing)
+				for _, s := range c {
+					if !slices.Contains(backing[start:], s) {
+						backing = append(backing, s)
+					}
+				}
+				cols[j] = backing[start:len(backing):len(backing)]
+			}
+			m.symCols = cols
+			return
+		}
 		seen := make(map[Symbol]bool)
 		for j, c := range r.cols {
 			clear(seen)
@@ -935,13 +998,10 @@ func (r *Relation) appendSortedAttrOrder(order []int, ords []uint64) []int {
 	// digits) and this avoids sort.Slice's closure and reflection overhead
 	// on a path hit once per relation ever created. It compares order keys
 	// and falls back to the strings only when two keys tie, which is
-	// exactly the string order (see ordKey).
+	// exactly the string order (see ordKey) and the rule SymbolOrder
+	// applies to cells.
 	less := func(a, b int) bool {
-		ka, kb := ords[r.attrSyms[a]], ords[r.attrSyms[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return r.attrs[a] < r.attrs[b]
+		return orderedLess(ords[r.attrSyms[a]], ords[r.attrSyms[b]], r.attrs[a], r.attrs[b])
 	}
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && less(order[j], order[j-1]); j-- {

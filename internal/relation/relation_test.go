@@ -339,13 +339,18 @@ func TestPrinting(t *testing.T) {
 
 // randomRelation builds a small pseudo-random relation from a rand source.
 func randomRelation(rng *rand.Rand, name string) *Relation {
+	return randomRelationRows(rng, name, 4)
+}
+
+// randomRelationRows is randomRelation with up to maxRows insertions.
+func randomRelationRows(rng *rand.Rand, name string, maxRows int) *Relation {
 	nAttr := 1 + rng.Intn(4)
 	attrs := make([]string, nAttr)
 	for i := range attrs {
 		attrs[i] = string(rune('A'+i)) + string(rune('a'+rng.Intn(26)))
 	}
 	r := MustNew(name, attrs)
-	nRows := rng.Intn(5)
+	nRows := rng.Intn(maxRows + 1)
 	for i := 0; i < nRows; i++ {
 		row := make(Tuple, nAttr)
 		for j := range row {
