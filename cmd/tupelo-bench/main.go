@@ -6,7 +6,6 @@
 //	tupelo-bench -exp 2          # Figs. 7 & 8 (BAMM deep-web matching)
 //	tupelo-bench -exp 3          # Fig. 9      (complex semantic mapping)
 //	tupelo-bench -exp calibrate  # scaling-constant table
-//	tupelo-bench -exp parallel   # hash-sharded parallel A* sweep (-workers)
 //	tupelo-bench -exp all
 //
 // The performance measure is the number of states examined, as in the
@@ -35,7 +34,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: 1, 2, 3, calibrate, scaling, hybrid, portfolio, parallel, all")
+	exp := flag.String("exp", "all", "experiment to run: 1, 2, 3, calibrate, scaling, hybrid, portfolio, all")
 	algoName := flag.String("algo", "", "restrict exp 1 to one algorithm ("+benchAlgoNames(" or ")+")")
 	domain := flag.String("domain", "Inventory", "exp 3 domain: Inventory or RealEstateII")
 	budget := flag.Int("budget", 50000, "state budget per run")
@@ -45,7 +44,6 @@ func main() {
 	seed := flag.Int64("seed", 2006, "workload generator seed")
 	sample := flag.Int("sample", 1, "exp 2: map every n-th sibling schema only")
 	ks := flag.String("ks", "", "calibrate: comma-separated candidate scaling constants (default 1..30)")
-	workers := flag.Int("workers", 0, "successor-generation worker pool size (0 = GOMAXPROCS)")
 	tsv := flag.Bool("tsv", false, "emit raw measurements as TSV instead of tables")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, gauges, timers) to FILE when done")
@@ -88,7 +86,6 @@ func main() {
 	cfg := experiments.Config{
 		Budget:       *budget,
 		Seed:         *seed,
-		Workers:      *workers,
 		MaxHeapBytes: *maxMem,
 		BestEffort:   *bestEffort,
 		Retries:      *retries,
@@ -158,8 +155,6 @@ func main() {
 		err = runCalibrate(*ks, cfg, os.Stdout)
 	case "scaling":
 		err = runScaling(cfg, os.Stdout)
-	case "parallel":
-		err = runParallelSweep(cfg, os.Stdout)
 	case "hybrid":
 		err = runHybrid(cfg, os.Stdout)
 	case "portfolio":
@@ -171,7 +166,6 @@ func main() {
 			func() error { return runExp3(*domain, cfg, *tsv, os.Stdout) },
 			func() error { return runCalibrate(*ks, cfg, os.Stdout) },
 			func() error { return runScaling(cfg, os.Stdout) },
-			func() error { return runParallelSweep(cfg, os.Stdout) },
 			func() error { return runHybrid(cfg, os.Stdout) },
 			func() error { return runPortfolio(cfg, 0, os.Stdout) },
 		} {
@@ -376,25 +370,6 @@ func runScaling(cfg experiments.Config, w io.Writer) error {
 	if err := experiments.WriteScalingTable(w, rows); err != nil {
 		return err
 	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func runParallelSweep(cfg experiments.Config, w io.Writer) error {
-	fmt.Fprintln(w, "== Extension: hash-sharded parallel A* (DESIGN.md §10) ==")
-	opts := experiments.ParallelOptions{}
-	// -workers widens the sweep beyond the default {1, 2, 4} ladder.
-	if cfg.Workers > 4 {
-		opts.Workers = []int{1, 2, 4, cfg.Workers}
-	}
-	rows, err := experiments.RunParallelSweep(opts, cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteParallelTable(w, rows); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "(speedup is wall clock vs workers=1; on a single-core host it measures sharding overhead)")
 	fmt.Fprintln(w)
 	return nil
 }

@@ -54,7 +54,6 @@ func run(args []string) error {
 	maxMem := fs.String("max-mem", "", "per-job heap budget, e.g. 256M (empty = none)")
 	bestEffort := fs.Bool("best-effort", true, "return best-effort partial mappings for aborted jobs")
 	retries := fs.Int("retries", 1, "portfolio restart budget per job")
-	workers := fs.Int("workers", 1, "per-job worker budget")
 	breakerN := fs.Int("breaker-threshold", 3, "consecutive panic/memory verdicts that open a tenant's circuit (-1 disables)")
 	breakerCool := fs.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit rejects a tenant")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
@@ -92,7 +91,6 @@ func run(args []string) error {
 		MaxHeapBytes:     heapBudget,
 		BestEffort:       *bestEffort,
 		MaxRetries:       *retries,
-		Workers:          *workers,
 		BreakerThreshold: *breakerN,
 		BreakerCooldown:  *breakerCool,
 		Metrics:          metrics,

@@ -169,7 +169,7 @@ func summarizeReport(w io.Writer, r *obs.RunReport) error {
 		}
 	}
 	fmt.Fprintf(w, "run report (%s)\n", r.Schema)
-	fmt.Fprintf(w, "  config:   %s / %s k=%g workers=%d\n", r.Algorithm, r.Heuristic, r.K, r.Workers)
+	fmt.Fprintf(w, "  config:   %s / %s k=%g\n", r.Algorithm, r.Heuristic, r.K)
 	fmt.Fprintf(w, "  outcome:  %s\n", outcome)
 	if r.Error != "" {
 		fmt.Fprintf(w, "  error:    %s\n", r.Error)
@@ -187,10 +187,6 @@ func summarizeReport(w io.Writer, r *obs.RunReport) error {
 	}
 	if r.Memo != nil {
 		fmt.Fprintf(w, "  memo  %-14s hits=%-8d misses=%-8d hit-rate=%.1f%%\n", r.Memo.Name, r.Memo.Hits, r.Memo.Misses, 100*r.Memo.HitRate)
-	}
-	if s := r.Shards; s != nil {
-		fmt.Fprintf(w, "  shards:   %d workers, imbalance %.2fx (run `tupelo-trace shards` for detail)\n",
-			s.Workers, float64(s.ImbalancePermille)/1000)
 	}
 	if best := bestQuality(r.HeuristicQuality); best != nil {
 		fmt.Fprintf(w, "  best heuristic along solution path: %s (accuracy %.3f; run `tupelo-trace heuristic` for the ranking)\n",
@@ -237,7 +233,7 @@ func writeSpan(w io.Writer, s *obs.Span, indent string) {
 func summarizeBench(w io.Writer, b *experiments.BenchReport) error {
 	fmt.Fprintf(w, "bench report (%s): experiment %s\n", b.Schema, b.Experiment)
 	fmt.Fprintf(w, "  env:      %s %s/%s gomaxprocs=%d\n", b.Env.GoVersion, b.Env.GOOS, b.Env.GOARCH, b.Env.GOMAXPROCS)
-	fmt.Fprintf(w, "  config:   budget=%d seed=%d workers=%d\n", b.Config.Budget, b.Config.Seed, b.Config.Workers)
+	fmt.Fprintf(w, "  config:   budget=%d seed=%d\n", b.Config.Budget, b.Config.Seed)
 	a := b.Aggregate
 	fmt.Fprintf(w, "  runs:     %d (%d solved, %d censored)\n", a.Measurements, a.Solved, a.Censored)
 	fmt.Fprintf(w, "  effort:   %d states in %s (%.0f states/sec)\n",
@@ -419,49 +415,6 @@ func ranks(v []float64) []float64 {
 		i = j + 1
 	}
 	return out
-}
-
-// shardsCmd renders the parallel-search balance section of a run report.
-func shardsCmd(w io.Writer, in *input) error {
-	if in.kind != "report" {
-		return fmt.Errorf("shards: need a run report, got %s", in.kind)
-	}
-	s := in.report.Shards
-	if s == nil {
-		return fmt.Errorf("shards: report has no shard section (sequential run)")
-	}
-	fmt.Fprintf(w, "parallel search: %d workers, imbalance %.2fx (1.00x = perfectly balanced)\n",
-		s.Workers, float64(s.ImbalancePermille)/1000)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shard\texamined\trouted\tdeferred\tshare")
-	var total int64
-	for _, sh := range s.Shards {
-		total += sh.Examined
-	}
-	for _, sh := range s.Shards {
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(sh.Examined) / float64(total)
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%.1f%%\n", sh.Shard, sh.Examined, sh.Routed, sh.Deferred, share)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if len(s.InboxTimeline) > 0 {
-		maxDepth, maxOutbox := 0, 0
-		for _, smp := range s.InboxTimeline {
-			if smp.Depth > maxDepth {
-				maxDepth = smp.Depth
-			}
-			if smp.Outbox > maxOutbox {
-				maxOutbox = smp.Outbox
-			}
-		}
-		fmt.Fprintf(w, "inbox timeline: %d samples, peak inbox depth %d, peak outbox %d\n",
-			len(s.InboxTimeline), maxDepth, maxOutbox)
-	}
-	return nil
 }
 
 // diffCmd compares two artifacts of the same kind.

@@ -158,28 +158,62 @@ func TestSummaryAndHeuristicOnRunReport(t *testing.T) {
 	}
 }
 
-func TestShardsCmd(t *testing.T) {
-	report := runReportFixture(t, core.Options{
-		Algorithm:      search.AStar,
-		Heuristic:      heuristic.Cosine,
-		ParallelSearch: true,
-		Workers:        2,
-	})
-	var buf bytes.Buffer
-	if err := obs.WriteRunReport(&buf, report); err != nil {
-		t.Fatalf("WriteRunReport: %v", err)
+// legacyShardedReport is a tupelo-report/v1 document as the engine wrote it
+// for a sharded A* run, before that search was removed: it carries the
+// retired `workers` configuration key, a `shards` section, and `shard`
+// spans.
+const legacyShardedReport = `{
+  "schema": "tupelo-report/v1",
+  "generated_at": "2026-09-01T12:00:00Z",
+  "algorithm": "A*",
+  "heuristic": "cosine",
+  "k": 24,
+  "workers": 2,
+  "solved": true,
+  "examined": 12,
+  "generated": 40,
+  "depth": 3,
+  "ebf": 1.9,
+  "span": {"name": "run", "kind": "run", "start_ns": 0, "duration_ns": 90000, "children": [
+    {"name": "PA*", "kind": "search", "start_ns": 1000, "duration_ns": 80000, "examined": 12, "outcome": "solved", "children": [
+      {"name": "shard-0", "kind": "shard", "start_ns": 1000, "examined": 7},
+      {"name": "shard-1", "kind": "shard", "start_ns": 1000, "examined": 5}
+    ]}
+  ]},
+  "shards": {
+    "workers": 2,
+    "shards": [
+      {"shard": 0, "examined": 7, "routed": 3, "deferred": 0},
+      {"shard": 1, "examined": 5, "routed": 4, "deferred": 1}
+    ],
+    "imbalance_permille": 1166,
+    "inbox_timeline": [{"at_ns": 5000, "shard": 0, "seq": 1, "depth": 2, "outbox": 0}]
+  },
+  "caches": [{"name": "cosine/k=24", "hits": 30, "misses": 10, "hit_rate": 0.75}]
+}`
+
+// TestSummaryReadsRetiredReportFields: run reports written while the
+// engine had a sharded search still read back through ReadRunReport and
+// render with summary; the retired keys are ignored.
+func TestSummaryReadsRetiredReportFields(t *testing.T) {
+	r, err := obs.ReadRunReport(strings.NewReader(legacyShardedReport))
+	if err != nil {
+		t.Fatalf("ReadRunReport: %v", err)
 	}
-	in, err := detectInput(buf.Bytes())
+	if r.Examined != 12 || !r.Solved || r.Algorithm != "A*" {
+		t.Fatalf("decoded %+v", r)
+	}
+	in, err := detectInput([]byte(legacyShardedReport))
 	if err != nil {
 		t.Fatalf("detectInput: %v", err)
 	}
-	var out bytes.Buffer
-	if err := shardsCmd(&out, in); err != nil {
-		t.Fatalf("shardsCmd: %v", err)
+	var sum bytes.Buffer
+	if err := summaryCmd(&sum, in); err != nil {
+		t.Fatalf("summaryCmd: %v", err)
 	}
-	for _, want := range []string{"2 workers", "shard", "share"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("shards output missing %q:\n%s", want, out.String())
+	for _, want := range []string{"outcome:  solved", "A* / cosine", "examined=12", "search PA* [solved]", "shard shard-1 examined=5", "cache cosine/k=24"} {
+		if !strings.Contains(sum.String(), want) {
+			t.Fatalf("summary missing %q:\n%s", want, sum.String())
 		}
 	}
 }

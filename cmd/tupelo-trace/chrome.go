@@ -9,9 +9,9 @@ import (
 )
 
 // chromeEvent is one Chrome trace-event record (the subset chrome://tracing
-// and Perfetto need): "X" complete events for spans, "C" counter events for
-// the inbox timeline, "i" instants for flight records. Timestamps and
-// durations are microseconds, per the format.
+// and Perfetto need): "X" complete events for spans and "i" instants for
+// flight records. Timestamps and durations are microseconds, per the
+// format.
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -23,8 +23,8 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// chromeCmd converts a run report's span tree (plus shard inbox timeline) or
-// a flight dump's rings into Chrome trace-event JSON.
+// chromeCmd converts a run report's span tree or a flight dump's rings into
+// Chrome trace-event JSON.
 func chromeCmd(w io.Writer, in *input) error {
 	var events []chromeEvent
 	switch in.kind {
@@ -35,18 +35,6 @@ func chromeCmd(w io.Writer, in *input) error {
 		}
 		tid := 0
 		spanEvents(r.Span, 1, &tid, &events)
-		if r.Shards != nil {
-			for _, s := range r.Shards.InboxTimeline {
-				events = append(events, chromeEvent{
-					Name:  fmt.Sprintf("inbox-depth shard %d", s.Shard),
-					Phase: "C",
-					TS:    float64(s.AtNS) / 1e3,
-					PID:   1,
-					TID:   s.Shard,
-					Args:  map[string]any{"depth": s.Depth, "outbox": s.Outbox},
-				})
-			}
-		}
 	case "flight":
 		tids := map[string]int{}
 		for _, rec := range in.flight.Records {

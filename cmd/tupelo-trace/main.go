@@ -6,7 +6,6 @@
 //
 //	tupelo-trace summary FILE          # what ran, what happened, where time went
 //	tupelo-trace heuristic FILE        # heuristic-quality ranking (the paper's §5 question)
-//	tupelo-trace shards FILE           # parallel-search balance and backpressure
 //	tupelo-trace diff OLD NEW          # compare two reports of the same kind
 //	tupelo-trace chrome FILE [-o OUT]  # convert to Chrome trace-event JSON (Perfetto)
 //
@@ -34,10 +33,6 @@ func main() {
 		err = withInput(os.Args[2:], 1, func(ins []*input) error {
 			return heuristicCmd(os.Stdout, ins[0])
 		})
-	case "shards":
-		err = withInput(os.Args[2:], 1, func(ins []*input) error {
-			return shardsCmd(os.Stdout, ins[0])
-		})
 	case "diff":
 		err = withInput(os.Args[2:], 2, func(ins []*input) error {
 			return diffCmd(os.Stdout, ins[0], ins[1])
@@ -62,7 +57,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   tupelo-trace summary FILE          summarize a report, bench report, flight dump, or JSONL trace
   tupelo-trace heuristic FILE        rank heuristics by quality (run report or bench report)
-  tupelo-trace shards FILE           parallel-search shard balance and inbox backpressure
   tupelo-trace diff OLD NEW          compare two run reports or two bench reports
   tupelo-trace chrome FILE [-o OUT]  emit Chrome trace-event JSON (chrome://tracing, Perfetto)
 `)

@@ -67,12 +67,12 @@ func usage() {
   tupelo discover -source src.txt -target tgt.txt [-algo %s]
                   [-heuristic %s]
                   [-k N] [-max-states N] [-timeout DUR] [-max-mem SIZE]
-                  [-best-effort] [-workers N] [-parallel]
+                  [-best-effort]
                   [-portfolio default|SPEC,SPEC,...] [-retries N]
                   [-simplify] [-pretty] [-stats]
                   [-trace] [-trace-json FILE] [-trace-sample N]
                   [-profile FILE] [-trace-chrome FILE]
-                  [-report FILE] [-flight FILE] [-shard-inbox-cap N]
+                  [-report FILE] [-flight FILE]
                   [-metrics] [-metrics-addr HOST:PORT] [-pprof-addr HOST:PORT]
                   (a portfolio SPEC is algo/heuristic or algo/heuristic/K,
                    e.g. -portfolio rbfs/cosine,ida/h1,rbfs/levenshtein/15)
@@ -141,8 +141,6 @@ func cmdDiscover(args []string) error {
 	maxMem := fs.String("max-mem", "", "heap budget for discovery, e.g. 64M or 2G (empty = none)")
 	bestEffort := fs.Bool("best-effort", false, "on a budget/deadline abort, emit the closest partial mapping instead of failing")
 	retries := fs.Int("retries", 0, "with -portfolio: restart budget for panicked or failed members")
-	workers := fs.Int("workers", 0, "successor-generation worker pool size (0 = GOMAXPROCS)")
-	parallel := fs.Bool("parallel", false, "shard one search across -workers goroutines by state hash (HDA*-style; implies -algo astar unless -algo greedy is given)")
 	portfolio := fs.String("portfolio", "", `race configurations: "default" or "algo/heur[/k],..." (overrides -algo/-heuristic/-k)`)
 	simplify := fs.Bool("simplify", false, "simplify the discovered expression")
 	pretty := fs.Bool("pretty", false, "also print paper-style notation")
@@ -154,7 +152,6 @@ func cmdDiscover(args []string) error {
 	sampleN := fs.Int("trace-sample", 0, "forward only every Nth high-frequency trace event (0 or 1 = all)")
 	reportPath := fs.String("report", "", "write a tupelo-report/v1 run report (JSON) to FILE, even on an aborted run (analyze with tupelo-trace)")
 	flightPath := fs.String("flight", "", "arm the flight recorder; its rings are dumped as tupelo-flight/v1 JSONL to FILE only when the run dies abnormally (panic, memory abort, deadline)")
-	shardInboxCap := fs.Int("shard-inbox-cap", 0, "with -parallel: per-shard inbound channel capacity (0 = engine default)")
 	metrics := fs.Bool("metrics", false, "print a metrics snapshot (Prometheus text format) to stderr after the run")
 	metricsAddr := fs.String("metrics-addr", "", "serve metrics over HTTP at HOST:PORT (/metrics; ?format=json) for the run's duration")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof at HOST:PORT (/debug/pprof/) for the run's duration")
@@ -176,20 +173,6 @@ func cmdDiscover(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *parallel {
-		// With -parallel, an untouched -algo default (rbfs) would be
-		// rejected by normalization; let it resolve to the sharded engine's
-		// default (A*) instead, while an explicit -algo stays authoritative.
-		algoSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "algo" {
-				algoSet = true
-			}
-		})
-		if !algoSet {
-			algo = tupelo.AlgorithmUnset
-		}
-	}
 	heur, err := tupelo.ParseHeuristic(*heurName)
 	if err != nil {
 		return err
@@ -203,13 +186,10 @@ func cmdDiscover(args []string) error {
 		Heuristic: heur,
 		K:         *k,
 		Limits: search.Limits{
-			MaxStates:     *maxStates,
-			MaxHeapBytes:  heapBudget,
-			BestEffort:    *bestEffort,
-			ShardInboxCap: *shardInboxCap,
+			MaxStates:    *maxStates,
+			MaxHeapBytes: heapBudget,
+			BestEffort:   *bestEffort,
 		},
-		Workers:        *workers,
-		ParallelSearch: *parallel,
 		// Correspondences may be declared on either instance; the union
 		// is available to the mapper.
 		Correspondences: append(append([]tupelo.Correspondence(nil), src.Corrs...), tgt.Corrs...),
@@ -255,8 +235,8 @@ func cmdDiscover(args []string) error {
 	if *sampleN > 1 && opts.Tracer != nil {
 		opts.Tracer = tupelo.SampleTracer(opts.Tracer, *sampleN)
 	}
-	// The report builder rides outside the sampling wrapper: its cache and
-	// shard accounting must see every event, not every Nth.
+	// The report builder rides outside the sampling wrapper: its cache
+	// accounting must see every event, not every Nth.
 	var reportBuilder *tupelo.ReportBuilder
 	if *reportPath != "" {
 		reportBuilder = tupelo.NewReportBuilder()
@@ -282,8 +262,6 @@ func cmdDiscover(args []string) error {
 		}
 	}
 	if *metrics || *metricsAddr != "" || *reportPath != "" {
-		// One registry, private to this run — which is exactly what the
-		// report's shard section needs to sum to the run aggregates.
 		reg := tupelo.NewMetrics()
 		opts.Metrics = reg
 		if *metricsAddr != "" {

@@ -72,10 +72,10 @@ func DiscoverContext(ctx context.Context, source, target *relation.Database, opt
 		return nil, err
 	}
 	res, derr := discoverNormalized(ctx, source, target, opts)
-	// The search goroutines have all returned: if the run died in a way that
-	// requested a flight dump (panic, memory, deadline), flush it now, at
-	// the one point where no ring can still be written. Portfolio races
-	// flush at their own join point instead.
+	// The search has returned: if the run died in a way that requested a
+	// flight dump (panic, memory, deadline), flush it now, at the one point
+	// where no ring can still be written. Portfolio races flush at their own
+	// join point instead.
 	opts.Flight.FlushDump()
 	return res, derr
 }
@@ -87,8 +87,8 @@ func DiscoverContext(ctx context.Context, source, target *relation.Database, opt
 // A panic anywhere in the run — a heuristic evaluated on the search
 // goroutine, the goal test, move generation — is recovered here and
 // returned as a *search.Error wrapping a *search.PanicError, so discovery
-// never takes down the caller. (Worker-pool panics are recovered closer to
-// the site, in applyAll, and arrive as ordinary expansion errors.)
+// never takes down the caller. (Operator and pre-warm panics are recovered
+// closer to the site, in applyAll, and arrive as ordinary expansion errors.)
 func discoverNormalized(ctx context.Context, source, target *relation.Database, opts Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -116,23 +116,8 @@ func discoverNormalized(ctx context.Context, source, target *relation.Database, 
 		// A*. Only sensible together with a small Limits.MaxStates.
 		sp = &uniqueKeyProblem{inner: prob}
 	}
-	sres, serr := runSearch(ctx, sp, prob.h, opts)
+	sres, serr := search.RunContext(ctx, opts.Algorithm, sp, prob.h, opts.Limits)
 	return finish(sres, serr, opts)
-}
-
-// runSearch runs the search algorithm the options select over p.
-func runSearch(ctx context.Context, p search.Problem, h search.Heuristic, opts Options) (*search.Result, error) {
-	if !opts.ParallelSearch {
-		return search.RunContext(ctx, opts.Algorithm, p, h, opts.Limits)
-	}
-	// Hash-sharded single search (DESIGN.md §10): Workers shard goroutines
-	// split one frontier instead of racing configurations or parallelizing
-	// within expansions. normalize() restricted the algorithm to the
-	// best-first pair.
-	if opts.Algorithm == search.Greedy {
-		return search.ParallelGreedySearch(ctx, p, h, opts.Limits, opts.Workers)
-	}
-	return search.ParallelAStar(ctx, p, h, opts.Limits, opts.Workers)
 }
 
 // cacheLabel names a run's heuristic for metrics: members of a portfolio

@@ -8,11 +8,11 @@ import (
 )
 
 // TestLazyMemoizationRaceFree drives the lazy canonical-form memoization
-// from many goroutines at once, the way the parallel successor workers do:
-// successors built with WithRelation share every untouched *Relation, and
-// the first worker to key its state races the others to fill each shared
-// relation's memo. Run under -race (CI does), this pins that the sync.Once
-// publication is sound.
+// from many goroutines at once, the way concurrent discoveries over one
+// shared instance do (portfolio members, server jobs): states built with
+// WithRelation share every untouched *Relation, and the first goroutine to
+// key its state races the others to fill each shared relation's memo. Run
+// under -race (CI does), this pins that the sync.Once publication is sound.
 func TestLazyMemoizationRaceFree(t *testing.T) {
 	mk := func() *relation.Database {
 		return relation.MustDatabase(
@@ -27,8 +27,8 @@ func TestLazyMemoizationRaceFree(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		base := mk()
 		// Successor-like states sharing base's relations copy-on-write, each
-		// replacing a different relation — exactly the sharing pattern the
-		// worker pool produces.
+		// replacing a different relation — exactly the sharing pattern
+		// expansions produce.
 		states := []*relation.Database{
 			base,
 			base.WithRelation(relation.MustNew("R", []string{"A"}, relation.Tuple{"1"})),
@@ -61,12 +61,20 @@ func TestLazyMemoizationRaceFree(t *testing.T) {
 	}
 }
 
-// TestParallelWorkersKeyConsistency runs the real worker pool over the
-// flights expansion and checks every generated state's key against a
-// fresh single-threaded recomputation on an equal database.
-func TestParallelWorkersKeyConsistency(t *testing.T) {
-	par := movesWith(t, 8)
-	for _, m := range par {
+// TestSuccessorKeysMatchRecomputed expands the flights start state and
+// checks every generated state's key, computed from relation hashes shared
+// copy-on-write with the parent, against a recomputation on a clone that
+// shares nothing.
+func TestSuccessorKeysMatchRecomputed(t *testing.T) {
+	p := newProblem(flightsB(), flightsA(), Options{})
+	moves, err := p.Successors(p.Start())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moves) == 0 {
+		t.Fatal("no successor moves at all")
+	}
+	for _, m := range moves {
 		db := m.To.(*dbState).db
 		if got, want := m.To.Key(), db.Clone().Key(); got != want {
 			t.Fatalf("move %s: memoized key differs from recomputed key", m.Op)

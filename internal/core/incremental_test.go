@@ -38,24 +38,3 @@ func TestIncrementalAblationIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestIncrementalParallelWorkers runs the incremental path under a worker
-// pool: workers race to delta-merge and attach aggregates to the states
-// they create. Run under -race (CI does), it pins that aggregate attachment
-// is confined to each state's creating worker; the equality check pins that
-// parallelism changes neither the mapping nor the state count.
-func TestIncrementalParallelWorkers(t *testing.T) {
-	src, tgt := datagen.MustMatchingPair(8)
-	seq, err := Discover(src, tgt, Options{Workers: 1, Heuristic: heuristic.Cosine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Discover(src, tgt, Options{Workers: 8, Heuristic: heuristic.Cosine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Expr.String() != par.Expr.String() || seq.Stats.Examined != par.Stats.Examined {
-		t.Fatalf("workers changed the search: %q/%d vs %q/%d",
-			seq.Expr, seq.Stats.Examined, par.Expr, par.Stats.Examined)
-	}
-}

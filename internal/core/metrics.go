@@ -63,8 +63,8 @@ func opKind(op fira.Op) string {
 }
 
 // opMetrics holds the successor generator's pre-resolved instruments:
-// per-operator-kind proposed/applied counters, worker-pool utilization, and
-// the memo and estimate lookups of the run's state table.
+// per-operator-kind proposed/applied counters and the memo and estimate
+// lookups of the run's state table.
 // All counters are resolved once per problem so the per-expansion cost is a
 // type switch and an atomic increment. Methods on a nil *opMetrics are
 // no-ops, so call sites read unconditionally.
@@ -72,14 +72,6 @@ type opMetrics struct {
 	proposed map[string]*obs.Counter
 	applied  map[string]*obs.Counter
 	applySec map[string]*obs.Histogram
-	// poolParallel / poolSerial count expansions dispatched to the worker
-	// pool vs. applied inline (too few candidates or Workers == 1);
-	// poolOps counts operator applications that went through the pool and
-	// poolWidth tracks the widest pool used.
-	poolParallel *obs.Counter
-	poolSerial   *obs.Counter
-	poolOps      *obs.Counter
-	poolWidth    *obs.Gauge
 	// memoHits / memoMisses count successor-memo outcomes. They are the
 	// denominator that makes the per-op apply metrics honest: a hit skips
 	// the operator pipeline entirely, so core.op.apply.seconds and the
@@ -106,18 +98,14 @@ func newOpMetrics(reg *obs.Registry, hLabel string) *opMetrics {
 		return nil
 	}
 	m := &opMetrics{
-		proposed:     make(map[string]*obs.Counter, len(opKindNames)),
-		applied:      make(map[string]*obs.Counter, len(opKindNames)),
-		applySec:     make(map[string]*obs.Histogram, len(opKindNames)),
-		poolParallel: reg.Counter("core.pool.expansions.parallel"),
-		poolSerial:   reg.Counter("core.pool.expansions.serial"),
-		poolOps:      reg.Counter("core.pool.ops"),
-		poolWidth:    reg.Gauge("core.pool.width.max"),
-		memoHits:     reg.Counter("core.succmemo.hits"),
-		memoMisses:   reg.Counter("core.succmemo.misses"),
-		estHits:      reg.Counter(obs.Name("heuristic.cache.hits", "cache", hLabel)),
-		estMisses:    reg.Counter(obs.Name("heuristic.cache.misses", "cache", hLabel)),
-		estEntries:   reg.Gauge(obs.Name("heuristic.cache.entries", "cache", hLabel)),
+		proposed:   make(map[string]*obs.Counter, len(opKindNames)),
+		applied:    make(map[string]*obs.Counter, len(opKindNames)),
+		applySec:   make(map[string]*obs.Histogram, len(opKindNames)),
+		memoHits:   reg.Counter("core.succmemo.hits"),
+		memoMisses: reg.Counter("core.succmemo.misses"),
+		estHits:    reg.Counter(obs.Name("heuristic.cache.hits", "cache", hLabel)),
+		estMisses:  reg.Counter(obs.Name("heuristic.cache.misses", "cache", hLabel)),
+		estEntries: reg.Gauge(obs.Name("heuristic.cache.entries", "cache", hLabel)),
 	}
 	for _, n := range opKindMetricNames {
 		m.proposed[n.kind] = reg.Counter(n.proposed)
@@ -179,19 +167,4 @@ func (m *opMetrics) entry() {
 		return
 	}
 	m.estEntries.Add(1)
-}
-
-// poolExpansion records one expansion's worker-pool shape: width 1 means the
-// candidates were applied inline.
-func (m *opMetrics) poolExpansion(width, ops int) {
-	if m == nil {
-		return
-	}
-	if width <= 1 {
-		m.poolSerial.Inc()
-		return
-	}
-	m.poolParallel.Inc()
-	m.poolOps.Add(int64(ops))
-	m.poolWidth.Max(int64(width))
 }

@@ -151,7 +151,7 @@ func TestProfileOpTableMatchesMetrics(t *testing.T) {
 	}
 	prof := obs.NewProfile()
 	reg := obs.NewRegistry()
-	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Heuristic: heuristic.H1, Workers: 1, Tracer: prof, Metrics: reg}); err != nil {
+	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Heuristic: heuristic.H1, Tracer: prof, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	var report strings.Builder
@@ -250,7 +250,7 @@ func histNames(s obs.Snapshot) []string {
 }
 
 // TestSharedProfileAcrossPortfolio is meaningful under -race: every
-// portfolio member (and its worker pool) emits into one shared Profile, the
+// portfolio member emits into one shared Profile, the
 // intended CLI wiring of tupelo discover -profile -portfolio. The profile
 // must survive the concurrency and still describe the race.
 func TestSharedProfileAcrossPortfolio(t *testing.T) {
@@ -263,7 +263,6 @@ func TestSharedProfileAcrossPortfolio(t *testing.T) {
 		},
 	}
 	opts.Options.Tracer = prof
-	opts.Options.Workers = 4
 	if _, err := DiscoverPortfolio(context.Background(), src, tgt, opts); err != nil {
 		t.Fatal(err)
 	}

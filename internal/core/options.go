@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"tupelo/internal/faults"
 	"tupelo/internal/heuristic"
@@ -31,23 +30,12 @@ type Options struct {
 	// Limits bounds the search. Zero means unlimited; Discover applies a
 	// defensive default of 1,000,000 states when MaxStates is 0.
 	Limits search.Limits
-	// Workers bounds the worker pool used for successor generation and
-	// heuristic evaluation, the embarrassingly parallel part of every
-	// expansion. 0 means GOMAXPROCS; 1 disables parallelism. The search
-	// result is identical either way — only wall-clock time changes.
-	// Under ParallelSearch the same count instead sizes the shard fleet
-	// (see below) and each shard expands with a single-threaded pool.
+	// Workers is ignored: every run expands its states on its own
+	// goroutine (DESIGN.md §10).
+	//
+	// Deprecated: the successor worker pool it sized was removed; leave it
+	// unset.
 	Workers int
-	// ParallelSearch runs one search sharded across Workers goroutines by
-	// state-key hash (HDA*-style, DESIGN.md §10) instead of parallelizing
-	// within each expansion. It requires (and, when Algorithm is unset,
-	// selects) best-first search: only search.AStar and search.Greedy order
-	// a global frontier the shards can partition. Results keep A*'s
-	// optimality but Stats.Examined becomes scheduling-dependent, and the
-	// exact move sequence may differ between worker counts when several
-	// optimal mappings exist. Incompatible with DisableCycleCheck, whose
-	// ablation wrapper mutates unsynchronized per-run state.
-	ParallelSearch bool
 	// Registry resolves λ functions. Nil means lambda.Builtins() when
 	// Correspondences are supplied, and no λ moves otherwise.
 	Registry *lambda.Registry
@@ -70,20 +58,20 @@ type Options struct {
 	// search: run start/finish, every expansion with its candidate moves,
 	// every goal test, cache hits and misses, and — under
 	// DiscoverPortfolio — member start/win/lose/cancel. Implementations
-	// must be safe for concurrent use (worker pools and portfolio members
-	// emit from their own goroutines); obs.NewWriterTracer adapts an
+	// must be safe for concurrent use (portfolio members emit from their
+	// own goroutines); obs.NewWriterTracer adapts an
 	// io.Writer into the transcript format of the former TraceWriter
 	// field.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives counters, gauges, and timers for the
 	// run: per-algorithm examined/generated counts, heuristic cache
-	// hit/miss rates, per-operator proposal/application counts, and worker
-	// pool utilization. The registry is race-safe and may be shared across
-	// runs; expose it with its WriteJSON/WritePrometheus/Handler methods.
+	// hit/miss rates, and per-operator proposal/application counts. The
+	// registry is race-safe and may be shared across runs; expose it with
+	// its WriteJSON/WritePrometheus/Handler methods.
 	Metrics *obs.Registry
 	// Flight, when non-nil, attaches the forensic flight recorder: every
-	// search goroutine (the sequential loop, each shard worker) records
-	// compact ring-buffered events at a few nanoseconds each, and the rings
+	// search loop records compact ring-buffered events at a few
+	// nanoseconds each into a ring of its own, and the rings
 	// are dumped to the recorder's SetAutoDump writer when a run dies from a
 	// panic, memory-budget abort, or deadline. Like Metrics, the recorder
 	// may be shared by portfolio members; the dump is flushed only after all
@@ -96,15 +84,15 @@ type Options struct {
 	// with the operator's textual form). Setting it turns off the move
 	// memo, so every expansion reaches the operator sites. It exists solely
 	// for the deterministic fault-injection test harness (internal/faults)
-	// — the hook runs inline on search and worker goroutines and must not
-	// be set in production.
+	// — the hook runs inline on the search goroutine and must not be set
+	// in production.
 	FaultHook func(faults.Site, string)
 }
 
 // DefaultOptions returns the paper's overall best configuration: RBFS with
 // cosine similarity at its published scaling constant. It is Options{},
-// whose unset fields normalize to that configuration (or, under
-// ParallelSearch, to A*), kept for readability at call sites.
+// whose unset fields normalize to that configuration, kept for readability
+// at call sites.
 func DefaultOptions() Options { return Options{} }
 
 // defaultMaxStates is the defensive search budget applied when the caller
@@ -114,25 +102,11 @@ func DefaultOptions() Options { return Options{} }
 const defaultMaxStates = 1_000_000
 
 // normalize validates and completes the options: unset sentinel fields
-// resolve to the paper's best choices, K to the published constant for the
-// resulting (Algorithm, Heuristic) pair, and Workers to GOMAXPROCS.
+// resolve to the paper's best choices and K to the published constant for
+// the resulting (Algorithm, Heuristic) pair.
 func (o Options) normalize() (Options, error) {
 	if o.Algorithm == search.AlgorithmUnset {
-		if o.ParallelSearch {
-			// Sharding partitions a best-first frontier; A* is the natural
-			// default when the caller asked for a parallel single search.
-			o.Algorithm = search.AStar
-		} else {
-			o.Algorithm = search.RBFS
-		}
-	}
-	if o.ParallelSearch {
-		if o.Algorithm != search.AStar && o.Algorithm != search.Greedy {
-			return o, fmt.Errorf("core: ParallelSearch requires a best-first algorithm (AStar or Greedy), got %s", o.Algorithm)
-		}
-		if o.DisableCycleCheck {
-			return o, fmt.Errorf("core: ParallelSearch is incompatible with DisableCycleCheck (the ablation wrapper is not concurrency-safe)")
-		}
+		o.Algorithm = search.RBFS
 	}
 	if o.Heuristic == heuristic.Unset {
 		o.Heuristic = heuristic.Cosine
@@ -145,9 +119,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.Limits.MaxStates == 0 {
 		o.Limits.MaxStates = defaultMaxStates
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if len(o.Correspondences) > 0 && o.Registry == nil {
 		o.Registry = lambda.Builtins()

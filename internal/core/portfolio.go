@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"tupelo/internal/heuristic"
@@ -51,17 +50,13 @@ type PortfolioOptions struct {
 	// DefaultPortfolio().
 	Configs []PortfolioConfig
 	// Options is the base configuration shared by every member: Limits,
-	// Registry, Correspondences, pruning flags and the total Workers
-	// budget, which is divided evenly among members (each gets at least
-	// one). Algorithm, Heuristic and K are per-member concerns and are
-	// overridden. Tracer and Metrics are shared by every member —
-	// tracers are concurrency-safe by contract, so a portfolio race
-	// produces one interleaved event stream with member start/win/lose/
-	// cancel markers delimiting each member's run events. Every member
-	// runs with Limits.Cooperative set (racing peers yield to each other);
-	// a base ParallelSearch request applies to best-first members only —
-	// each such member shards its per-member worker share — while tree-
-	// search members race sequentially.
+	// Registry, Correspondences and pruning flags. Algorithm, Heuristic and
+	// K are per-member concerns and are overridden. Tracer and Metrics are
+	// shared by every member — tracers are concurrency-safe by contract, so
+	// a portfolio race produces one interleaved event stream with member
+	// start/win/lose/cancel markers delimiting each member's run events.
+	// Every member runs with Limits.Cooperative set (racing peers yield to
+	// each other).
 	Options Options
 	// MaxRetries is the total number of member restarts the race may spend
 	// recovering failed members before conceding, shared across all member
@@ -123,12 +118,11 @@ type PortfolioResult struct {
 }
 
 // DiscoverPortfolio races the member configurations over independent
-// copies of the search problem, each on its own goroutine with its own
-// share of the worker budget. The first member to find a verified mapping
-// wins; the rest are cancelled through the shared context and observed
-// until they return, so the per-member stats are complete. Each member
-// runs with its own state table: members share no estimates, even when
-// they agree on (heuristic, k).
+// copies of the search problem, each on its own goroutine. The first member
+// to find a verified mapping wins; the rest are cancelled through the shared
+// context and observed until they return, so the per-member stats are
+// complete. Each member runs with its own state table: members share no
+// estimates, even when they agree on (heuristic, k).
 //
 // If every member fails, the error is the parent context's error when it
 // was cancelled, and otherwise the most informative member error.
@@ -145,14 +139,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 	if tracer == nil {
 		tracer = obs.Nop
 	}
-	totalWorkers := base.Workers
-	if totalWorkers <= 0 {
-		totalWorkers = runtime.GOMAXPROCS(0)
-	}
-	perMember := totalWorkers / len(configs)
-	if perMember < 1 {
-		perMember = 1
-	}
 
 	// A member carries its label (cfg.String()) and duration timer,
 	// resolved once: every start, lose, cancel and win event and every
@@ -168,16 +154,10 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		o.Algorithm = cfg.Algorithm
 		o.Heuristic = cfg.Heuristic
 		o.K = cfg.K
-		o.Workers = perMember
 		// Racing members are CPU-bound peers: the cooperative yield in the
 		// search loop keeps one member from starving the others on fewer
 		// cores than members. Solitary (non-portfolio) runs never pay it.
 		o.Limits.Cooperative = true
-		// A base ParallelSearch request survives only on members whose
-		// algorithm the sharded engine supports; tree-search members race
-		// in their normal sequential form rather than erroring out.
-		o.ParallelSearch = base.ParallelSearch &&
-			(cfg.Algorithm == search.AStar || cfg.Algorithm == search.Greedy)
 		o, err := o.normalize()
 		if err != nil {
 			return member{}, fmt.Errorf("core: portfolio member %s: %w", cfg, err)

@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"tupelo/internal/heuristic"
@@ -17,16 +14,12 @@ import (
 // BuildReport assembles the tupelo-report/v1 run report for one discovery:
 // the outcome and effort of the run, the effective branching factor, the
 // heuristic-quality profile of every heuristic kind along the found solution
-// path, the shard-balance section for parallel runs (read back from the
-// run's metrics registry), and — when a ReportBuilder traced the run — the
-// span tree, inbox-depth timeline, and cache/memo hit rates.
+// path, and — when a ReportBuilder traced the run — the span tree and
+// cache/memo hit rates.
 //
 // res and runErr are the discovery outcome (either may be nil/non-nil as
 // returned by DiscoverContext or DiscoverPortfolio); opts must be the
-// options the run used. For the per-shard counters of the report to sum
-// exactly to the run aggregates, opts.Metrics must be a registry private to
-// this run — a shared registry accumulates across runs and the shard section
-// will say so honestly (ValidateRunReport rejects it).
+// options the run used.
 func BuildReport(res *Result, runErr error, source, target *relation.Database, opts Options, rb *obs.ReportBuilder) (*obs.RunReport, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -38,7 +31,6 @@ func BuildReport(res *Result, runErr error, source, target *relation.Database, o
 		Algorithm:   opts.Algorithm.String(),
 		Heuristic:   opts.Heuristic.String(),
 		K:           opts.K,
-		Workers:     opts.Workers,
 	}
 	switch {
 	case res != nil:
@@ -65,16 +57,7 @@ func BuildReport(res *Result, runErr error, source, target *relation.Database, o
 		}
 	}
 	if rb != nil {
-		root, timeline, caches, memo := rb.Skeleton()
-		r.Span = root
-		r.Caches = caches
-		r.Memo = memo
-		if opts.ParallelSearch {
-			r.Shards = shardReport(opts, timeline)
-			attachShardSpans(root, r.Shards)
-		}
-	} else if opts.ParallelSearch {
-		r.Shards = shardReport(opts, nil)
+		r.Span, r.Caches, r.Memo = rb.Skeleton()
 	}
 	return r, nil
 }
@@ -167,123 +150,4 @@ func heuristicProfile(res *Result, source, target *relation.Database, opts Optio
 		out = append(out, q)
 	}
 	return out, nil
-}
-
-// shardReport reads the per-shard counters back out of the run's metrics
-// registry and derives the balance analytics. Returns nil when the registry
-// holds no shard counters (metrics disabled, or the run never went
-// parallel).
-func shardReport(opts Options, timeline []obs.InboxSample) *obs.ShardReport {
-	if opts.Metrics == nil {
-		return nil
-	}
-	snap := opts.Metrics.Snapshot()
-	byShard := map[int]*obs.ShardStat{}
-	for name, v := range snap.Counters {
-		field, shard, ok := shardCounter(name)
-		if !ok {
-			continue
-		}
-		st := byShard[shard]
-		if st == nil {
-			st = &obs.ShardStat{Shard: shard}
-			byShard[shard] = st
-		}
-		switch field {
-		case "examined":
-			st.Examined = v
-		case "routed":
-			st.Routed = v
-		case "deferred":
-			st.Deferred = v
-		}
-	}
-	if len(byShard) == 0 {
-		return nil
-	}
-	sr := &obs.ShardReport{Workers: opts.Workers, InboxTimeline: timeline}
-	ids := make([]int, 0, len(byShard))
-	for id := range byShard {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var sum, max int64
-	for _, id := range ids {
-		sr.Shards = append(sr.Shards, *byShard[id])
-		sum += byShard[id].Examined
-		if byShard[id].Examined > max {
-			max = byShard[id].Examined
-		}
-	}
-	if sum > 0 {
-		sr.ImbalancePermille = max * 1000 * int64(len(ids)) / sum
-	}
-	return sr
-}
-
-// shardCounter parses a per-shard counter name —
-// `search.shard.<field>{algo="...",shard="N"}` — into its field and shard
-// id. The inbox-depth gauge and other families return ok == false.
-func shardCounter(name string) (field string, shard int, ok bool) {
-	const prefix = "search.shard."
-	if !strings.HasPrefix(name, prefix) {
-		return "", 0, false
-	}
-	rest := name[len(prefix):]
-	brace := strings.IndexByte(rest, '{')
-	if brace < 0 {
-		return "", 0, false
-	}
-	field = rest[:brace]
-	switch field {
-	case "examined", "routed", "deferred":
-	default:
-		return "", 0, false
-	}
-	const marker = `shard="`
-	i := strings.Index(rest[brace:], marker)
-	if i < 0 {
-		return "", 0, false
-	}
-	tail := rest[brace+i+len(marker):]
-	end := strings.IndexByte(tail, '"')
-	if end < 0 {
-		return "", 0, false
-	}
-	id, err := strconv.Atoi(tail[:end])
-	if err != nil {
-		return "", 0, false
-	}
-	return field, id, true
-}
-
-// attachShardSpans nests one span per shard under the parallel search span
-// of the span tree, so the tree reflects the full run → member → search →
-// shard hierarchy the report promises.
-func attachShardSpans(root *obs.Span, sr *obs.ShardReport) {
-	if root == nil || sr == nil {
-		return
-	}
-	var parallel *obs.Span
-	var find func(*obs.Span)
-	find = func(s *obs.Span) {
-		if s.Kind == "search" && strings.HasPrefix(s.Name, "P") {
-			parallel = s
-		}
-		for _, c := range s.Children {
-			find(c)
-		}
-	}
-	find(root)
-	if parallel == nil {
-		parallel = root
-	}
-	for _, sh := range sr.Shards {
-		parallel.Children = append(parallel.Children, &obs.Span{
-			Name:     "shard-" + strconv.Itoa(sh.Shard),
-			Kind:     "shard",
-			StartNS:  parallel.StartNS,
-			Examined: int(sh.Examined),
-		})
-	}
 }

@@ -102,43 +102,6 @@ func TestBuildReportSequential(t *testing.T) {
 	if usedCount != 1 {
 		t.Fatalf("used entries = %d, want 1", usedCount)
 	}
-	if report.Shards != nil {
-		t.Fatalf("sequential run has a shard section")
-	}
-}
-
-// TestBuildReportShardSums is the acceptance criterion: per-shard examined
-// counters sum exactly to the run aggregate at Workers ∈ {1, 2, 4} (run
-// under -race in CI).
-func TestBuildReportShardSums(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		report, res := runWithReport(t, 8, Options{
-			Algorithm:      search.AStar,
-			Heuristic:      heuristic.Cosine,
-			ParallelSearch: true,
-			Workers:        workers,
-		})
-		if err := obs.ValidateRunReport(report); err != nil {
-			t.Fatalf("workers=%d: ValidateRunReport: %v", workers, err)
-		}
-		if report.Shards == nil {
-			t.Fatalf("workers=%d: no shard section", workers)
-		}
-		if report.Shards.Workers != workers {
-			t.Fatalf("workers=%d: shard section says %d", workers, report.Shards.Workers)
-		}
-		var sum int64
-		for _, sh := range report.Shards.Shards {
-			sum += sh.Examined
-		}
-		if sum != int64(res.Stats.Examined) {
-			t.Fatalf("workers=%d: shard examined sum %d != run aggregate %d", workers, sum, res.Stats.Examined)
-		}
-		if report.Shards.ImbalancePermille < 1000 {
-			t.Fatalf("workers=%d: imbalance %d permille < 1000 (max/mean cannot be below the mean)",
-				workers, report.Shards.ImbalancePermille)
-		}
-	}
 }
 
 func TestBuildReportRoundTrip(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,32 +64,31 @@ func TestHeuristicPanicContained(t *testing.T) {
 	}
 }
 
+// TestOpApplyPanicContained seeds a panic into an operator application:
+// the serial expansion loop must recover it as a PanicError naming the
+// operator and emit EvPanic.
 func TestOpApplyPanicContained(t *testing.T) {
-	src, tgt := datagen.MustMatchingPair(4)
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "serial", 4: "parallel"}[workers], func(t *testing.T) {
-			inj := faults.NewInjector(1, faults.Fault{Site: faults.SiteOpApply, After: 5, Kind: faults.Panic})
-			trace := obs.NewCollector()
-			_, err := Discover(src, tgt, Options{
-				Heuristic: heuristic.H1,
-				Workers:   workers,
-				FaultHook: inj.Hit,
-				Tracer:    trace,
-			})
-			if err == nil {
-				t.Fatal("injected panic produced no error")
-			}
-			pe := assertPanicError(t, err)
-			// The worker pool recovers closest to the site and names the
-			// worker and operator.
-			if pe.Origin == "" {
-				t.Fatalf("origin missing: %+v", pe)
-			}
-			if trace.Count(obs.EvPanic) == 0 {
-				t.Fatal("no EvPanic event emitted")
-			}
+	t.Run("serial", func(t *testing.T) {
+		src, tgt := datagen.MustMatchingPair(4)
+		inj := faults.NewInjector(1, faults.Fault{Site: faults.SiteOpApply, After: 5, Kind: faults.Panic})
+		trace := obs.NewCollector()
+		_, err := Discover(src, tgt, Options{
+			Heuristic: heuristic.H1,
+			FaultHook: inj.Hit,
+			Tracer:    trace,
 		})
-	}
+		if err == nil {
+			t.Fatal("injected panic produced no error")
+		}
+		pe := assertPanicError(t, err)
+		// The expansion recovers closest to the site and names the operator.
+		if !strings.Contains(pe.Origin, "(op ") {
+			t.Fatalf("origin %q does not name the operator", pe.Origin)
+		}
+		if trace.Count(obs.EvPanic) == 0 {
+			t.Fatal("no EvPanic event emitted")
+		}
+	})
 }
 
 // TestPortfolioPanickedMemberLosesRace is the tentpole scenario: a panic
@@ -298,7 +298,7 @@ func TestBestEffortPortfolioAllHopeless(t *testing.T) {
 	}
 }
 
-// TestMidExpansionCancellation pins the shutdown path: workers pinned
+// TestMidExpansionCancellation pins the shutdown path: members pinned
 // mid-apply by a delay fault, the run cancelled from deep inside an
 // expansion, every member accounted for, and no goroutine leaked.
 func TestMidExpansionCancellation(t *testing.T) {
@@ -308,9 +308,10 @@ func TestMidExpansionCancellation(t *testing.T) {
 	defer cancel()
 	inj := faults.NewInjector(1,
 		// Every operator application stalls briefly, so the cancel lands
-		// while workers are mid-expansion.
+		// while members are mid-expansion.
 		faults.Fault{Site: faults.SiteOpApply, After: 1, Every: 1, Kind: faults.Delay, Sleep: 2 * time.Millisecond},
-		// The 10th application cancels the whole race from inside a worker.
+		// The 10th application cancels the whole race from inside an
+		// expansion.
 		faults.Fault{Site: faults.SiteOpApply, After: 10, Kind: faults.Cancel, Cancel: cancel},
 	)
 	_, err := DiscoverPortfolio(ctx, src, tgt, PortfolioOptions{
@@ -318,7 +319,7 @@ func TestMidExpansionCancellation(t *testing.T) {
 			{Algorithm: search.RBFS, Heuristic: heuristic.H1},
 			{Algorithm: search.IDA, Heuristic: heuristic.H1},
 		},
-		Options: Options{Workers: 4, FaultHook: inj.Hit},
+		Options: Options{FaultHook: inj.Hit},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -327,8 +328,8 @@ func TestMidExpansionCancellation(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %T, want *search.Error", err)
 	}
-	// Every member goroutine must have been observed until it returned, so
-	// worker pools are drained before DiscoverPortfolio returns. Goroutine
+	// Every member goroutine must have been observed until it returned
+	// before DiscoverPortfolio returns. Goroutine
 	// counts settle rather than drop instantly (timers, runtime helpers).
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
@@ -357,7 +358,6 @@ func TestMidExpansionCancellationRunBookkeeping(t *testing.T) {
 			{Algorithm: search.IDA, Heuristic: heuristic.H1},
 		},
 		Options: Options{
-			Workers:   4,
 			FaultHook: inj.Hit,
 			Limits:    search.Limits{BestEffort: true},
 		},

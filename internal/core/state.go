@@ -7,9 +7,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"tupelo/internal/heuristic"
 	"tupelo/internal/relation"
 	"tupelo/internal/search"
@@ -28,29 +25,32 @@ import (
 // move list and its goal verdict. IDA* and RBFS re-examine states
 // relentlessly — on the paper's exp1 workload 96% of expansions are of a
 // state already expanded — and each revisit reads these fields instead of
-// recomputing. All three facts are deterministic per key and published
-// through atomics, so goroutines that race to publish agree.
+// recomputing. A run's states are read and written only by the run's own
+// goroutine (DESIGN.md §10), so the fields are plain.
 type dbState struct {
 	db  *relation.Database
 	key string
 
 	// est is the state's heuristic estimate; nil until the state's creator
-	// (or, for the start state, the search's first lookup) publishes it.
-	est atomic.Pointer[estimate]
-	// moves is the state's finished move list, published by its first
-	// expansion; nil before that, and always nil under a FaultHook, whose
-	// injected faults must fire on every expansion.
-	moves atomic.Pointer[[]search.Move]
+	// (or, for the start state, the search's first lookup) sets it.
+	est *estimate
+	// moves is the state's finished move list, set by its first expansion
+	// (never nil after it); nil before that, and always nil under a
+	// FaultHook, whose injected faults must fire on every expansion.
+	moves []search.Move
 	// goal is the state's goal verdict: verdictUntested until its first
 	// goal test (mappingProblem.IsGoal), then verdictNotGoal or verdictGoal.
 	// The goal test has no fault site, so the verdict stays on under a
 	// FaultHook.
-	goal atomic.Uint32
+	goal verdict
 }
+
+// verdict is a state's stored goal-test outcome.
+type verdict uint8
 
 // Goal verdicts stored in dbState.goal.
 const (
-	verdictUntested uint32 = iota
+	verdictUntested verdict = iota
 	verdictNotGoal
 	verdictGoal
 )
@@ -68,38 +68,20 @@ type estimate struct {
 // Key implements search.State.
 func (s *dbState) Key() string { return s.key }
 
-// tableStripes is the number of independently locked parts of a stateTable.
-// Successor workers and parallel-search shards create states concurrently;
-// keys are uniform hashes, so a stripe per key byte value modulo this count
-// keeps them off each other's locks. Must be a power of two.
-const tableStripes = 16
-
 // stateTable maps each state key of one discovery run to the run's
-// canonical *dbState. It is shared by the run's successor pool and, under
-// ParallelSearch, by every shard. Lookups happen only when a successor is
-// created — a memoized expansion returns its canonical states without
-// touching the table.
-type stateTable struct {
-	stripes [tableStripes]struct {
-		mu sync.Mutex
-		m  map[string]*dbState
-	}
-}
+// canonical *dbState. Lookups happen only when a successor is created — a
+// memoized expansion returns its canonical states without touching the
+// table.
+type stateTable map[string]*dbState
 
 // intern returns the canonical state for key, creating it over db when the
 // key is new; created reports which. The creator owns estimating the new
 // state.
-func (t *stateTable) intern(db *relation.Database, key string) (s *dbState, created bool) {
-	st := &t.stripes[key[0]&(tableStripes-1)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if s, ok := st.m[key]; ok {
+func (t stateTable) intern(db *relation.Database, key string) (s *dbState, created bool) {
+	if s, ok := t[key]; ok {
 		return s, false
 	}
-	if st.m == nil {
-		st.m = make(map[string]*dbState)
-	}
 	s = &dbState{db: db, key: key}
-	st.m[key] = s
+	t[key] = s
 	return s, true
 }

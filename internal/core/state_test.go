@@ -2,30 +2,25 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 
 	"tupelo/internal/datagen"
 	"tupelo/internal/faults"
 	"tupelo/internal/heuristic"
+	"tupelo/internal/obs"
 	"tupelo/internal/relation"
 	"tupelo/internal/search"
 )
 
 // examineRecorder wraps a mapping problem to record every state the search
-// examines (goal-tests); shard workers of a parallel search record
-// concurrently.
+// examines (goal-tests).
 type examineRecorder struct {
 	*mappingProblem
-	mu       sync.Mutex
 	examined map[*dbState]bool
 }
 
 func (r *examineRecorder) IsGoal(s search.State) bool {
-	r.mu.Lock()
 	r.examined[s.(*dbState)] = true
-	r.mu.Unlock()
 	return r.mappingProblem.IsGoal(s)
 }
 
@@ -36,8 +31,7 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 // containment index that produced it), the published move list equals a
 // fresh expansion of the state's own database with the move memo off, and
 // every state and every move's successor is the table's canonical state for
-// its key. It covers the tree searches, A*, the successor pool
-// and the sharded search, and under -race the table's concurrent use.
+// its key. It covers the tree searches and A*.
 func TestMemoTableMatchesScratch(t *testing.T) {
 	flightsSrc, flightsTgt, err := datagen.FlightsScaled(3, 2)
 	if err != nil {
@@ -51,26 +45,14 @@ func TestMemoTableMatchesScratch(t *testing.T) {
 		{"flights3x2", flightsSrc, flightsTgt},
 		{"matching5", matchSrc, matchTgt},
 	}
-	runs := []Options{
-		{Algorithm: search.IDA, Workers: 1},
-		{Algorithm: search.IDA, Workers: 4},
-		{Algorithm: search.RBFS, Workers: 1},
-		{Algorithm: search.RBFS, Workers: 4},
-		{Algorithm: search.AStar, Workers: 1},
-		{Algorithm: search.AStar, Workers: 4},
-		{ParallelSearch: true, Workers: 4},
-	}
 	for _, in := range instances {
-		for _, run := range runs {
-			opts, err := run.normalize()
+		for _, algo := range []search.Algorithm{search.IDA, search.RBFS, search.AStar} {
+			opts, err := Options{Algorithm: algo}.normalize()
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s/%s/workers=%d", in.name, opts.Algorithm, opts.Workers)
-			if opts.ParallelSearch {
-				name += "/sharded"
-			}
-			t.Run(name, func(t *testing.T) {
+			// Named for the one goroutine that expands each run's states.
+			t.Run(in.name+"/"+algo.String()+"/workers=1", func(t *testing.T) {
 				checkTableAgainstScratch(t, in.src, in.tgt, opts)
 			})
 		}
@@ -79,7 +61,7 @@ func TestMemoTableMatchesScratch(t *testing.T) {
 
 func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Options) {
 	rec := &examineRecorder{mappingProblem: newProblem(src, tgt, opts), examined: make(map[*dbState]bool)}
-	if _, err := runSearch(context.Background(), rec, rec.h, opts); err != nil {
+	if _, err := search.RunContext(context.Background(), opts.Algorithm, rec, rec.h, opts.Limits); err != nil {
 		t.Fatal(err)
 	}
 	canonical := func(s *dbState) bool {
@@ -96,7 +78,7 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if !canonical(s) {
 			t.Fatalf("examined state %x is not the table's state for its key", s.key)
 		}
-		e := s.est.Load()
+		e := s.est
 		if e == nil {
 			t.Fatalf("examined state %x has no published estimate", s.key)
 		}
@@ -107,10 +89,10 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if s.db.Contains(tgt) {
 			want = verdictGoal
 		}
-		if got := s.goal.Load(); got != want {
+		if got := s.goal; got != want {
 			t.Fatalf("state %x: stored goal verdict = %d, reference scan gives %d", s.key, got, want)
 		}
-		moves := s.moves.Load()
+		moves := s.moves
 		if moves == nil {
 			continue // examined but never expanded: a goal or a pruned leaf
 		}
@@ -119,10 +101,10 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(*moves) != len(wantMoves) {
-			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(*moves), len(wantMoves))
+		if len(moves) != len(wantMoves) {
+			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(moves), len(wantMoves))
 		}
-		for i, m := range *moves {
+		for i, m := range moves {
 			if m.Op.String() != wantMoves[i].Op.String() || m.To.Key() != wantMoves[i].To.Key() {
 				t.Fatalf("state %x move %d: table %s → %x, fresh %s → %x",
 					s.key, i, m.Op, m.To.Key(), wantMoves[i].Op, wantMoves[i].To.Key())
@@ -134,5 +116,70 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 	}
 	if expanded == 0 {
 		t.Fatal("no examined state was expanded")
+	}
+}
+
+// TestMemoCountersAndSampling: with metrics only (no Tracer) the successor
+// memo stays on, and the hit/miss counters expose how many expansions the
+// per-op apply metrics actually sampled. The
+// state table's estimate lookups report under heuristic.cache.*: on a
+// run every miss evaluates once and stores its estimate once.
+func TestMemoCountersAndSampling(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(6)
+	reg := obs.NewRegistry()
+	// IDA* re-expands every shallower state on each deepening iteration, so
+	// revisits — the memo's reason to exist — are structural, not workload
+	// luck.
+	opts, err := Options{Algorithm: search.IDA, Metrics: reg}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Discover(src, tgt, opts); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	hits := snap.Counters["core.succmemo.hits"]
+	misses := snap.Counters["core.succmemo.misses"]
+	if misses == 0 {
+		t.Fatal("no memo misses recorded")
+	}
+	if hits == 0 {
+		t.Fatal("no memo hits recorded — IDA deepening should revisit states")
+	}
+	label := cacheLabel(opts)
+	hHits := snap.Counters[obs.Name("heuristic.cache.hits", "cache", label)]
+	hMisses := snap.Counters[obs.Name("heuristic.cache.misses", "cache", label)]
+	entries := snap.Gauges[obs.Name("heuristic.cache.entries", "cache", label)]
+	evals := snap.Histograms[obs.Name("heuristic.eval.seconds", "heuristic", label)].Count
+	if hHits == 0 || hMisses == 0 {
+		t.Fatalf("heuristic.cache hits/misses = %d/%d, want both > 0", hHits, hMisses)
+	}
+	if entries != hMisses || evals != hMisses {
+		t.Fatalf("heuristic.cache misses = %d, entries = %d, evaluations = %d; want all equal", hMisses, entries, evals)
+	}
+}
+
+// TestMemoStaysOnUnderTracer: the undercount fix keeps the memo enabled for
+// traced runs (only FaultHook disables it) and emits memo events instead.
+func TestMemoStaysOnUnderTracer(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(6)
+	col := obs.NewCollector()
+	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Tracer: col}); err != nil {
+		t.Fatal(err)
+	}
+	var memoHits, memoMisses int
+	for _, e := range col.Events() {
+		switch e.Kind {
+		case obs.EvMemoHit:
+			memoHits++
+		case obs.EvMemoMiss:
+			memoMisses++
+		}
+	}
+	if memoMisses == 0 {
+		t.Fatal("traced run emitted no EvMemoMiss — memo disabled under Tracer?")
+	}
+	if memoHits == 0 {
+		t.Fatal("traced run emitted no EvMemoHit")
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tupelo/internal/faults"
@@ -59,7 +57,7 @@ type mappingProblem struct {
 
 	// table holds the run's canonical state for every key: the start state
 	// and every successor are interned here, and the search sees nothing
-	// else. memo enables reading and publishing each state's move list
+	// else. memo enables reading and storing each state's move list
 	// (dbState.moves); it is off only under a FaultHook, whose injected
 	// faults must fire on every expansion to stay deterministic.
 	//
@@ -74,21 +72,19 @@ type mappingProblem struct {
 	table stateTable
 	memo  bool
 
-	// Expansion machinery. workers bounds the pool that applies candidate
-	// operators; est lets the same pool estimate every state it creates, so
-	// the search loop's h() calls are field reads. inc is est's
+	// Expansion machinery. est estimates every state an expansion
+	// creates, so the search loop's h() calls are field reads. inc is est's
 	// incremental capability view when it has one (and the run hasn't
 	// disabled it): successors are then estimated by delta-merging the
 	// replaced relation's fragment against the parent's aggregate instead
 	// of re-encoding the state.
-	workers int
-	est     heuristic.Evaluator
-	inc     heuristic.IncrementalEvaluator
+	est heuristic.Evaluator
+	inc heuristic.IncrementalEvaluator
 
 	// met, when non-nil, records per-operator-kind proposal/application
-	// counts, apply-latency histograms, worker-pool utilization, and memo
-	// and estimate lookups. Nil when the run has no metrics registry,
-	// keeping the hot path free of map lookups.
+	// counts, apply-latency histograms, and memo and estimate lookups. Nil
+	// when the run has no metrics registry, keeping the hot path free of map
+	// lookups.
 	met *opMetrics
 	// tracer, when non-nil, receives one EvOpApply event per candidate
 	// operator application, carrying the operator and its apply latency,
@@ -111,7 +107,7 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		reg:          opts.Registry,
 		corrs:        opts.Correspondences,
 		prune:        !opts.DisablePruning,
-		workers:      opts.Workers,
+		table:        make(stateTable),
 		tRels:        target.RelationNames(),
 		tAttrs:       target.AttrNames(),
 		tVals:        target.ValueSet(),
@@ -132,12 +128,6 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 	}
 	p.tAttrsSorted = sortedKeys(p.tAttrs)
 	p.tRelsSorted = sortedKeys(p.tRels)
-	if opts.ParallelSearch {
-		// The shard fleet is the parallelism: running each shard's
-		// expansions through a successor pool on top of it would
-		// oversubscribe the CPUs, so each shard applies operators inline.
-		p.workers = 1
-	}
 	p.est = heuristic.New(opts.Heuristic, target, opts.K)
 	if opts.Metrics != nil {
 		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", hLabel))
@@ -191,19 +181,17 @@ func (p *mappingProblem) Start() search.State {
 // superset of the target critical instance. The first test of a state runs
 // against the precomputed containment index, equivalent to
 // db.Contains(p.target), and stores the verdict on the state; every revisit
-// reads it. Racing goroutines compute the same verdict, so the plain store
-// is safe.
+// reads it.
 func (p *mappingProblem) IsGoal(s search.State) bool {
 	ds := s.(*dbState)
-	if v := ds.goal.Load(); v != verdictUntested {
-		return v == verdictGoal
+	if ds.goal != verdictUntested {
+		return ds.goal == verdictGoal
 	}
 	goal := p.goalIx.Contains(ds.db)
-	v := verdictNotGoal
+	ds.goal = verdictNotGoal
 	if goal {
-		v = verdictGoal
+		ds.goal = verdictGoal
 	}
-	ds.goal.Store(v)
 	return goal
 }
 
@@ -211,18 +199,17 @@ func (p *mappingProblem) IsGoal(s search.State) bool {
 // from names and values present in the current state and the target
 // instance, giving the branching factor proportional to |s| + |t| that the
 // paper reports. Moves that fail to apply or that do not change the state
-// are dropped. Candidate application and heuristic estimation run on the
-// worker pool; the returned move order is identical for any worker count.
-// A state's moves are computed once and then read from the state.
+// are dropped. A state's moves are computed once and then read from the
+// state.
 func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	parent := s.(*dbState)
 	if p.memo {
-		if moves := parent.moves.Load(); moves != nil {
+		if parent.moves != nil {
 			p.met.memo(true)
 			if p.tracer != nil {
 				p.tracer.Event(obs.Event{Kind: obs.EvMemoHit})
 			}
-			return *moves, nil
+			return parent.moves, nil
 		}
 		p.met.memo(false)
 		if p.tracer != nil {
@@ -231,8 +218,8 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	}
 	var agg heuristic.Agg
 	if p.inc != nil {
-		if e := parent.est.Load(); e != nil {
-			agg = e.agg
+		if parent.est != nil {
+			agg = parent.est.agg
 		}
 		if agg == nil {
 			// The parent's estimate was computed from scratch (the start
@@ -258,7 +245,7 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 		p.met.count(ops[i], true)
 	}
 	if p.memo {
-		parent.moves.Store(&moves)
+		parent.moves = moves
 	}
 	return moves, nil
 }
@@ -312,122 +299,66 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 	return ops
 }
 
-// minParallelOps is the candidate-count threshold below which the worker
-// pool costs more in synchronization than it saves in application time.
-const minParallelOps = 8
-
 // applyAll applies every candidate operator to the parent's database and
 // returns the resulting canonical states positionally — nil where the
-// operator was inapplicable or a no-op — so the caller assembles moves in a
-// deterministic order regardless of worker count. An operator that returns
-// its input database (µ when nothing coalesces) is a no-op without hashing;
-// any other result is a no-op when its key equals the parent's. Every other
-// result is interned in the run's state table, and the call that creates a
-// state also estimates it (prewarm); agg is the parent's aggregate for
-// delta-merged estimates, nil without an incremental evaluator. With more
-// than one worker, operators are distributed over a bounded pool through an
-// atomic work-stealing counter: this is the concurrent successor generation
-// plus concurrent heuristic evaluation of the expansion step. Databases are
-// immutable copy-on-write structures and the Estimator is immutable, so the
-// only shared mutable state is the results slice (disjoint indices) and the
-// state table (locked, with atomically published estimates).
+// operator was inapplicable or a no-op — so the caller assembles moves in
+// candidate order. An operator that returns its input database (µ when
+// nothing coalesces) is a no-op without hashing; any other result is a
+// no-op when its key equals the parent's. Every other result is interned in
+// the run's state table, and the call that creates a state also estimates
+// it (prewarm); agg is the parent's aggregate for delta-merged estimates,
+// nil without an incremental evaluator.
 //
-// A panic inside an operator apply or a heuristic pre-warm is recovered on
-// the worker that hit it and returned as a *search.PanicError — never
-// propagated, so a poisoned operator or heuristic fails the expansion (and
-// through it the run) instead of killing the process. The first panic wins;
-// remaining workers drain their queued operators and exit normally.
-func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira.Op) ([]*dbState, error) {
+// A panic inside an operator apply or a heuristic pre-warm is recovered and
+// returned as a *search.PanicError naming the operator — never propagated,
+// so a poisoned operator or heuristic fails the expansion (and through it
+// the run) instead of killing the process.
+func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira.Op) (states []*dbState, err error) {
 	db := parent.db
-	states := make([]*dbState, len(ops))
 	timed := p.met != nil || p.tracer != nil
-	var panicked atomic.Pointer[search.PanicError]
-	// successor interns a result that changes the state.
-	successor := func(next *relation.Database, err error) (*dbState, bool) {
-		if err != nil || next == db {
-			return nil, false
+	i := 0
+	defer func() {
+		if r := recover(); r != nil {
+			pe := search.NewPanicError(fmt.Sprintf("successor expansion (op %s)", ops[i]), r)
+			if p.tracer != nil {
+				p.tracer.Event(obs.Event{Kind: obs.EvPanic, Label: pe.Origin, Err: pe})
+			}
+			states, err = nil, pe
 		}
-		key := next.Key()
-		if key == parent.key {
-			return nil, false
-		}
-		return p.table.intern(next, key)
-	}
-	apply := func(i int) {
+	}()
+	states = make([]*dbState, len(ops))
+	for ; i < len(ops); i++ {
 		if p.fault != nil {
 			p.fault(faults.SiteOpApply, ops[i].String())
 		}
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		next, aerr := ops[i].Apply(db, p.reg)
+		var elapsed time.Duration
+		if timed {
+			elapsed = time.Since(start)
+			p.met.applyLatency(ops[i], elapsed)
+		}
 		var ns *dbState
 		var created bool
-		if !timed {
-			ns, created = successor(ops[i].Apply(db, p.reg))
-		} else {
-			start := time.Now()
-			next, err := ops[i].Apply(db, p.reg)
-			elapsed := time.Since(start)
-			p.met.applyLatency(ops[i], elapsed)
-			ns, created = successor(next, err)
-			if p.tracer != nil {
-				p.tracer.Event(obs.Event{
-					Kind: obs.EvOpApply, Label: ops[i].String(),
-					Goal: ns != nil, Elapsed: elapsed,
-				})
+		if aerr == nil && next != db {
+			if key := next.Key(); key != parent.key {
+				ns, created = p.table.intern(next, key)
 			}
 		}
+		if p.tracer != nil {
+			p.tracer.Event(obs.Event{
+				Kind: obs.EvOpApply, Label: ops[i].String(),
+				Goal: ns != nil, Elapsed: elapsed,
+			})
+		}
 		if ns == nil {
-			return
+			continue
 		}
 		p.prewarm(db, agg, ns, created)
 		states[i] = ns
-	}
-	applySafe := func(worker, i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				pe := search.NewPanicError(fmt.Sprintf("successor worker %d (op %s)", worker, ops[i]), r)
-				panicked.CompareAndSwap(nil, pe)
-				if p.tracer != nil {
-					p.tracer.Event(obs.Event{Kind: obs.EvPanic, Label: pe.Origin, Err: pe})
-				}
-			}
-		}()
-		apply(i)
-	}
-	workers := p.workers
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-	if workers <= 1 || len(ops) < minParallelOps {
-		p.met.poolExpansion(1, len(ops))
-		for i := range ops {
-			applySafe(0, i)
-			if panicked.Load() != nil {
-				break
-			}
-		}
-		if pe := panicked.Load(); pe != nil {
-			return nil, pe
-		}
-		return states, nil
-	}
-	p.met.poolExpansion(workers, len(ops))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(ops) || panicked.Load() != nil {
-					return
-				}
-				applySafe(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if pe := panicked.Load(); pe != nil {
-		return nil, pe
 	}
 	return states, nil
 }
@@ -447,15 +378,14 @@ func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, n
 	}
 }
 
-// h is the run's search.Heuristic: a read of the state's published
-// estimate. The lookup misses for the start state, for states forged by the
-// cycle-check ablation, and, under ParallelSearch, for a state whose
-// creating shard has not yet published; a miss evaluates from scratch.
+// h is the run's search.Heuristic: a read of the state's estimate. The
+// lookup misses for the start state and for states forged by the
+// cycle-check ablation; a miss evaluates from scratch.
 func (p *mappingProblem) h(s search.State) int {
 	ds := s.(*dbState)
-	if e := ds.est.Load(); e != nil {
+	if ds.est != nil {
 		p.lookup(true)
-		return e.h
+		return ds.est.h
 	}
 	p.lookup(false)
 	return p.publish(ds, p.evaluate(nil, nil, ds.db))
@@ -498,13 +428,11 @@ func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, 
 	return e
 }
 
-// publish installs e as the state's estimate unless one is already there
-// and returns the state's h. Estimates are deterministic per key, so a
-// writer that loses the race would have published the same value.
+// publish installs e as the estimate of a state that has none and returns
+// the state's h.
 func (p *mappingProblem) publish(s *dbState, e *estimate) int {
-	if s.est.CompareAndSwap(nil, e) {
-		p.met.entry()
-	}
+	s.est = e
+	p.met.entry()
 	return e.h
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,5 +136,57 @@ func TestCommittedHistoryParses(t *testing.T) {
 		if s.Experiment == "" {
 			t.Fatalf("entry %d missing experiment", i)
 		}
+	}
+}
+
+// legacyHistoryLine is a history line as tupelo-bench wrote it while the
+// engine still had a successor worker pool: its config carries a `workers`
+// key that BenchConfig no longer has.
+const legacyHistoryLine = `{"schema":"tupelo-bench/v1","experiment":"1","generated_at":"2026-08-05T20:50:14Z","env":{"go_version":"go1.24.0","goos":"linux","goarch":"amd64","gomaxprocs":1},"config":{"budget":50000,"seed":2006,"workers":0},"aggregate":{"measurements":142,"solved":136,"censored":6,"total_states":436531,"total_elapsed_ns":14042186757,"states_per_sec":31087.1}}`
+
+// TestLegacyWorkersHistoryStaysComparable: a history line with the retired
+// `workers` key parses, and a summary written now under the same budget and
+// seed finds it as its prior.
+func TestLegacyWorkersHistoryStaysComparable(t *testing.T) {
+	hist, err := ParseHistory([]byte(legacyHistoryLine + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewBenchReport("1", Config{Budget: 50000, Seed: 2006}, sampleMeasurements())
+	cur := r.Summary()
+	if best := BestPrior(hist, cur); best == nil || best.Aggregate.StatesPerSec != 31087.1 {
+		t.Fatalf("BestPrior = %+v, want the legacy line", best)
+	}
+	if rep := RegressionReport(cur, hist); strings.Contains(rep, "no prior entry comparable") {
+		t.Fatalf("verdict = %q", rep)
+	}
+}
+
+// TestCommittedReportFindsPrior pins the CI check `tupelo-bench
+// -check-bench BENCH_exp1.json -bench-history BENCH_history.jsonl`: the
+// committed report and history, both written with a `workers` key, stay
+// valid and comparable.
+func TestCommittedReportFindsPrior(t *testing.T) {
+	report, err := os.ReadFile(filepath.Join("..", "..", "BENCH_exp1.json"))
+	if err != nil {
+		t.Skipf("no committed report: %v", err)
+	}
+	history, err := os.ReadFile(filepath.Join("..", "..", "BENCH_history.jsonl"))
+	if err != nil {
+		t.Skipf("no committed history: %v", err)
+	}
+	if err := ValidateBenchReport(report); err != nil {
+		t.Fatal(err)
+	}
+	var r BenchReport
+	if err := json.Unmarshal(report, &r); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := ParseHistory(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best := BestPrior(hist, r.Summary()); best == nil {
+		t.Fatalf("no prior for the committed report: %s", RegressionReport(r.Summary(), hist))
 	}
 }

@@ -28,11 +28,13 @@ type BenchEnv struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// BenchConfig is the resolved experiment configuration.
+// BenchConfig is the resolved experiment configuration. Reports and
+// history lines written while the engine still had a successor worker pool
+// also carry a `workers` key; decoding ignores it, so those lines stay
+// comparable with the ones written now.
 type BenchConfig struct {
-	Budget  int   `json:"budget"`
-	Seed    int64 `json:"seed"`
-	Workers int   `json:"workers"`
+	Budget int   `json:"budget"`
+	Seed   int64 `json:"seed"`
 }
 
 // BenchMeasurement is one experimental run in wire form.
@@ -113,9 +115,8 @@ func NewBenchReport(experiment string, cfg Config, ms []Measurement) *BenchRepor
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
 		Config: BenchConfig{
-			Budget:  cfg.Budget,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
+			Budget: cfg.Budget,
+			Seed:   cfg.Seed,
 		},
 		Measurements: make([]BenchMeasurement, 0, len(ms)),
 	}
@@ -304,7 +305,7 @@ func ParseHistory(data []byte) ([]BenchSummary, error) {
 
 // comparable reports whether a history entry measures the same workload as s:
 // identical experiment and resolved configuration. Throughput across
-// different budgets, seeds, or worker counts is not comparable.
+// different budgets or seeds is not comparable.
 func (s BenchSummary) comparable(o BenchSummary) bool {
 	return s.Experiment == o.Experiment && s.Config == o.Config
 }

@@ -34,7 +34,7 @@ func sampleRegistry() *obs.Registry {
 }
 
 func TestBenchReportRoundTrip(t *testing.T) {
-	cfg := Config{Budget: 50000, Seed: 1, Workers: 2}
+	cfg := Config{Budget: 50000, Seed: 1}
 	r := NewBenchReport("exp1", cfg, sampleMeasurements())
 	r.AttachMetrics(sampleRegistry())
 

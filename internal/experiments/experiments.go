@@ -57,10 +57,6 @@ type Config struct {
 	Budget int
 	// Seed drives the deterministic workload generators.
 	Seed int64
-	// Workers sizes the successor-generation worker pool of every run
-	// (0 = GOMAXPROCS, 1 = sequential). States-examined results are
-	// identical for any value; only wall-clock durations change.
-	Workers int
 	// Progress, when non-nil, receives one line per completed measurement.
 	Progress io.Writer
 	// Metrics, when non-nil, aggregates observability counters (states
@@ -123,7 +119,6 @@ func run(exp, label string, param int, algo search.Algorithm, kind heuristic.Kin
 		Registry:        reg,
 		Correspondences: corrs,
 		Limits:          cfg.limits(),
-		Workers:         cfg.Workers,
 		Metrics:         cfg.Metrics,
 	}
 	start := time.Now()

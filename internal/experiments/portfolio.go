@@ -75,7 +75,6 @@ func portfolioTask(domain string, target int, src, tgt *relation.Database, opts 
 	row := PortfolioRow{Domain: domain, Target: target}
 	base := core.Options{
 		Limits:  cfg.limits(),
-		Workers: cfg.Workers,
 		Metrics: cfg.Metrics,
 	}
 

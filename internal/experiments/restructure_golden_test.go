@@ -48,9 +48,8 @@ func flightsGoldenTasks(t *testing.T, sizes [][2]int) []goldenTask {
 
 // goldenRuns renders one block per discovery: a header line with the
 // task, configuration and states examined, then the mapping, one operator
-// per line, indented. workers sizes each discovery's successor pool, which
-// must not change the search.
-func goldenRuns(t *testing.T, tasks []goldenTask, kinds []heuristic.Kind, workers int) string {
+// per line, indented.
+func goldenRuns(t *testing.T, tasks []goldenTask, kinds []heuristic.Kind) string {
 	t.Helper()
 	var b strings.Builder
 	for _, tk := range tasks {
@@ -62,7 +61,6 @@ func goldenRuns(t *testing.T, tasks []goldenTask, kinds []heuristic.Kind, worker
 					Registry:        tk.reg,
 					Correspondences: tk.corrs,
 					Limits:          search.Limits{MaxStates: 50000},
-					Workers:         workers,
 				})
 				if err != nil {
 					t.Fatalf("%s %s/%s: %v", tk.label, algo, kind, err)
@@ -79,7 +77,7 @@ func goldenRuns(t *testing.T, tasks []goldenTask, kinds []heuristic.Kind, worker
 
 // restructureGoldenRuns renders the restructure golden: Flights at five
 // sizes and the Inventory λ tasks under h1, h3 and cosine.
-func restructureGoldenRuns(t *testing.T, workers int) string {
+func restructureGoldenRuns(t *testing.T) string {
 	t.Helper()
 	tasks := flightsGoldenTasks(t, [][2]int{{2, 2}, {3, 2}, {4, 3}, {6, 4}, {8, 4}})
 	dom := datagen.Inventory()
@@ -90,45 +88,43 @@ func restructureGoldenRuns(t *testing.T, workers int) string {
 		}
 		tasks = append(tasks, goldenTask{label: fmt.Sprintf("inventory n=%d", n), src: src, tgt: tgt, corrs: corrs, reg: dom.Registry})
 	}
-	return goldenRuns(t, tasks, []heuristic.Kind{heuristic.H1, heuristic.H3, heuristic.Cosine}, workers)
+	return goldenRuns(t, tasks, []heuristic.Kind{heuristic.H1, heuristic.H3, heuristic.Cosine})
 }
 
-// compareGolden checks run's output, with a sequential successor pool and
-// with four workers racing to create and estimate each expansion's states,
-// against the golden file at path, reporting the first differing line.
-func compareGolden(t *testing.T, path string, run func(t *testing.T, workers int) string) {
+// compareGolden checks got against the golden file at path, reporting the
+// first differing line.
+func compareGolden(t *testing.T, path, got string) {
 	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := run(t, workers)
-			if got == string(want) {
-				return
-			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) || i < len(wl); i++ {
-				var g, w string
-				if i < len(gl) {
-					g = gl[i]
-				}
-				if i < len(wl) {
-					w = wl[i]
-				}
-				if g != w {
-					t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
-				}
-			}
-		})
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
+		}
 	}
 }
 
 // TestRestructureSearchGolden compares every restructuring discovery with
 // the golden record: the same states examined and the same mapping text.
+// The subtest is named for the one goroutine that expands each run's
+// states.
 func TestRestructureSearchGolden(t *testing.T) {
-	compareGolden(t, restructureGolden, restructureGoldenRuns)
+	t.Run("workers=1", func(t *testing.T) {
+		compareGolden(t, restructureGolden, restructureGoldenRuns(t))
+	})
 }
 
 // levenshteinGolden pins the hL searches: Flights 2×2, 3×2 and 4×3 under
@@ -141,8 +137,8 @@ const levenshteinGolden = "testdata/restructure_golden_levenshtein.txt"
 // TestRestructureSearchGoldenLevenshtein compares the hL discoveries with
 // their golden record.
 func TestRestructureSearchGoldenLevenshtein(t *testing.T) {
-	tasks := flightsGoldenTasks(t, [][2]int{{2, 2}, {3, 2}, {4, 3}})
-	compareGolden(t, levenshteinGolden, func(t *testing.T, workers int) string {
-		return goldenRuns(t, tasks, []heuristic.Kind{heuristic.Levenshtein}, workers)
+	t.Run("workers=1", func(t *testing.T) {
+		tasks := flightsGoldenTasks(t, [][2]int{{2, 2}, {3, 2}, {4, 3}})
+		compareGolden(t, levenshteinGolden, goldenRuns(t, tasks, []heuristic.Kind{heuristic.Levenshtein}))
 	})
 }

@@ -31,12 +31,12 @@ type Site int
 
 const (
 	// SiteHeuristicEval fires on heuristic evaluations — search-loop cache
-	// misses and worker-pool pre-warms. The label is the run's cache label
+	// misses and successor pre-warms. The label is the run's cache label
 	// ("cosine/k=1000"), which is unique per (heuristic, k), so a fault can
 	// target a single portfolio member.
 	SiteHeuristicEval Site = iota
-	// SiteOpApply fires on candidate-operator applications in the successor
-	// worker pool. The label is the operator's textual form.
+	// SiteOpApply fires on candidate-operator applications during successor
+	// expansion. The label is the operator's textual form.
 	SiteOpApply
 	// SiteRepoWrite fires inside the mapping repository's commit path, after
 	// the entry's bytes have been partially written to the temp file but
@@ -67,8 +67,7 @@ const (
 	// Panic panics with Fault.Panic (or a descriptive default value).
 	Panic Kind = iota
 	// Delay sleeps for Fault.Sleep, holding the injected goroutine inside
-	// the site — used to pin a worker mid-apply while a test cancels the
-	// run.
+	// the site — used to pin a run mid-apply while a test cancels it.
 	Delay
 	// Cancel calls Fault.Cancel, typically a context.CancelFunc, forcing a
 	// cancellation from deep inside the search.
@@ -112,7 +111,7 @@ type armed struct {
 }
 
 // Injector evaluates armed faults on every hook hit. Safe for concurrent
-// use: hits arrive from worker-pool and portfolio-member goroutines.
+// use: hits arrive from racing portfolio-member goroutines.
 type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand

@@ -237,8 +237,8 @@ func TestRestructureKernelAllocations(t *testing.T) {
 			}
 		}
 	}
-	if got := testing.AllocsPerRun(50, apply(mergeCoalesce, coalescing)); got > 48 {
-		t.Errorf("coalescing µ: %.0f allocations, budget 48", got)
+	if got := testing.AllocsPerRun(50, apply(mergeCoalesce, coalescing)); got > 16 {
+		t.Errorf("coalescing µ: %.0f allocations, budget 16", got)
 	}
 	if got := testing.AllocsPerRun(50, apply(dropRoute, promoted)); got > 10 {
 		t.Errorf("π̄ on the promoted relation: %.0f allocations, budget 10", got)

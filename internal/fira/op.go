@@ -588,7 +588,8 @@ func (o Merge) rebuild(db *relation.Database, r *relation.Relation, j int) (*rel
 	return db.WithRelation(merged), nil
 }
 
-// mergeGroup coalesces compatible tuples within one merge group to fixpoint.
+// mergeGroup coalesces compatible tuples within one merge group to fixpoint,
+// in place: the rows are slices of rebuild's own row array.
 func mergeGroup(rows [][]relation.Symbol, empty relation.Symbol) [][]relation.Symbol {
 	changed := true
 	for changed {
@@ -596,8 +597,7 @@ func mergeGroup(rows [][]relation.Symbol, empty relation.Symbol) [][]relation.Sy
 	outer:
 		for i := 0; i < len(rows); i++ {
 			for k := i + 1; k < len(rows); k++ {
-				if m, ok := coalesce(rows[i], rows[k], empty); ok {
-					rows[i] = m
+				if coalesce(rows[i], rows[k], empty) {
 					rows = append(rows[:k], rows[k+1:]...)
 					changed = true
 					break outer
@@ -608,23 +608,22 @@ func mergeGroup(rows [][]relation.Symbol, empty relation.Symbol) [][]relation.Sy
 	return rows
 }
 
-// coalesce merges two tuples if they are compatible: at every position the
-// values are equal or at least one is absent (the empty-string symbol).
-func coalesce(a, b []relation.Symbol, empty relation.Symbol) ([]relation.Symbol, bool) {
-	out := make([]relation.Symbol, len(a))
+// coalesce merges tuple b into tuple a if they are compatible — at every
+// position the values are equal or at least one is absent (the empty-string
+// symbol) — by filling a's absent cells from b, and reports whether it did.
+// An incompatible pair leaves a untouched.
+func coalesce(a, b []relation.Symbol, empty relation.Symbol) bool {
 	for i := range a {
-		switch {
-		case a[i] == b[i]:
-			out[i] = a[i]
-		case a[i] == empty:
-			out[i] = b[i]
-		case b[i] == empty:
-			out[i] = a[i]
-		default:
-			return nil, false
+		if a[i] != b[i] && a[i] != empty && b[i] != empty {
+			return false
 		}
 	}
-	return out, true
+	for i := range a {
+		if a[i] == empty {
+			a[i] = b[i]
+		}
+	}
+	return true
 }
 
 func (o Merge) String() string { return fmt.Sprintf("merge[%s,%s]", o.Rel, o.Attr) }

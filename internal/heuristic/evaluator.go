@@ -44,8 +44,8 @@ type Delta struct {
 // Agg is an opaque per-state aggregate: the running multiset sums an
 // incremental evaluator maintains so a successor's estimate is a
 // delta-merge rather than a re-encoding. Aggregates are immutable once
-// returned; a parent's aggregate may be read concurrently by many workers
-// deriving children from it.
+// returned, so a parent's aggregate is shared by every child derived from
+// it.
 type Agg interface{ isAgg() }
 
 // IncrementalEvaluator is the capability interface an Evaluator implements

@@ -55,8 +55,8 @@ const editPatternStackBlocks = 16
 // editPattern is a fixed string prepared for Myers' bit-parallel edit
 // distance (J. ACM 46(3), 1999) in its block form: one DP column of 64
 // cells per word operation instead of one cell per step. hL builds the
-// target's pattern once; the pattern is immutable, so concurrent successor
-// workers share it.
+// target's pattern once; the pattern is immutable, so it needs no
+// synchronization.
 type editPattern struct {
 	m      int // pattern length in bytes
 	blocks int // ⌈m/64⌉

@@ -21,7 +21,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter(Name("search.examined", "algo", "IDA")).Add(3)
 	r.Counter(Name("search.examined", "algo", "RBFS")).Add(7)
 	r.Counter("custom.counter").Inc()
-	r.Gauge(Name("search.shard.inbox.depth", "algo", "PA*", "shard", "0")).Set(5)
+	r.Gauge(Name("heuristic.cache.entries", "cache", "cosine/k=24")).Set(5)
 	r.Timer(Name("portfolio.member.duration", "member", "rbfs/cosine")).Observe(2 * time.Second)
 
 	var buf bytes.Buffer
@@ -34,9 +34,9 @@ tupelo_custom_counter 1
 # TYPE tupelo_search_examined counter
 tupelo_search_examined{algo="IDA"} 3
 tupelo_search_examined{algo="RBFS"} 7
-# HELP tupelo_search_shard_inbox_depth Sampled inbox depth of one shard (every 64 examined states).
-# TYPE tupelo_search_shard_inbox_depth gauge
-tupelo_search_shard_inbox_depth{algo="PA*",shard="0"} 5
+# HELP tupelo_heuristic_cache_entries Heuristic-cache resident entries, per cache.
+# TYPE tupelo_heuristic_cache_entries gauge
+tupelo_heuristic_cache_entries{cache="cosine/k=24"} 5
 # HELP tupelo_portfolio_member_duration_count Wall-clock duration of portfolio members, per member configuration.
 # TYPE tupelo_portfolio_member_duration_count counter
 tupelo_portfolio_member_duration_count{member="rbfs/cosine"} 1

@@ -9,9 +9,9 @@ import (
 )
 
 // This file implements the search flight recorder: an always-on forensic
-// event log modeled on an aircraft flight data recorder. Every search
-// goroutine (the sequential search loop, each shard worker of the parallel
-// engines) owns a ring buffer of compact binary records; recording is a
+// event log modeled on an aircraft flight data recorder. Every search loop
+// (one per run, so one per racing portfolio member) owns a ring buffer of
+// compact binary records; recording is a
 // couple of plain stores into the ring — no locks, single-digit
 // nanoseconds — so it can stay enabled on production runs. A ring starts at
 // flightRingStart records and doubles up to the recorder's ring size as it
@@ -40,14 +40,6 @@ const (
 	FKExamine FlightKind = iota + 1
 	// FKExpand is one successor expansion: A the depth, B the move count.
 	FKExpand
-	// FKRoute is one node routed to another shard: A the destination shard.
-	FKRoute
-	// FKDefer is one routed node deferred to the outbox on a full inbox:
-	// A the destination shard.
-	FKDefer
-	// FKInbox is a periodic shard backpressure sample: A the inbox depth,
-	// B the outbox length, Seq the global examined ordinal at the sample.
-	FKInbox
 	// FKRunStart marks a run entering its search loop.
 	FKRunStart
 	// FKRunFinish marks a run leaving its search loop: A 1 when solved.
@@ -63,12 +55,6 @@ func (k FlightKind) String() string {
 		return "examine"
 	case FKExpand:
 		return "expand"
-	case FKRoute:
-		return "route"
-	case FKDefer:
-		return "defer"
-	case FKInbox:
-		return "inbox"
 	case FKRunStart:
 		return "run-start"
 	case FKRunFinish:
@@ -174,7 +160,7 @@ func (r *FlightRecorder) Ring(label string) *FlightRing {
 // RequestDump marks the recorder for an automatic dump with the given cause
 // (the first cause wins). It is safe to call from a dying goroutine while
 // other goroutines still record: nothing is read from the rings here — the
-// dump itself happens in FlushDump, once the engine has joined its workers.
+// dump itself happens in FlushDump, once every recording run has returned.
 func (r *FlightRecorder) RequestDump(cause string) {
 	if r == nil {
 		return
@@ -198,8 +184,8 @@ func (r *FlightRecorder) DumpRequested() (string, bool) {
 
 // FlushDump writes the dump to the SetAutoDump writer if RequestDump was
 // called, at most once per recorder. Call it only at quiescent points: every
-// ring's writer goroutine must have returned (the engines call it after
-// joining their workers).
+// ring's writer goroutine must have returned (discovery calls it after its
+// search returns, a portfolio race after joining its members).
 func (r *FlightRecorder) FlushDump() {
 	if r == nil {
 		return

@@ -73,7 +73,7 @@ func TestFlightNilSafety(t *testing.T) {
 
 func TestFlightDumpFormat(t *testing.T) {
 	r := NewFlightRecorder(16)
-	g := r.Ring("shard-0")
+	g := r.Ring("RBFS")
 	g.Record(FKRunStart, 0, 0, 0)
 	g.Record(FKExamine, 1, 2, 1)
 	g.Record(FKAbort, 0, 3, 0)
@@ -106,7 +106,7 @@ func TestFlightDumpFormat(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("record: %v", err)
 		}
-		if rec.Ring != "shard-0" {
+		if rec.Ring != "RBFS" {
 			t.Fatalf("ring = %q", rec.Ring)
 		}
 		kinds = append(kinds, rec.Kind)

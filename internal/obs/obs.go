@@ -4,7 +4,7 @@
 //
 // The paper's only performance instrument is the states-examined count;
 // everything the engine has grown since — memoized estimates and moves,
-// successor worker pools, portfolio races — is invisible without a second
+// portfolio races, the serving daemon — is invisible without a second
 // layer of measurement. This package provides that layer without pulling
 // in any dependency: instruments are plain atomics, the registry is a
 // string-keyed map behind an RWMutex, and exposition is expvar-style JSON or
@@ -83,19 +83,6 @@ func (g *Gauge) Set(n int64) {
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
-	}
-}
-
-// Max raises the gauge to n if n exceeds the current value.
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
 	}
 }
 
@@ -331,56 +318,47 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // line for a family found here; unknown families (user-registered metrics)
 // get only their "# TYPE" line, which the exposition format permits.
 var promHelp = map[string]string{
-	"tupelo_search_examined":                 "States examined (goal-tested) by the search, per algorithm.",
-	"tupelo_search_generated":                "Successor states generated by expansions, per algorithm.",
-	"tupelo_search_yields":                   "Cooperative runtime.Gosched yields taken at the search loop's scheduling points.",
-	"tupelo_search_runs":                     "Search runs started, per algorithm.",
-	"tupelo_search_aborts":                   "Search runs aborted, per algorithm and cause (limit, deadline, memory, canceled, panic).",
-	"tupelo_search_panics":                   "Panics recovered inside search-owned goroutines, per origin.",
-	"tupelo_search_goaltest_seconds":         "Latency of goal-containment tests.",
-	"tupelo_search_expand_seconds":           "Latency of successor expansions.",
-	"tupelo_search_shard_examined":           "States examined by one shard of a parallel single search.",
-	"tupelo_search_shard_routed":             "States handed directly to their owning shard's inbox.",
-	"tupelo_search_shard_deferred":           "States parked in a shard's outbox because the owner's inbox was full.",
-	"tupelo_search_shard_inbox_depth":        "Sampled inbox depth of one shard (every 64 examined states).",
-	"tupelo_search_shard_imbalance_permille": "Sampled max/mean examined-states ratio across shards, scaled by 1000 (1000 = perfectly balanced).",
-	"tupelo_core_pool_expansions_parallel":   "Successor expansions evaluated on the worker pool.",
-	"tupelo_core_pool_expansions_serial":     "Successor expansions evaluated inline (pool disabled or unprofitable).",
-	"tupelo_core_pool_ops":                   "Candidate-operator applications submitted to the worker pool.",
-	"tupelo_core_pool_width_max":             "Largest expansion fan-out the worker pool has seen.",
-	"tupelo_core_succmemo_hits":              "Expansions answered from the successor memo without re-running operators.",
-	"tupelo_core_succmemo_misses":            "Expansions that ran the operator pipeline.",
-	"tupelo_core_ops_proposed":               "Candidate moves proposed, per operator.",
-	"tupelo_core_ops_applied":                "Candidate moves successfully applied, per operator.",
-	"tupelo_core_op_apply_seconds":           "Latency of candidate-operator applications, per operator (sampled on memo misses).",
-	"tupelo_heuristic_cache_hits":            "Heuristic-cache hits, per cache.",
-	"tupelo_heuristic_cache_misses":          "Heuristic-cache misses, per cache.",
-	"tupelo_heuristic_cache_entries":         "Heuristic-cache resident entries, per cache.",
-	"tupelo_heuristic_eval_seconds":          "Latency of heuristic evaluations (cache misses), per heuristic.",
-	"tupelo_portfolio_member_duration":       "Wall-clock duration of portfolio members, per member configuration.",
-	"tupelo_portfolio_wins":                  "Races won, per member configuration.",
-	"tupelo_portfolio_retries":               "Member restarts after a panic or failure, per member configuration.",
-	"tupelo_portfolio_partial":               "Best-effort partial results adopted after every member lost, per member configuration.",
-	"tupelo_repo_entries":                    "Committed mapping entries resident in the repository index.",
-	"tupelo_repo_hits":                       "Repository lookups answered by a committed entry.",
-	"tupelo_repo_misses":                     "Repository lookups with no committed entry for the fingerprint pair.",
-	"tupelo_repo_puts":                       "Entries committed to the repository (atomic temp+rename writes).",
-	"tupelo_repo_quarantined":                "Corrupt or torn repository files moved to quarantine/ during recovery.",
-	"tupelo_server_jobs_admitted":            "Jobs admitted past quota, breaker, and queue checks.",
-	"tupelo_server_jobs_rejected":            "Jobs rejected at admission, per reason (queue-full, tenant-quota, breaker-open, draining, bad-request, abandoned).",
-	"tupelo_server_jobs_completed":           "Jobs that ran to a response, per outcome (solved, partial).",
-	"tupelo_server_jobs_failed":              "Jobs that ran and failed, per abort cause.",
-	"tupelo_server_jobs_running":             "Jobs currently holding an execution slot.",
-	"tupelo_server_queue_depth":              "Admitted jobs waiting for an execution slot.",
-	"tupelo_server_job_duration":             "Wall-clock duration of job execution, queue wait excluded.",
-	"tupelo_server_repo_hits":                "Job submissions answered from the mapping repository without a search.",
-	"tupelo_server_repo_misses":              "Job submissions that required a fresh search.",
-	"tupelo_server_repo_put_errors":          "Solved mappings that failed to commit to the repository.",
-	"tupelo_server_breaker_opens":            "Per-tenant circuit-breaker opens after consecutive fatal verdicts, per tenant.",
-	"tupelo_server_drains":                   "Graceful drains started (SIGTERM/Shutdown).",
-	"tupelo_server_drain_cancelled":          "In-flight jobs cancelled at the drain deadline (best-effort partials persisted).",
-	"tupelo_server_forensics_dumps":          "Flight-recorder dumps persisted for failed jobs.",
-	"tupelo_server_forensics_reports":        "Run reports persisted to the forensics directory.",
+	"tupelo_search_examined":           "States examined (goal-tested) by the search, per algorithm.",
+	"tupelo_search_generated":          "Successor states generated by expansions, per algorithm.",
+	"tupelo_search_yields":             "Cooperative runtime.Gosched yields taken at the search loop's scheduling points.",
+	"tupelo_search_runs":               "Search runs started, per algorithm.",
+	"tupelo_search_aborts":             "Search runs aborted, per algorithm and cause (limit, deadline, memory, canceled, panic).",
+	"tupelo_search_panics":             "Panics recovered inside search-owned goroutines, per origin.",
+	"tupelo_search_goaltest_seconds":   "Latency of goal-containment tests.",
+	"tupelo_search_expand_seconds":     "Latency of successor expansions.",
+	"tupelo_core_succmemo_hits":        "Expansions answered from the successor memo without re-running operators.",
+	"tupelo_core_succmemo_misses":      "Expansions that ran the operator pipeline.",
+	"tupelo_core_ops_proposed":         "Candidate moves proposed, per operator.",
+	"tupelo_core_ops_applied":          "Candidate moves successfully applied, per operator.",
+	"tupelo_core_op_apply_seconds":     "Latency of candidate-operator applications, per operator (sampled on memo misses).",
+	"tupelo_heuristic_cache_hits":      "Heuristic-cache hits, per cache.",
+	"tupelo_heuristic_cache_misses":    "Heuristic-cache misses, per cache.",
+	"tupelo_heuristic_cache_entries":   "Heuristic-cache resident entries, per cache.",
+	"tupelo_heuristic_eval_seconds":    "Latency of heuristic evaluations (cache misses), per heuristic.",
+	"tupelo_portfolio_member_duration": "Wall-clock duration of portfolio members, per member configuration.",
+	"tupelo_portfolio_wins":            "Races won, per member configuration.",
+	"tupelo_portfolio_retries":         "Member restarts after a panic or failure, per member configuration.",
+	"tupelo_portfolio_partial":         "Best-effort partial results adopted after every member lost, per member configuration.",
+	"tupelo_repo_entries":              "Committed mapping entries resident in the repository index.",
+	"tupelo_repo_hits":                 "Repository lookups answered by a committed entry.",
+	"tupelo_repo_misses":               "Repository lookups with no committed entry for the fingerprint pair.",
+	"tupelo_repo_puts":                 "Entries committed to the repository (atomic temp+rename writes).",
+	"tupelo_repo_quarantined":          "Corrupt or torn repository files moved to quarantine/ during recovery.",
+	"tupelo_server_jobs_admitted":      "Jobs admitted past quota, breaker, and queue checks.",
+	"tupelo_server_jobs_rejected":      "Jobs rejected at admission, per reason (queue-full, tenant-quota, breaker-open, draining, bad-request, abandoned).",
+	"tupelo_server_jobs_completed":     "Jobs that ran to a response, per outcome (solved, partial).",
+	"tupelo_server_jobs_failed":        "Jobs that ran and failed, per abort cause.",
+	"tupelo_server_jobs_running":       "Jobs currently holding an execution slot.",
+	"tupelo_server_queue_depth":        "Admitted jobs waiting for an execution slot.",
+	"tupelo_server_job_duration":       "Wall-clock duration of job execution, queue wait excluded.",
+	"tupelo_server_repo_hits":          "Job submissions answered from the mapping repository without a search.",
+	"tupelo_server_repo_misses":        "Job submissions that required a fresh search.",
+	"tupelo_server_repo_put_errors":    "Solved mappings that failed to commit to the repository.",
+	"tupelo_server_breaker_opens":      "Per-tenant circuit-breaker opens after consecutive fatal verdicts, per tenant.",
+	"tupelo_server_drains":             "Graceful drains started (SIGTERM/Shutdown).",
+	"tupelo_server_drain_cancelled":    "In-flight jobs cancelled at the drain deadline (best-effort partials persisted).",
+	"tupelo_server_forensics_dumps":    "Flight-recorder dumps persisted for failed jobs.",
+	"tupelo_server_forensics_reports":  "Run reports persisted to the forensics directory.",
 }
 
 // helpFamily maps an emitted family name to its promHelp key: derived timer

@@ -29,10 +29,8 @@ func TestCounterGaugeTimerBasics(t *testing.T) {
 	g := r.Gauge("pool.workers")
 	g.Set(8)
 	g.Add(-2)
-	g.Max(4) // below current value: no change
-	g.Max(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("gauge = %d, want 9", got)
+	if got := g.Value(); got != 6 {
+		t.Fatalf("gauge = %d, want 6", got)
 	}
 
 	tm := r.Timer("expand")
@@ -52,7 +50,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	c.Add(3)
 	g.Set(7)
 	g.Add(1)
-	g.Max(2)
 	tm.Observe(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || tm.Count() != 0 || tm.Total() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -74,7 +71,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared").Inc()
-				r.Gauge("g").Max(int64(j))
+				r.Gauge("g").Add(1)
 				r.Timer("t").Observe(time.Microsecond)
 			}
 		}()
@@ -83,8 +80,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("g").Value(); got != 999 {
-		t.Fatalf("gauge max = %d, want 999", got)
+	if got := r.Gauge("g").Value(); got != 8000 {
+		t.Fatalf("gauge = %d, want 8000", got)
 	}
 	if got := r.Timer("t").Count(); got != 8000 {
 		t.Fatalf("timer count = %d, want 8000", got)

@@ -54,7 +54,7 @@ type profSlice struct {
 // cache hit-rate over time. Render it with WriteReport (text) or
 // WriteChromeTrace (trace_event JSON, loadable in Perfetto or
 // chrome://tracing). A single mutex serializes Event, so a Profile is safe
-// to share across worker pools and portfolio members.
+// to share across portfolio members.
 //
 // Wall-clock offsets are stamped at event arrival; the clock starts at the
 // first event seen.

@@ -11,20 +11,21 @@ import (
 )
 
 // This file defines the run report — the per-run forensic artifact of the
-// tentpole forensics layer: a stable `tupelo-report/v1` JSON document
-// assembling a span tree (run → portfolio member → search → shard) with
-// per-span timings, plus derived analytics answering the paper's central
-// question of *why* a heuristic examined the states it did: the
-// heuristic-quality profile (h(s) against true remaining cost along the
-// found solution path), the effective branching factor, cache and memo hit
-// rates, per-shard balance with an inbox-depth timeline, and the abort
-// cause. The obs package owns the schema and the analytics math; the core
-// package assembles reports (it knows heuristics and solution paths), and
+// forensics layer: a stable `tupelo-report/v1` JSON document assembling a
+// span tree (run → portfolio member → search) with per-span timings, plus
+// derived analytics answering the paper's central question of *why* a
+// heuristic examined the states it did: the heuristic-quality profile (h(s)
+// against true remaining cost along the found solution path), the effective
+// branching factor, cache and memo hit rates, and the abort cause. The obs
+// package owns the schema and the analytics math; the core package
+// assembles reports (it knows heuristics and solution paths), and
 // cmd/tupelo-trace consumes them.
 
 // ReportSchema identifies the run-report JSON format. Stability contract as
 // for tupelo-bench/v1: fields may be added in later versions, never renamed
-// or re-typed.
+// or re-typed. Fields that were dropped — the `workers` configuration and
+// the `shards` section of the removed parallel single-search — are ignored
+// when an older document is read.
 const ReportSchema = "tupelo-report/v1"
 
 // RunReport is the root document.
@@ -36,7 +37,6 @@ type RunReport struct {
 	Algorithm string  `json:"algorithm,omitempty"`
 	Heuristic string  `json:"heuristic,omitempty"`
 	K         float64 `json:"k,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
 
 	// Outcome.
 	Solved     bool   `json:"solved"`
@@ -64,10 +64,6 @@ type RunReport struct {
 	// solution path; the entry with Used set is the run's own heuristic.
 	HeuristicQuality []HeuristicQuality `json:"heuristic_quality,omitempty"`
 
-	// Shards reports the parallel single-search balance; nil for
-	// sequential runs.
-	Shards *ShardReport `json:"shards,omitempty"`
-
 	// Caches reports heuristic-cache hit rates, one entry per cache label.
 	Caches []CacheReport `json:"caches,omitempty"`
 
@@ -79,10 +75,9 @@ type RunReport struct {
 // Span is one timed node of the run's span tree.
 type Span struct {
 	// Name identifies the span: "run" at the root, the member configuration
-	// for portfolio members, the algorithm for search runs, "shard-N" for
-	// shard workers.
+	// for portfolio members, the algorithm for search runs.
 	Name string `json:"name"`
-	// Kind is "run", "member", "search", or "shard".
+	// Kind is "run", "member", or "search".
 	Kind string `json:"kind"`
 	// StartNS is the span start, nanoseconds since the root span started.
 	StartNS int64 `json:"start_ns"`
@@ -193,41 +188,6 @@ func (q *HeuristicQuality) Finalize() {
 	q.Accuracy = math.Max(0, q.Correlation) / (1 + q.MeanAbsErr)
 }
 
-// ShardReport is the parallel single-search balance section.
-type ShardReport struct {
-	Workers int `json:"workers"`
-	// Shards has one entry per shard worker, shard id ascending.
-	Shards []ShardStat `json:"shards"`
-	// ImbalancePermille is ⌈max/mean⌉ of per-shard examined counts in
-	// permille: 1000 is perfect balance, 2000 means the busiest shard
-	// examined twice its fair share.
-	ImbalancePermille int64 `json:"imbalance_permille,omitempty"`
-	// InboxTimeline is the backpressure timeline from the shards' periodic
-	// samples, sample order.
-	InboxTimeline []InboxSample `json:"inbox_timeline,omitempty"`
-}
-
-// ShardStat is one shard worker's counters.
-type ShardStat struct {
-	Shard    int   `json:"shard"`
-	Examined int64 `json:"examined"`
-	Routed   int64 `json:"routed"`
-	Deferred int64 `json:"deferred"`
-}
-
-// InboxSample is one periodic shard backpressure sample (see EvShardSample).
-type InboxSample struct {
-	// AtNS is nanoseconds since the report builder started.
-	AtNS int64 `json:"at_ns"`
-	// Shard is the sampling shard's id.
-	Shard int `json:"shard"`
-	// Seq is the global examined ordinal at the sample.
-	Seq int `json:"seq"`
-	// Depth is the shard's inbox depth, Outbox its outbox length.
-	Depth  int `json:"depth"`
-	Outbox int `json:"outbox"`
-}
-
 // CacheReport is one cache's (or the successor memo's) hit statistics.
 type CacheReport struct {
 	Name    string  `json:"name,omitempty"`
@@ -280,8 +240,8 @@ func EffectiveBranchingFactor(examined, depth int) float64 {
 }
 
 // ValidateRunReport checks the structural invariants of a report the way
-// ValidateBenchReport does for benchmark files: schema identity, count
-// sanity, and internal consistency of the shard section.
+// ValidateBenchReport does for benchmark files: schema identity and count
+// sanity.
 func ValidateRunReport(r *RunReport) error {
 	if r == nil {
 		return fmt.Errorf("report: nil report")
@@ -301,21 +261,6 @@ func ValidateRunReport(r *RunReport) error {
 		}
 		if q.Accuracy < 0 || q.Accuracy > 1 {
 			return fmt.Errorf("report: heuristic %s accuracy %g outside [0,1]", q.Kind, q.Accuracy)
-		}
-	}
-	if s := r.Shards; s != nil {
-		if s.Workers <= 0 {
-			return fmt.Errorf("report: shard section with %d workers", s.Workers)
-		}
-		var sum int64
-		for _, sh := range s.Shards {
-			if sh.Examined < 0 || sh.Routed < 0 || sh.Deferred < 0 {
-				return fmt.Errorf("report: shard %d has negative counters", sh.Shard)
-			}
-			sum += sh.Examined
-		}
-		if sum != int64(r.Examined) {
-			return fmt.Errorf("report: per-shard examined sums to %d, run aggregate is %d", sum, r.Examined)
 		}
 	}
 	return nil
@@ -341,9 +286,8 @@ func ReadRunReport(rd io.Reader) (*RunReport, error) {
 }
 
 // ReportBuilder is a Tracer that captures the structural skeleton of a run —
-// span tree, shard backpressure timeline, cache/memo traffic — for report
-// assembly. It records only structural and moderate-frequency events
-// (member/run boundaries, shard samples) plus four counters for the
+// span tree and cache/memo traffic — for report assembly. It records only
+// structural events (member/run boundaries) plus four counters for the
 // high-frequency cache events, so it is cheap enough to attach to any run.
 // Safe for concurrent use.
 type ReportBuilder struct {
@@ -354,7 +298,6 @@ type ReportBuilder struct {
 	// concurrent same-label runs close in start order.
 	openMembers  map[string][]*Span
 	openSearches map[string][]*Span
-	samples      []InboxSample
 	cacheHits    map[string]int64
 	cacheMisses  map[string]int64
 	memoHits     int64
@@ -426,12 +369,6 @@ func (b *ReportBuilder) Event(e Event) {
 				s.Error = e.Err.Error()
 			}
 		}
-	case EvShardSample:
-		shard := 0
-		fmt.Sscanf(e.Label, "%d", &shard)
-		b.samples = append(b.samples, InboxSample{
-			AtNS: int64(now), Shard: shard, Seq: e.Seq, Depth: e.N, Outbox: e.Depth,
-		})
 	case EvCacheHit:
 		b.cacheHits[e.Label]++
 	case EvCacheMiss:
@@ -459,11 +396,10 @@ func popOpen(open map[string][]*Span, label string) *Span {
 }
 
 // Skeleton seals and returns the builder's contribution to a report: the
-// span tree (root duration stamped now), the inbox timeline, and the
-// cache/memo sections. The builder can keep receiving events afterwards;
+// span tree (root duration stamped now) and the cache/memo sections. The builder can keep receiving events afterwards;
 // each call re-seals the current state. The returned spans are shared with
 // the builder — callers must not mutate them while the run still traces.
-func (b *ReportBuilder) Skeleton() (root *Span, timeline []InboxSample, caches []CacheReport, memo *CacheReport) {
+func (b *ReportBuilder) Skeleton() (root *Span, caches []CacheReport, memo *CacheReport) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.root.DurationNS = int64(time.Since(b.start))
@@ -485,5 +421,5 @@ func (b *ReportBuilder) Skeleton() (root *Span, timeline []InboxSample, caches [
 		m := NewCacheReport("succmemo", b.memoHits, b.memoMisses)
 		memo = &m
 	}
-	return b.root, append([]InboxSample(nil), b.samples...), caches, memo
+	return b.root, caches, memo
 }

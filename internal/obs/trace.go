@@ -48,9 +48,9 @@ const (
 	// apply duration. Like the cache events it is high-frequency and
 	// omitted from transcripts.
 	EvOpApply
-	// EvPanic is a panic recovered inside a search-owned goroutine — a
-	// portfolio member, a successor-pool worker, or the discovery call
-	// itself; Label is the recovering goroutine's identity and Err the
+	// EvPanic is a panic recovered inside search-owned code — a portfolio
+	// member, a successor expansion, or the discovery call itself; Label is
+	// the recovering site's identity and Err the
 	// *search.PanicError carrying the captured stack. Structural (at most a
 	// handful per run), so it is never down-sampled.
 	EvPanic
@@ -64,13 +64,6 @@ const (
 	// pipeline and its result was considered for memoization. Same
 	// transcript treatment as EvMemoHit.
 	EvMemoMiss
-	// EvShardSample is a periodic shard-backpressure sample from a parallel
-	// single-search worker (every wallCheckInterval examined states): Label
-	// is the shard id, N the shard's inbox depth, Depth its outbox length,
-	// Seq the global examined ordinal at the sample. Moderate-frequency;
-	// omitted from transcripts, consumed by the run-report builder for the
-	// inbox-depth timeline.
-	EvShardSample
 )
 
 // String names the kind for transcripts and debugging.
@@ -106,8 +99,6 @@ func (k EventKind) String() string {
 		return "memo-hit"
 	case EvMemoMiss:
 		return "memo-miss"
-	case EvShardSample:
-		return "shard-sample"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
@@ -138,8 +129,8 @@ type Event struct {
 }
 
 // Tracer receives structured search events. Implementations must be safe
-// for concurrent use: worker pools and portfolio members emit from their
-// own goroutines.
+// for concurrent use: portfolio members and concurrent server jobs emit
+// from their own goroutines.
 type Tracer interface {
 	Event(Event)
 }
@@ -208,7 +199,7 @@ func (t *WriterTracer) Event(e Event) {
 		fmt.Fprintf(t.w, "member %s: cancelled (%s)\n", e.Label, e.Elapsed)
 	case EvPanic:
 		fmt.Fprintf(t.w, "panic in %s: %v\n", e.Label, e.Err)
-	case EvCacheHit, EvCacheMiss, EvOpApply, EvMemoHit, EvMemoMiss, EvShardSample:
+	case EvCacheHit, EvCacheMiss, EvOpApply, EvMemoHit, EvMemoMiss:
 		// Omitted: one line per heuristic evaluation, operator apply, or
 		// memoized expansion would drown the transcript. Counters and
 		// histograms carry the aggregate; Collector, JSONTracer, or

@@ -214,8 +214,9 @@ func TestPropertyHasEmptyCellMatchesRowScan(t *testing.T) {
 
 // TestConcurrentMemoFamilies races every lazily memoized identity of one
 // shared relation — hash, fingerprint, fragment, parts, distinct values,
-// and the row-key set behind Insert — as the sharded parallel search does
-// when workers identify states that share a relation copy-on-write. Run
+// and the row-key set behind Insert — as concurrent discoveries over one
+// shared input do when they identify states that share a relation
+// copy-on-write. Run
 // under -race in CI; correctness check: every goroutine must observe the
 // same values.
 func TestConcurrentMemoFamilies(t *testing.T) {

@@ -62,11 +62,11 @@ func (ix *ContainmentIndex) Contains(db *Database) bool {
 // each projection onto the target attributes from the symbol columns and
 // counting how many distinct target rows it hits.
 func (t *indexedRelation) contains(r *Relation) bool {
-	// Per-call stack scratch: the goal test runs once per examined state (and
-	// concurrently under the sharded search), so the projection slices live in
-	// fixed-size local arrays for the paper's single-digit arities, with a
-	// heap fallback for wider schemas. Locals keep the concurrency guarantee:
-	// no shared mutable scratch.
+	// Per-call stack scratch: the goal test runs once per examined state, so
+	// the projection slices live in fixed-size local arrays for the paper's
+	// single-digit arities, with a heap fallback for wider schemas. Locals
+	// keep the index free of shared mutable scratch, so concurrent callers
+	// may share it.
 	var colsArr [attrScanMax][]Symbol
 	cols := colsArr[:0]
 	if len(t.attrs) > attrScanMax {

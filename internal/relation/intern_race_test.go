@@ -8,8 +8,8 @@ import (
 
 // TestInternConcurrent hammers the run-wide intern dictionary from many
 // goroutines with heavily overlapping strings — the access pattern of
-// parallel successor workers computing fragments for states that share
-// tokens. Run under -race (CI does), it pins two properties: the dictionary
+// concurrent discoveries (portfolio members, server jobs) computing
+// fragments for states that share tokens. Run under -race (CI does), it pins two properties: the dictionary
 // publication is race-free, and interning is consistent — every goroutine
 // gets the same Symbol for the same string, and distinct strings never
 // collapse.
@@ -54,9 +54,9 @@ func TestInternConcurrent(t *testing.T) {
 }
 
 // TestFragmentMemoConcurrent races fragment computation on relations shared
-// copy-on-write between successor-like states, as the parallel expansion
-// pool does when several workers delta-merge successors that kept the same
-// untouched relation. The sync.Once memo must hand every goroutine the
+// copy-on-write between successor-like states, as concurrent discoveries
+// over one shared input do when they delta-merge successors that kept the
+// same untouched input relation. The sync.Once memo must hand every goroutine the
 // same *Fragment, fully built.
 func TestFragmentMemoConcurrent(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {

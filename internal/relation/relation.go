@@ -70,8 +70,9 @@ type Relation struct {
 	// key set — each computed exactly once. Relations are immutable once
 	// published — every constructor in this package finishes mutating
 	// columns before the value escapes — so the memoization is sound, and
-	// the sync.Onces make the lazy computations safe when parallel successor
-	// workers race to identify states that share a relation. The memo is
+	// the sync.Onces make the lazy computations safe when concurrent
+	// discoveries (portfolio members, server jobs) race to identify states
+	// that share a relation of their common input. The memo is
 	// embedded, so a relation and its memo are one allocation; every
 	// constructor builds a fresh Relation, and none is ever copied by value
 	// (go vet's copylocks check guards the sync.Onces).
@@ -892,9 +893,9 @@ func (r *Relation) computeCanonical() (rows []string, fp string) {
 }
 
 // canonicalize computes the canonical string form exactly once and returns
-// the cold memo holding it. Safe for concurrent callers: parallel successor
-// workers fingerprinting states that share this relation synchronize on the
-// memo's sync.Once.
+// the cold memo holding it. Safe for concurrent callers: concurrent
+// discoveries fingerprinting states that share this relation synchronize on
+// the memo's sync.Once.
 func (r *Relation) canonicalize() *coldMemo {
 	m := r.coldMemo()
 	m.canonOnce.Do(func() {

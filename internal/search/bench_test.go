@@ -2,12 +2,10 @@ package search
 
 import (
 	"context"
-	"fmt"
 	"testing"
 )
 
-// benchGrid is the shared workload for the examine and parallel benchmarks:
-// a dense open grid with real branching, large enough that the per-state
+// benchGrid is the workload of the examine benchmark: a dense open grid with real branching, large enough that the per-state
 // bookkeeping dominates rather than setup.
 func benchGrid() gridProblem {
 	return gridProblem{w: 64, h: 64, walls: map[[2]int]bool{}, start: [2]int{0, 0}, target: [2]int{63, 63}}
@@ -15,7 +13,7 @@ func benchGrid() gridProblem {
 
 // BenchmarkExamine pins the Limits.Cooperative split: the solitary
 // (cooperative=false) path must stay free of the every-16-states
-// runtime.Gosched() yield that portfolio members and shard workers pay.
+// runtime.Gosched() yield that racing portfolio members pay.
 // Before the flag, single-run searches yielded unconditionally — compare the
 // two sub-benchmarks to see the recovered margin.
 func BenchmarkExamine(b *testing.B) {
@@ -31,29 +29,6 @@ func BenchmarkExamine(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := AStarSearch(context.Background(), p, h, lim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.Stats.Examined), "states/op")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelAStar sweeps the shard count on one search. On a
-// single-CPU runner the multi-worker rows measure sharding overhead, not
-// speedup — the numbers are still worth tracking because the overhead is the
-// floor any speedup has to clear.
-func BenchmarkParallelAStar(b *testing.B) {
-	p := benchGrid()
-	h := p.manhattan()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := ParallelAStar(context.Background(), p, h, Limits{}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

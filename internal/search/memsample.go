@@ -8,8 +8,7 @@ import (
 )
 
 // The heap-budget check used to call runtime.ReadMemStats inline from every
-// racing portfolio member (and would have from every shard worker of the
-// parallel single-search), and ReadMemStats stops the world: N concurrent
+// racing portfolio member, and ReadMemStats stops the world: N concurrent
 // searches each paid a full STW pause every wallCheckInterval states, and the
 // pauses of one member stalled all the others. heapLiveBytes replaces it with
 // one process-wide sampler over the runtime/metrics package, whose reads are

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"tupelo/internal/obs"
@@ -38,8 +37,8 @@ import (
 // canonical key so that semantically equal states collapse; TUPELO uses a
 // compact 128-bit hash of the database's canonical form (raw bytes, not a
 // full fingerprint string), keeping the per-run path bookkeeping — IDA*'s
-// and RBFS's current-path key slices, A*'s bestG map and the parallel
-// engine's shard routing — cheap to compare, hash and store. The search
+// and RBFS's current-path key slices and A*'s bestG map — cheap to compare,
+// hash and store. The search
 // never caches anything by key: facts derived from a state (its heuristic
 // value, its moves, its goal verdict) are the Problem's and Heuristic's to
 // remember.
@@ -55,8 +54,7 @@ type State interface {
 type Move struct {
 	// Op is the operator that produced the successor; TUPELO stores the L
 	// operator itself here. The search renders its text only for EvMove
-	// trace events and for the parallel engine's tie-break between goals of
-	// equal cost.
+	// trace events.
 	Op fmt.Stringer
 	// To is the successor state.
 	To State
@@ -106,19 +104,12 @@ type Limits struct {
 	// Cooperative makes the run yield the processor (runtime.Gosched) every
 	// 16 examined states. Searches are CPU-bound loops with no natural
 	// scheduling points; when several share fewer CPUs — portfolio members
-	// racing, shard workers of the parallel single-search — a run that gets a
-	// CPU first can otherwise hold it for a full async-preemption quantum
-	// (~10ms) before its competitors are scheduled at all. The portfolio
-	// runner and the parallel engines set this for their runs; a solitary
+	// racing — a run that gets a CPU first can otherwise hold it for a full
+	// async-preemption quantum (~10ms) before its competitors are scheduled
+	// at all. The portfolio runner sets this for its members; a solitary
 	// search leaves it unset and pays nothing for scheduling points it does
 	// not need (pinned by BenchmarkExamine).
 	Cooperative bool
-	// ShardInboxCap overrides the per-shard inbound channel capacity of the
-	// parallel single-searches (default shardInboxCap, 1024). Smaller caps
-	// force more outbox deferrals, larger caps buffer more routed nodes;
-	// the option exists for what-if runs driven by the tupelo-trace shard
-	// analyzer. Ignored by the sequential algorithms. Zero means default.
-	ShardInboxCap int
 	// BestEffort makes an aborted run (budget, deadline, or cancellation)
 	// carry the frontier state with the lowest heuristic value seen on
 	// Error.Partial, so callers can degrade to an approximate partial
@@ -137,10 +128,9 @@ type Stats struct {
 	// Generated is the number of successor states produced.
 	Generated int
 	// MaxFrontier is the peak size of algorithm-managed state: the open
-	// list for A* and greedy search (for the sharded engines, the sum of
-	// the shards' peaks), and the deepest search path held (recursion
-	// depth) for the linear-memory IDA and RBFS — the quantity their
-	// linear-memory guarantee bounds.
+	// list for A* and greedy search, and the deepest search path held
+	// (recursion depth) for the linear-memory IDA and RBFS — the quantity
+	// their linear-memory guarantee bounds.
 	MaxFrontier int
 	// Iterations counts IDA depth-bound iterations (0 for other methods).
 	Iterations int
@@ -182,12 +172,12 @@ var (
 )
 
 // PanicError is a panic recovered inside search-owned code: a portfolio
-// member goroutine, a successor-pool worker, or the discovery call itself.
+// member goroutine, a successor expansion, or the discovery call itself.
 // The resilience layer converts such panics into ordinary *Error failures so
 // that one poisoned heuristic or operator loses its race instead of killing
 // the process. Value is the recovered panic value, Stack the stack captured
-// at the recovery point, and Origin identifies the recovering goroutine
-// ("successor worker 3 (op ρ_rel[a/b])", "portfolio member RBFS/cosine").
+// at the recovery point, and Origin identifies the recovering site
+// ("successor expansion (op ρ_rel[a/b])", "portfolio member RBFS/cosine").
 type PanicError struct {
 	// Value is the value the code panicked with.
 	Value any
@@ -397,10 +387,9 @@ type counter struct {
 	best *bestSeen
 
 	// ring is this run's flight-recorder ring; nil (Record is a nil check)
-	// when the context carries no FlightRecorder. The sequential algorithms
-	// run on one goroutine, so the counter's ring respects the recorder's
-	// single-writer discipline; the parallel engines give each shard worker
-	// its own ring instead.
+	// when the context carries no FlightRecorder. Every algorithm runs on one
+	// goroutine, so the counter's ring respects the recorder's single-writer
+	// discipline.
 	ring *obs.FlightRing
 
 	// Pre-resolved instruments; nil (and therefore no-ops) without metrics.
@@ -483,11 +472,9 @@ const wallCheckInterval = 64
 // observed during a run, for best-effort degradation. The algorithms offer
 // every state whose h they compute; the path is materialized lazily (the
 // callback is invoked only when the candidate improves on the best already
-// seen) because IDA and RBFS mutate their path slice in place. A mutex keeps
-// the tracker safe for concurrent offers from the parallel searches' shard
-// workers.
+// seen) because IDA and RBFS mutate their path slice in place. A run's
+// tracker is touched only by the run's own goroutine.
 type bestSeen struct {
-	mu   sync.Mutex
 	set  bool
 	h    int
 	s    State
@@ -497,34 +484,15 @@ type bestSeen struct {
 // offer records s as the best-effort candidate if its heuristic value beats
 // the current best. Ties keep the earlier state, so the result is
 // deterministic for a deterministic search order.
-//
-// The path callback is caller-supplied foreign code and may materialize a
-// slice copy, so it must not run under the mutex: shard workers of the
-// parallel searches offer candidates concurrently, and holding the lock
-// across the callback would serialize their hot paths on each other's copy
-// loops. Instead: check-improve under the lock, materialize outside it, and
-// re-check before installing — a concurrent offer that won the race in
-// between keeps its (better or equal, hence earlier) candidate.
 func (b *bestSeen) offer(s State, h int, path func() []Move) {
-	b.mu.Lock()
-	if b.set && h >= b.h {
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Unlock()
-	p := path()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.set && h >= b.h {
 		return
 	}
-	b.set, b.h, b.s, b.path = true, h, s, p
+	b.set, b.h, b.s, b.path = true, h, s, path()
 }
 
 // take returns the best candidate seen, or nil if none was offered.
 func (b *bestSeen) take() *Partial {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if !b.set {
 		return nil
 	}
@@ -636,8 +604,8 @@ func (c *counter) fail(err error) error {
 	case "panic", "memory", "deadline":
 		// The run died rather than merely losing a race or exhausting its
 		// space: mark the flight recorder for an automatic dump. Only the
-		// mark happens here (other goroutines may still be recording); the
-		// engine flushes once its workers are joined.
+		// mark happens here (racing portfolio members may still be
+		// recording); the caller flushes once every run has returned.
 		c.o.Flight.RequestDump(cause)
 	}
 	if c.o.Enabled() {

@@ -74,10 +74,6 @@ type Config struct {
 	BestEffort bool
 	// MaxRetries is the portfolio restart budget per job.
 	MaxRetries int
-	// Workers is the per-job worker budget handed to the portfolio engine.
-	// Default 1: concurrency across jobs, not within them — MaxConcurrent
-	// jobs at 1 worker each beats 1 job at N workers for service traffic.
-	Workers int
 	// BreakerThreshold opens a tenant's circuit after this many
 	// consecutive panic or memory verdicts on its jobs. Default 3;
 	// negative disables the breaker.
@@ -121,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStates <= 0 {
 		c.MaxStates = 200_000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -361,7 +354,6 @@ func (s *Server) runJob(ctx context.Context, j *job, id int64) jobOutcome {
 			MaxHeapBytes: s.cfg.MaxHeapBytes,
 			BestEffort:   bestEffort,
 		},
-		Workers: s.cfg.Workers,
 		Metrics: s.cfg.Metrics,
 		Flight:  fr,
 		Correspondences: append(append([]lambda.Correspondence(nil),

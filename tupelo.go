@@ -119,16 +119,13 @@ type (
 // Search algorithms (§2.3).
 const (
 	// AlgorithmUnset is the zero Algorithm; it resolves to RBFS, the
-	// paper's overall best, so a zero-valued Options means "best known"
-	// (under Options.ParallelSearch it resolves to AStar, the algorithm
-	// the hash-sharded engine partitions).
+	// paper's overall best, so a zero-valued Options means "best known".
 	AlgorithmUnset = search.AlgorithmUnset
 	// IDA is Iterative Deepening A*.
 	IDA = search.IDA
 	// RBFS is Recursive Best-First Search, the paper's overall best.
 	RBFS = search.RBFS
-	// AStar is plain A*: historically ablation-only (exponential memory),
-	// now also the algorithm Options.ParallelSearch shards across workers.
+	// AStar is plain A* (ablation only: exponential memory).
 	AStar = search.AStar
 	// Greedy is greedy best-first search (ablation only).
 	Greedy = search.Greedy
@@ -258,11 +255,11 @@ type (
 	// one through Options.Flight.
 	FlightRecorder = obs.FlightRecorder
 	// RunReport is the tupelo-report/v1 forensic run report: span tree,
-	// heuristic-quality profile, effective branching factor, cache hit
-	// rates, and shard balance. Assemble one with BuildReport.
+	// heuristic-quality profile, effective branching factor, and cache hit
+	// rates. Assemble one with BuildReport.
 	RunReport = obs.RunReport
 	// ReportBuilder is a Tracer that captures the structural skeleton of a
-	// run (spans, shard samples, cache traffic) for BuildReport. Attach it
+	// run (spans, cache traffic) for BuildReport. Attach it
 	// through Options.Tracer (compose with MultiTracer to keep others).
 	ReportBuilder = obs.ReportBuilder
 )
@@ -287,7 +284,7 @@ const (
 	EvMemberWin    = obs.EvMemberWin
 	EvMemberLose   = obs.EvMemberLose
 	EvMemberCancel = obs.EvMemberCancel
-	// EvPanic reports a recovered panic (successor worker, portfolio
+	// EvPanic reports a recovered panic (successor expansion, portfolio
 	// member, or the discovery goroutine itself).
 	EvPanic = obs.EvPanic
 )
@@ -333,8 +330,7 @@ func NewReportBuilder() *ReportBuilder { return obs.NewReportBuilder() }
 // BuildReport assembles the tupelo-report/v1 run report for one discovery:
 // pass the Result and error exactly as DiscoverContext returned them, the
 // instances and options of the run, and the ReportBuilder that traced it
-// (nil for a report without a span tree). For the shard section to sum
-// exactly, Options.Metrics must be a registry private to the run.
+// (nil for a report without a span tree).
 func BuildReport(res *Result, runErr error, source, target *Database, opts Options, rb *ReportBuilder) (*RunReport, error) {
 	return core.BuildReport(res, runErr, source, target, opts, rb)
 }
