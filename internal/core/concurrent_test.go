@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tupelo/internal/datagen"
+	"tupelo/internal/heuristic"
 	"tupelo/internal/relation"
 	"tupelo/internal/search"
 )
@@ -15,10 +16,13 @@ import (
 // goroutine, and what concurrent runs share — the input instances' relation
 // memos, the intern table, the heuristic's target encoding — is safe to
 // share. Eight goroutines run IDA, RBFS and A* discoveries at once over one
-// shared Flights pair and one shared matching pair, and every run must find
+// shared Flights pair and two shared matching pairs, and every run must find
 // the mapping, and examine and generate exactly the states, of a solo run
 // over a separately generated copy of the same pair. Under -race (CI runs
-// it so) this also checks that nothing a run writes is visible to another.
+// it so) this also checks that nothing a run writes is visible to another:
+// matching12, wider than the attribute scan (attrScanMax), has every run
+// preview ρ^att and π̄ children over the shared input relation's columns and
+// lazily built attribute index, and reuse its own expansion scratch.
 func TestConcurrentDiscoverSharedInputs(t *testing.T) {
 	type pair struct{ src, tgt *relation.Database }
 	gen := map[string]func() pair{
@@ -33,15 +37,26 @@ func TestConcurrentDiscoverSharedInputs(t *testing.T) {
 			src, tgt := datagen.MustMatchingPair(6)
 			return pair{src, tgt}
 		},
+		"matching12": func() pair {
+			src, tgt := datagen.MustMatchingPair(12)
+			return pair{src, tgt}
+		},
 	}
 	type config struct {
 		instance string
 		algo     search.Algorithm
+		kind     heuristic.Kind // Unset: the default, cosine
 	}
 	var configs []config
-	for _, name := range []string{"flights3x2", "matching6"} {
+	for _, name := range []string{"flights3x2", "matching6", "matching12"} {
 		for _, algo := range []search.Algorithm{search.IDA, search.RBFS, search.AStar} {
-			configs = append(configs, config{name, algo})
+			c := config{instance: name, algo: algo}
+			if name == "matching12" && algo == search.IDA {
+				// IDA* under cosine exhausts the default state budget on
+				// matching12; under h1 it walks straight to the goal.
+				c.kind = heuristic.H1
+			}
+			configs = append(configs, c)
 		}
 	}
 	summary := func(res *Result) string {
@@ -50,7 +65,7 @@ func TestConcurrentDiscoverSharedInputs(t *testing.T) {
 	want := make(map[config]string, len(configs))
 	for _, c := range configs {
 		p := gen[c.instance]()
-		res, err := Discover(p.src, p.tgt, Options{Algorithm: c.algo})
+		res, err := Discover(p.src, p.tgt, Options{Algorithm: c.algo, Heuristic: c.kind})
 		if err != nil {
 			t.Fatalf("solo %s/%s: %v", c.instance, c.algo, err)
 		}
@@ -78,7 +93,7 @@ func TestConcurrentDiscoverSharedInputs(t *testing.T) {
 			for k := range configs {
 				i := (g + k) % len(configs)
 				p := shared[configs[i].instance]
-				res, err := Discover(p.src, p.tgt, Options{Algorithm: configs[i].algo})
+				res, err := Discover(p.src, p.tgt, Options{Algorithm: configs[i].algo, Heuristic: configs[i].kind})
 				if err != nil {
 					errs[g][i] = err
 					continue

@@ -36,7 +36,7 @@ func TestDerefCandidateCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newProblem(src, tgt, opts)
-	ops := p.derefMoves(newExpCtx(src))
+	ops := p.derefMoves(nil, newExpCtx(src))
 	// Only column p holds attribute names throughout; the candidate outputs
 	// are the target attributes R lacks: x and y, in sorted order.
 	if len(ops) != 2 {

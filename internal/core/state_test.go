@@ -31,23 +31,42 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 // containment index that produced it), the published move list equals a
 // fresh expansion of the state's own database with the move memo off, and
 // every state and every move's successor is the table's canonical state for
-// its key. It covers the tree searches and A*.
+// its key, which both the state's database and a Clone of it recompute. It
+// covers the tree searches and A*.
+//
+// The fresh expansion runs under a FaultHook, which turns the child-key
+// preview off along with the memo, so every comparison is also a
+// differential test of previewed ρ^att and π̄ children against built ones:
+// matching12 is wider than the attribute scan (attrScanMax), and the
+// Inventory task's λ operators and twelve-column relation exercise the
+// wide-schema lookups on both sides.
 func TestMemoTableMatchesScratch(t *testing.T) {
 	flightsSrc, flightsTgt, err := datagen.FlightsScaled(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matchSrc, matchTgt := datagen.MustMatchingPair(5)
+	wideSrc, wideTgt := datagen.MustMatchingPair(12)
+	inv := datagen.Inventory()
+	invSrc, invTgt, invCorrs, err := inv.Task(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	instances := []struct {
 		name     string
 		src, tgt *relation.Database
+		opts     Options
 	}{
-		{"flights3x2", flightsSrc, flightsTgt},
-		{"matching5", matchSrc, matchTgt},
+		{"flights3x2", flightsSrc, flightsTgt, Options{}},
+		{"matching5", matchSrc, matchTgt, Options{}},
+		{"matching12", wideSrc, wideTgt, Options{Heuristic: heuristic.H1}},
+		{"inventory3", invSrc, invTgt, Options{Registry: inv.Registry, Correspondences: invCorrs}},
 	}
 	for _, in := range instances {
 		for _, algo := range []search.Algorithm{search.IDA, search.RBFS, search.AStar} {
-			opts, err := Options{Algorithm: algo}.normalize()
+			o := in.opts
+			o.Algorithm = algo
+			opts, err := o.normalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,6 +135,14 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 	}
 	if expanded == 0 {
 		t.Fatal("no examined state was expanded")
+	}
+	// A state's own database reads its relations' memoized hashes, seeded
+	// by a preview where the state was built after one; a clone shares no
+	// memo and recomputes every hash.
+	for key, s := range rec.table {
+		if memo, clone := s.db.Key(), s.db.Clone().Key(); memo != key || clone != key || s.key != key {
+			t.Fatalf("canonical state %x stored under %x: its database keys to %x, a clone to %x", s.key, key, memo, clone)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,8 +70,16 @@ type mappingProblem struct {
 	// events carry the denominator, so consumers can reconstruct totals (a
 	// profile's "operator table samples misses only" line makes the same
 	// point).
+	//
+	// With the memo on, applyAll also keys ρ^att and π̄ children before
+	// building them (childPreview) and builds only those the table lacks.
 	table stateTable
 	memo  bool
+
+	// scratch is the run's expansion scratch, reused by every expansion: a
+	// run expands its states on one goroutine (DESIGN.md §10), and nothing
+	// in it outlives the expansion that fills it.
+	scratch expansionScratch
 
 	// Expansion machinery. est estimates every state an expansion
 	// creates, so the search loop's h() calls are field reads. inc is est's
@@ -143,7 +152,7 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 	p.tAttrSymSet = internSet(p.tAttrs)
 	p.tRelSymSet = internSet(p.tRels)
 	p.tValSymSet = internSet(p.tVals)
-	for _, r := range target.Relations() {
+	for _, r := range target.RelationView() {
 		rv := make(map[relation.Symbol]bool)
 		for j, a := range r.AttrView() {
 			av := p.tAttrValSyms[a]
@@ -159,6 +168,21 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		p.tRelValSyms[r.Name()] = rv
 	}
 	return p
+}
+
+// expansionScratch holds the slices one expansion fills and the next
+// reuses: the candidate operators, the positional successor states, the
+// parent/child diff each new state's estimate reads, and the move
+// generators' per-expansion lists.
+type expansionScratch struct {
+	ops            []fira.Op
+	states         []*dbState
+	removed, added []*relation.Relation
+	missingRels    []string
+	missingAtts    []string
+	// attEvidence parallels missingAtts: each missing target attribute's
+	// value symbols (tAttrValSyms), resolved once per expansion.
+	attEvidence []map[relation.Symbol]bool
 }
 
 // internSet interns every member of a string set into a symbol set.
@@ -251,15 +275,14 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 }
 
 // expCtx is the per-expansion view of a state shared by every move
-// generator: the sorted relation slice, computed once per expansion instead
-// of once per generator.
+// generator: the state's sorted relation slice, read in place.
 type expCtx struct {
 	db   *relation.Database
 	rels []*relation.Relation
 }
 
 func newExpCtx(db *relation.Database) *expCtx {
-	return &expCtx{db: db, rels: db.Relations()}
+	return &expCtx{db: db, rels: db.RelationView()}
 }
 
 // hasRel reports whether the state has a relation named name.
@@ -282,32 +305,43 @@ func (x *expCtx) hasAttr(a string) bool {
 
 // candidateOps instantiates every candidate operator for the state,
 // optimistically: operators enforce their own preconditions at Apply time.
+// The generators append, in a fixed order, to the run's candidate scratch;
+// the slice is valid until the next expansion.
 func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 	x := newExpCtx(db)
-	var ops []fira.Op
-	ops = append(ops, p.renameRelMoves(x)...)
-	ops = append(ops, p.renameAttMoves(x)...)
-	ops = append(ops, p.dropMoves(x)...)
-	ops = append(ops, p.promoteMoves(x)...)
-	ops = append(ops, p.demoteMoves(x)...)
-	ops = append(ops, p.derefMoves(x)...)
-	ops = append(ops, p.partitionMoves(x)...)
-	ops = append(ops, p.productMoves(x)...)
-	ops = append(ops, p.unionMoves(x)...)
-	ops = append(ops, p.mergeMoves(x)...)
-	ops = append(ops, p.applyMoves(x)...)
+	ops := p.scratch.ops[:0]
+	ops = p.renameRelMoves(ops, x)
+	ops = p.renameAttMoves(ops, x)
+	ops = p.dropMoves(ops, x)
+	ops = p.promoteMoves(ops, x)
+	ops = p.demoteMoves(ops, x)
+	ops = p.derefMoves(ops, x)
+	ops = p.partitionMoves(ops, x)
+	ops = p.productMoves(ops, x)
+	ops = p.unionMoves(ops, x)
+	ops = p.mergeMoves(ops, x)
+	ops = p.applyMoves(ops, x)
+	p.scratch.ops = ops
 	return ops
 }
 
 // applyAll applies every candidate operator to the parent's database and
 // returns the resulting canonical states positionally — nil where the
 // operator was inapplicable or a no-op — so the caller assembles moves in
-// candidate order. An operator that returns its input database (µ when
-// nothing coalesces) is a no-op without hashing; any other result is a
-// no-op when its key equals the parent's. Every other result is interned in
-// the run's state table, and the call that creates a state also estimates
-// it (prewarm); agg is the parent's aggregate for delta-merged estimates,
-// nil without an incremental evaluator.
+// candidate order; the slice is the run's scratch, valid until the next
+// expansion. An operator that returns its input database (µ when nothing
+// coalesces) is a no-op without hashing; any other result is a no-op when
+// its key equals the parent's. Every other result is interned in the run's
+// state table, and the call that creates a state also estimates it
+// (prewarm); agg is the parent's aggregate for delta-merged estimates, nil
+// without an incremental evaluator.
+//
+// With the move memo on, a ρ^att or π̄ candidate is keyed before it is
+// built (preview): a key equal to the parent's is a no-op, a key the table
+// holds is that canonical state, and only a new key builds the child, whose
+// rebuilt relation is seeded with the previewed hash. Every candidate emits
+// one EvOpApply and one apply-latency sample, timed over its preview plus
+// any build.
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered and
 // returned as a *search.PanicError naming the operator — never propagated,
@@ -326,7 +360,9 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 			states, err = nil, pe
 		}
 	}()
-	states = make([]*dbState, len(ops))
+	states = slices.Grow(p.scratch.states[:0], len(ops))[:len(ops)]
+	clear(states)
+	p.scratch.states = states
 	for ; i < len(ops); i++ {
 		if p.fault != nil {
 			p.fault(faults.SiteOpApply, ops[i].String())
@@ -335,15 +371,35 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 		if timed {
 			start = time.Now()
 		}
-		next, aerr := ops[i].Apply(db, p.reg)
+		var (
+			ns   *dbState
+			next *relation.Database
+			aerr error
+		)
+		pv, keyed := p.preview(ops[i], db)
+		switch {
+		case !keyed:
+			next, aerr = ops[i].Apply(db, p.reg)
+		case string(pv.key[:]) == parent.key:
+			// A no-op: the child is the parent.
+		default:
+			if ns = p.table[string(pv.key[:])]; ns == nil {
+				next, aerr = ops[i].Apply(db, p.reg)
+			}
+		}
 		var elapsed time.Duration
 		if timed {
 			elapsed = time.Since(start)
 			p.met.applyLatency(ops[i], elapsed)
 		}
-		var ns *dbState
-		var created bool
-		if aerr == nil && next != db {
+		created := false
+		switch {
+		case aerr != nil || next == nil || next == db:
+			// Failed, a no-op, or a previewed state the table held (ns).
+		case keyed:
+			pv.seed(next)
+			ns, created = p.table.intern(next, string(pv.key[:]))
+		default:
 			if key := next.Key(); key != parent.key {
 				ns, created = p.table.intern(next, key)
 			}
@@ -361,6 +417,44 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 		states[i] = ns
 	}
 	return states, nil
+}
+
+// childPreview is a candidate's child keyed before it is built: the child
+// database's key and the previewed hash of the relation the operator
+// rebuilds.
+type childPreview struct {
+	key  [16]byte
+	hash relation.ChildHash
+	rel  string
+}
+
+// preview keys op's child from the parent's database when the move memo is
+// on and op is a ρ^att or π̄; ok is false otherwise, and when the
+// operator's preview declines (fira's ChildKey methods), in which case the
+// caller builds the child. The memo is off only under a FaultHook, so a
+// fault-injected run builds every candidate.
+func (p *mappingProblem) preview(op fira.Op, db *relation.Database) (c childPreview, ok bool) {
+	if !p.memo {
+		return c, false
+	}
+	switch o := op.(type) {
+	case fira.RenameAtt:
+		c.key, c.hash, ok = o.ChildKey(db)
+		c.rel = o.Rel
+	case fira.Drop:
+		c.key, c.hash, ok = o.ChildKey(db)
+		c.rel = o.Rel
+	}
+	return c, ok
+}
+
+// seed installs the previewed hash on the relation the operator rebuilt in
+// next, a child just built on this goroutine and seen by no other — the
+// relation.SeedHash contract — so the new state is never hashed twice.
+func (c *childPreview) seed(next *relation.Database) {
+	if r, ok := next.Relation(c.rel); ok {
+		r.SeedHash(c.hash)
+	}
 }
 
 // prewarm estimates a successor as it is created, so the search loop's
@@ -417,8 +511,9 @@ func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, 
 	}
 	e := &estimate{}
 	if agg != nil {
-		removed, added := relation.Diff(parent, db)
-		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: removed, Added: added})
+		sc := &p.scratch
+		sc.removed, sc.added = relation.AppendDiff(sc.removed[:0], sc.added[:0], parent, db)
+		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.removed, Added: sc.added})
 	} else {
 		e.h = p.est.Estimate(db)
 	}
@@ -436,21 +531,17 @@ func (p *mappingProblem) publish(s *dbState, e *estimate) int {
 	return e.h
 }
 
-// missingFrom returns the members of wantSorted that have reports absent,
-// in order, and nil when none is. The want side is always a fixed target
-// token list, so sorting happened once at problem construction;
-// per-expansion calls just filter.
-func missingFrom(wantSorted []string, have func(string) bool) []string {
-	var out []string
-	for i, k := range wantSorted {
+// missingFrom appends to dst the members of wantSorted that have reports
+// absent, in order. The want side is always a fixed target token list, so
+// sorting happened once at problem construction; per-expansion calls just
+// filter into the run's scratch.
+func missingFrom(dst, wantSorted []string, have func(string) bool) []string {
+	for _, k := range wantSorted {
 		if !have(k) {
-			if out == nil {
-				out = make([]string, 0, len(wantSorted)-i)
-			}
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	return out
+	return dst
 }
 
 // sortedKeys returns the keys of the set in sorted order. Move generators
@@ -468,13 +559,13 @@ func sortedKeys(set map[string]bool) []string {
 
 // renameRelMoves proposes ρ^rel: rename a state relation that the target
 // does not know to a target relation name the state is missing.
-func (p *mappingProblem) renameRelMoves(x *expCtx) []fira.Op {
-	missing := missingFrom(p.tRelsSorted, x.hasRel)
+func (p *mappingProblem) renameRelMoves(ops []fira.Op, x *expCtx) []fira.Op {
+	missing := missingFrom(p.scratch.missingRels[:0], p.tRelsSorted, x.hasRel)
+	p.scratch.missingRels = missing
 	if len(missing) == 0 {
 		// Obviously inapplicable: every target relation name is present.
-		return nil
+		return ops
 	}
-	var ops []fira.Op
 	for _, r := range x.rels {
 		if p.prune && p.tRels[r.Name()] {
 			continue // already a target relation name; renaming it away hurts
@@ -509,21 +600,31 @@ func (p *mappingProblem) relRenameEvidence(r *relation.Relation, to string) bool
 
 // renameAttMoves proposes ρ^att: rename an attribute the target does not
 // know to a target attribute name missing from the state (schema matching).
-func (p *mappingProblem) renameAttMoves(x *expCtx) []fira.Op {
-	missing := missingFrom(p.tAttrsSorted, x.hasAttr)
+// Each missing attribute's target value symbols are resolved once per
+// expansion, not once per (column, missing attribute) pair.
+func (p *mappingProblem) renameAttMoves(ops []fira.Op, x *expCtx) []fira.Op {
+	sc := &p.scratch
+	missing := missingFrom(sc.missingAtts[:0], p.tAttrsSorted, x.hasAttr)
+	sc.missingAtts = missing
 	if len(missing) == 0 {
 		// The paper's §2.3 example rule: all target attribute names are
 		// already present, so attribute renaming cannot help.
-		return nil
+		return ops
 	}
-	var ops []fira.Op
+	evidence := sc.attEvidence[:0]
+	if p.prune {
+		for _, to := range missing {
+			evidence = append(evidence, p.tAttrValSyms[to])
+		}
+		sc.attEvidence = evidence
+	}
 	for _, r := range x.rels {
-		for _, a := range r.AttrView() {
+		for j, a := range r.AttrView() {
 			if p.prune && p.tAttrs[a] {
 				continue // a is already a target attribute name
 			}
-			for _, to := range missing {
-				if p.prune && !p.renameEvidence(r, a, to) {
+			for k, to := range missing {
+				if p.prune && !renameEvidence(r, j, evidence[k]) {
 					continue
 				}
 				ops = append(ops, fira.RenameAtt{Rel: r.Name(), From: a, To: to})
@@ -533,21 +634,17 @@ func (p *mappingProblem) renameAttMoves(x *expCtx) []fira.Op {
 	return ops
 }
 
-// renameEvidence reports whether renaming column a of r to target attribute
-// "to" is supported by the critical instances: some value under a also
-// appears under "to" in the target (or either side carries no values at
-// all, leaving the rename unconstrained). Without this rule every missing
-// target attribute pairs with every source column and matching degenerates
-// into exploring all n! assignments — the Rosetta Stone principle (§2.2)
-// says the example values are exactly the evidence that disambiguates.
-func (p *mappingProblem) renameEvidence(r *relation.Relation, a, to string) bool {
-	tv := p.tAttrValSyms[to]
+// renameEvidence reports whether renaming column j of r to a target
+// attribute whose target value symbols are tv is supported by the critical
+// instances: some value in the column also appears under that attribute in
+// the target (or either side carries no values at all, leaving the rename
+// unconstrained). Without this rule every missing target attribute pairs
+// with every source column and matching degenerates into exploring all n!
+// assignments — the Rosetta Stone principle (§2.2) says the example values
+// are exactly the evidence that disambiguates.
+func renameEvidence(r *relation.Relation, j int, tv map[relation.Symbol]bool) bool {
 	if len(tv) == 0 || r.Len() == 0 {
 		return true
-	}
-	j := r.AttrIndex(a)
-	if j < 0 {
-		return false
 	}
 	// Existence check over the raw symbol column: this runs once per
 	// (column, missing-attribute) pair on every expanded state.
@@ -561,8 +658,7 @@ func (p *mappingProblem) renameEvidence(r *relation.Relation, a, to string) bool
 
 // dropMoves proposes π̄: drop a column the target does not use. Dropping is
 // never needed for containment alone, but it enables merges (Example 2).
-func (p *mappingProblem) dropMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) dropMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		if r.Arity() <= 1 {
 			continue
@@ -580,8 +676,7 @@ func (p *mappingProblem) dropMoves(x *expCtx) []fira.Op {
 // promoteMoves proposes ↑: promote a column whose values include target
 // attribute names, pairing it with a value column whose values the target
 // knows.
-func (p *mappingProblem) promoteMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) promoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		attrs := r.AttrView()
 		for nj, nameAttr := range attrs {
@@ -628,8 +723,7 @@ func (p *mappingProblem) columnFeedsTargetValues(r *relation.Relation, j int) bo
 // demoteMoves proposes ↓ when the state's metadata (relation or attribute
 // names) appears among the target's data values, i.e. metadata must become
 // data.
-func (p *mappingProblem) demoteMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) demoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		if r.HasAttr(fira.DemoteRelCol) || r.HasAttr(fira.DemoteAttCol) {
 			continue
@@ -653,8 +747,7 @@ func (p *mappingProblem) demoteMoves(x *expCtx) []fira.Op {
 
 // derefMoves proposes →: dereference a column whose values all name
 // attributes of the relation into a fresh target attribute.
-func (p *mappingProblem) derefMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) derefMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		for pj, ptr := range r.AttrView() {
 			vals := r.DistinctSymbols(pj)
@@ -690,8 +783,7 @@ func (p *mappingProblem) derefMoves(x *expCtx) []fira.Op {
 
 // partitionMoves proposes ℘ on columns whose values include target relation
 // names.
-func (p *mappingProblem) partitionMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) partitionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		for j, a := range r.AttrView() {
 			if p.prune {
@@ -714,9 +806,8 @@ func (p *mappingProblem) partitionMoves(x *expCtx) []fira.Op {
 
 // productMoves proposes × between attribute-disjoint relations when some
 // target relation spans attributes of both operands.
-func (p *mappingProblem) productMoves(x *expCtx) []fira.Op {
+func (p *mappingProblem) productMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	rels := x.rels
-	var ops []fira.Op
 	for i, l := range rels {
 		for j, r := range rels {
 			if i == j {
@@ -746,7 +837,7 @@ func attrDisjoint(l, r *relation.Relation) bool {
 // targetSpans reports whether some target relation uses at least one
 // attribute from each operand, making their product plausibly useful.
 func (p *mappingProblem) targetSpans(l, r *relation.Relation) bool {
-	for _, t := range p.target.Relations() {
+	for _, t := range p.target.RelationView() {
 		hasL, hasR := false, false
 		for _, a := range t.AttrView() {
 			if l.HasAttr(a) {
@@ -767,12 +858,11 @@ func (p *mappingProblem) targetSpans(l, r *relation.Relation) bool {
 // the state has more relations than the target needs: two relations whose
 // names the target does not use, with identical attribute sets, collapse
 // into one. Without pruning, any ordered pair of relations qualifies.
-func (p *mappingProblem) unionMoves(x *expCtx) []fira.Op {
+func (p *mappingProblem) unionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	if p.prune && x.db.Len() <= p.target.Len() {
-		return nil
+		return ops
 	}
 	rels := x.rels
-	var ops []fira.Op
 	for i, l := range rels {
 		for j, r := range rels {
 			if i == j {
@@ -806,8 +896,7 @@ func sameAttrSet(l, r *relation.Relation) bool {
 
 // mergeMoves proposes µ on relations that contain absent (empty) cells —
 // the only situation in which merging changes anything.
-func (p *mappingProblem) mergeMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) mergeMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		if p.prune && !r.HasEmptyCell() {
 			continue
@@ -822,8 +911,7 @@ func (p *mappingProblem) mergeMoves(x *expCtx) []fira.Op {
 // applyMoves proposes λ for each user-indicated correspondence applicable
 // to a state relation (§4): the relation covers the input attributes, lacks
 // the output attribute, and the output attribute is one the target wants.
-func (p *mappingProblem) applyMoves(x *expCtx) []fira.Op {
-	var ops []fira.Op
+func (p *mappingProblem) applyMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, c := range p.corrs {
 		for _, r := range x.rels {
 			if c.Rel != "" && c.Rel != r.Name() {

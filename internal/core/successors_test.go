@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"tupelo/internal/datagen"
+	"tupelo/internal/faults"
 	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/lambda"
@@ -218,5 +220,72 @@ func TestApplyCandidateFiltering(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("expected exactly 1 λ candidate, got %d: %v", count, labels)
+	}
+}
+
+// TestExpansionAllocations bounds what one whole discovery allocates:
+// MatchingPair(12) under IDA*/h1, a source relation wider than the
+// attribute scan whose every expansion previews 12-attribute ρ^att and π̄
+// children, builds the new ones and estimates them. The budget is the
+// measured 2,563 allocations plus 10%; before the child-key previews and
+// the per-run expansion scratch the same discovery took 3,475.
+func TestExpansionAllocations(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(12)
+	opts := Options{Algorithm: search.IDA, Heuristic: heuristic.H1}
+	const budget = 2819
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := Discover(src, tgt, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Discover(MatchingPair(12), IDA/h1): %.0f allocations, budget %d", got, budget)
+	}
+}
+
+// TestPreviewedCandidates pins applyAll's three preview outcomes against
+// the built path (memo off under a FaultHook): a previewed child whose key
+// is the parent's is a no-op, a previewed child the table already holds is
+// that canonical state, and a new one is built and interned under its
+// previewed key.
+func TestPreviewedCandidates(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(4)
+	ops := []fira.Op{
+		fira.RenameAtt{Rel: "S", From: "A1", To: "A1"}, // identity rename
+		fira.RenameAtt{Rel: "S", From: "A1", To: "B1"},
+		fira.RenameAtt{Rel: "S", From: "A1", To: "B1"}, // duplicate of the previous
+		fira.Drop{Rel: "S", Attr: "A2"},
+	}
+	for _, memo := range []bool{true, false} {
+		opts := Options{}
+		if !memo {
+			opts.FaultHook = func(faults.Site, string) {}
+		}
+		opts, err := opts.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newProblem(src, tgt, opts)
+		parent := p.Start().(*dbState)
+		states, err := p.applyAll(parent, nil, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if states[0] != nil {
+			t.Errorf("memo=%v: identity rename yielded a successor", memo)
+		}
+		if states[1] == nil || states[2] != states[1] {
+			t.Errorf("memo=%v: duplicate renames yielded %p and %p, want one canonical state", memo, states[1], states[2])
+		}
+		for i, op := range ops[1:] {
+			ns := states[i+1]
+			want, err := op.Apply(src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ns == nil || ns.key != want.Key() || ns.db.Clone().Key() != ns.key {
+				t.Errorf("memo=%v: %s: successor key does not match the built child", memo, op)
+			}
+		}
 	}
 }

@@ -101,6 +101,24 @@ func (o RenameAtt) Apply(db *relation.Database, _ *lambda.Registry) (*relation.D
 	return db.WithRelation(renamed), nil
 }
 
+// ChildKey previews Apply without building the child: it returns the key
+// the child database would have (its Key's bytes) and the previewed hash of
+// the renamed relation, for relation.Relation.SeedHash once the child is
+// built. It declines (ok is false) whenever Apply would fail, and also
+// where the relation and database previews decline (DESIGN.md §8); the
+// caller then applies the operator.
+func (o RenameAtt) ChildKey(db *relation.Database) (key [16]byte, h relation.ChildHash, ok bool) {
+	r, found := db.Relation(o.Rel)
+	if !found {
+		return key, h, false
+	}
+	if h, ok = r.RenamedHash(o.From, o.To); !ok {
+		return key, h, false
+	}
+	key, ok = db.KeyWith(o.Rel, h)
+	return key, h, ok
+}
+
 func (o RenameAtt) String() string {
 	return fmt.Sprintf("rename_att[%s,%s->%s]", o.Rel, o.From, o.To)
 }
@@ -122,6 +140,22 @@ func (o Drop) Apply(db *relation.Database, _ *lambda.Registry) (*relation.Databa
 		return nil, fmt.Errorf("fira: drop: %v", err)
 	}
 	return db.WithRelation(dropped), nil
+}
+
+// ChildKey previews Apply without building the child, as
+// RenameAtt.ChildKey does: the child database's key and the previewed hash
+// of the relation with Attr dropped, or ok false whenever Apply would fail
+// or a preview declines.
+func (o Drop) ChildKey(db *relation.Database) (key [16]byte, h relation.ChildHash, ok bool) {
+	r, found := db.Relation(o.Rel)
+	if !found {
+		return key, h, false
+	}
+	if h, ok = r.DroppedHash(o.Attr); !ok {
+		return key, h, false
+	}
+	key, ok = db.KeyWith(o.Rel, h)
+	return key, h, ok
 }
 
 func (o Drop) String() string { return fmt.Sprintf("drop[%s,%s]", o.Rel, o.Attr) }

@@ -35,7 +35,9 @@ type Evaluator interface {
 // FIRA operator application this is one replaced slot (or two collapsing
 // into one for unions, one fanning out for partitions); relation.Diff
 // recovers it from any copy-on-write parent/child pair by pointer
-// comparison.
+// comparison. Its slices are borrowed for the call they are passed to:
+// an evaluator reads them and keeps neither slice, so a caller may refill
+// them for its next successor.
 type Delta struct {
 	Removed []*relation.Relation
 	Added   []*relation.Relation
@@ -355,14 +357,10 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 	cp := *p
 	a := &cp
-	remF := make([]*relation.Fragment, len(d.Removed))
-	for i, r := range d.Removed {
-		remF[i] = r.TNFFragment()
-	}
-	addF := make([]*relation.Fragment, len(d.Added))
-	for i, r := range d.Added {
-		addF[i] = r.TNFFragment()
-	}
+	// Almost every delta replaces one relation, so the fragment lists live
+	// on the stack.
+	var remArr, addArr [4]*relation.Fragment
+	remF, addF := appendFrags(remArr[:0], d.Removed), appendFrags(addArr[:0], d.Added)
 
 	if need&needVec != 0 {
 		for _, f := range remF {
@@ -417,6 +415,14 @@ func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 	}
 	a.frags = append(a.frags, addF...)
 	return a
+}
+
+// appendFrags appends the TNF fragment of every relation in rels to dst.
+func appendFrags(dst []*relation.Fragment, rels []*relation.Relation) []*relation.Fragment {
+	for _, r := range rels {
+		dst = append(dst, r.TNFFragment())
+	}
+	return dst
 }
 
 func fragAtts(f *relation.Fragment) []relation.SymbolCount { return f.Atts }

@@ -107,6 +107,12 @@ func (db *Database) Relations() []*Relation {
 	return append([]*Relation(nil), db.rels...)
 }
 
+// RelationView returns the relations in sorted-name order, shared: callers
+// must treat the slice as read-only. It is Relations without the defensive
+// copy, for the move generators that read every relation of every state
+// they expand.
+func (db *Database) RelationView() []*Relation { return db.rels }
+
 // Relation returns the relation with the given name, or false if absent.
 func (db *Database) Relation(name string) (*Relation, bool) {
 	if i, ok := db.find(name); ok {
@@ -243,20 +249,51 @@ func (db *Database) Fingerprint() string {
 // Equal up to hash collisions (see DESIGN.md, "State identity", for the
 // collision-probability argument).
 func (db *Database) Key() string {
+	k := db.keyOf(-1, [16]byte{})
+	return string(k[:])
+}
+
+// keyStackRels is the most relations whose hashes keyOf concatenates in a
+// stack buffer; KeyWith declines beyond it.
+const keyStackRels = 8
+
+// KeyWith previews the Key of db with its relation named name replaced by a
+// relation of the same name whose hash c previews, without building either:
+// the key bytes stay on the stack. It declines (ok is false) when db has no
+// relation named name or holds more than keyStackRels relations.
+func (db *Database) KeyWith(name string, c ChildHash) (key [16]byte, ok bool) {
+	i, found := db.find(name)
+	if !found || !c.set || len(db.rels) > keyStackRels {
+		return key, false
+	}
+	return db.keyOf(i, c.sum), true
+}
+
+// keyOf computes Key's bytes with relation i's hash taken as h (no
+// substitution when i is -1).
+func (db *Database) keyOf(i int, h [16]byte) [16]byte {
+	hashOf := func(k int) [16]byte {
+		if k == i {
+			return h
+		}
+		return db.rels[k].Hash()
+	}
 	if len(db.rels) == 1 {
 		// A single relation's hash already covers its name and full
 		// canonical form; re-hashing it adds nothing. This is the common
 		// case for the paper's synthetic matching states.
-		h := db.rels[0].Hash()
-		return string(h[:])
+		return hashOf(0)
 	}
-	buf := make([]byte, 0, 16*len(db.rels))
-	for _, r := range db.rels {
-		h := r.Hash()
-		buf = append(buf, h[:]...)
+	var bufArr [16 * keyStackRels]byte
+	buf := bufArr[:0]
+	if len(db.rels) > keyStackRels {
+		buf = make([]byte, 0, 16*len(db.rels))
 	}
-	sum := digest128(buf)
-	return string(sum[:])
+	for k := range db.rels {
+		rh := hashOf(k)
+		buf = append(buf, rh[:]...)
+	}
+	return digest128(buf)
 }
 
 // RelationNames returns the set of relation names, memoized and shared:

@@ -333,6 +333,12 @@ var emptySym = Intern("")
 // content appears in both slices; delta-merging it out and back in is a
 // no-op, so callers need not special-case it.
 func Diff(parent, child *Database) (removed, added []*Relation) {
+	return AppendDiff(nil, nil, parent, child)
+}
+
+// AppendDiff is Diff appending to caller-owned slices, so a caller that
+// diffs every successor it creates can reuse one pair of slices.
+func AppendDiff(removed, added []*Relation, parent, child *Database) ([]*Relation, []*Relation) {
 	// Both slices are name-sorted, so a single merge pass aligns the slots.
 	i, j := 0, 0
 	for i < len(parent.rels) && j < len(child.rels) {

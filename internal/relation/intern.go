@@ -123,22 +123,22 @@ func strsSnapshot() []string {
 	return s
 }
 
-// sigOrdSnapshot is strsSnapshot's counterpart for the content signatures
-// and the order keys, both taken under one RLock.
-func sigOrdSnapshot() ([]sigPair, []uint64) {
+// hashSnapshot is strsSnapshot's counterpart for the hash core: the content
+// signatures, the order keys and the strings, all taken under one RLock.
+func hashSnapshot() ([]sigPair, []uint64, []string) {
 	in := globalIntern
 	in.mu.RLock()
-	sigs, ords := in.sigs, in.ords
+	sigs, ords, strs := in.sigs, in.ords, in.strs
 	in.mu.RUnlock()
-	return sigs, ords
+	return sigs, ords, strs
 }
 
 // SymbolOrder returns a comparator that orders symbols as their strings
 // order, over one snapshot of the dictionary taken now: it covers every
 // symbol issued before the call. It compares order keys and falls back to
-// the strings only when two keys tie — the rule attribute sorting shares
-// (orderedLess) — so operators that must order cells the way their strings
-// order, independent of interning order, never decode a cell.
+// the strings only when two keys tie — the rule attribute sorting applies
+// too (sortAttrs) — so operators that must order cells the way their
+// strings order, independent of interning order, never decode a cell.
 func SymbolOrder() func(a, b Symbol) int {
 	in := globalIntern
 	in.mu.RLock()

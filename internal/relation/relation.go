@@ -984,32 +984,36 @@ func (r *Relation) Fingerprint() string {
 // order — the column order every canonical rendering (fingerprint, hash)
 // shares, so projections of both sides of any comparison align.
 func (r *Relation) sortedAttrOrder() []int {
-	_, ords := sigOrdSnapshot()
-	return r.appendSortedAttrOrder(make([]int, 0, len(r.attrs)), ords)
+	_, ords, strs := hashSnapshot()
+	n := len(r.attrSyms)
+	return sortAttrs(make([]int, 0, n), make([]uint64, 0, n), r.attrSyms, -1, ords, strs)
 }
 
-// appendSortedAttrOrder appends the sorted attribute positions to order,
-// letting hot callers provide stack-array backing. ords is an order-key
-// snapshot covering the attribute symbols.
-func (r *Relation) appendSortedAttrOrder(order []int, ords []uint64) []int {
-	for i := range r.attrs {
-		order = append(order, i)
-	}
-	// Insertion sort: arities are small (the paper's schemas stay in single
-	// digits) and this avoids sort.Slice's closure and reflection overhead
-	// on a path hit once per relation ever created. It compares order keys
-	// and falls back to the strings only when two keys tie, which is
-	// exactly the string order (see ordKey) and the rule SymbolOrder
-	// applies to cells.
-	less := func(a, b int) bool {
-		return orderedLess(ords[r.attrSyms[a]], ords[r.attrSyms[b]], r.attrs[a], r.attrs[b])
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+// sortAttrs appends to pos the positions of attrSyms, except skip (none when
+// skip is -1), in their strings' order, loading each symbol's order key
+// once into keys, which moves in step with pos. The keys decide unless two
+// tie, and then the strings do: exactly the string order (see ordKey), the
+// rule SymbolOrder applies to cells. Insertion sort: schemas are narrow,
+// and this runs once per relation ever created, so hot callers back pos
+// and keys with stack arrays. Attribute names are unique, so no two
+// positions compare equal.
+func sortAttrs(pos []int, keys []uint64, attrSyms []Symbol, skip int, ords []uint64, strs []string) []int {
+	for k, s := range attrSyms {
+		if k != skip {
+			pos = append(pos, k)
+			keys = append(keys, ords[s])
 		}
 	}
-	return order
+	for i := 1; i < len(pos); i++ {
+		for j := i; j > 0; j-- {
+			if keys[j] > keys[j-1] || keys[j] == keys[j-1] && strs[attrSyms[pos[j]]] >= strs[attrSyms[pos[j-1]]] {
+				break
+			}
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+			pos[j], pos[j-1] = pos[j-1], pos[j]
+		}
+	}
+	return pos
 }
 
 // hash-lane constants, shared with digest128.
@@ -1017,6 +1021,11 @@ const (
 	hashK0 = 0x9e3779b97f4a7c15 // golden-ratio odd constant
 	hashK1 = 0xbf58476d1ce4e5b9 // splitmix64 multiplier
 )
+
+// hashStackMax is the widest schema and the longest relation whose hash
+// scratch (attribute order, row signatures) lives on the stack. Hash heap-
+// allocates beyond it; the child-hash previews decline beyond it.
+const hashStackMax = 32
 
 // Hash returns a 128-bit digest of the relation's canonical identity,
 // memoized. Equal relations have equal hashes; distinct relations collide
@@ -1037,70 +1046,86 @@ const (
 func (r *Relation) Hash() [16]byte {
 	m := &r.memo
 	m.hashOnce.Do(func() {
-		sigs, ords := sigOrdSnapshot()
-		// Hash runs once per relation ever created — millions per search —
-		// so the two scratch slices live in stack arrays at the paper's
-		// single-digit arities and tuple counts.
-		var orderArr [attrScanMax]int
-		order := orderArr[:0]
-		if len(r.attrs) > attrScanMax {
-			order = make([]int, 0, len(r.attrs))
-		}
-		order = r.appendSortedAttrOrder(order, ords)
-		h0 := mix64(uint64(len(r.attrs)+1) * hashK0)
-		h1 := mix64(uint64(len(r.attrs)+2) * hashK1)
-		absorb := func(x uint64) {
-			h0 = mix64(h0 ^ (x * hashK1))
-			h1 = mix64(h1 ^ (x * hashK0))
-		}
-		ns := sigs[r.nameSym]
-		absorb(ns.lo)
-		absorb(ns.hi)
-		for _, j := range order {
-			as := sigs[r.attrSyms[j]]
-			absorb(as.lo)
-			absorb(as.hi)
-		}
-		absorb(uint64(r.nrows))
-		// One signature per row: chain the cell signatures in sorted-attr
-		// order, then sort the row signatures for permutation invariance
-		// (rows are deduplicated; equal signatures mean — up to a collision
-		// — equal rows, so ordering ties is immaterial). Insertion sort:
-		// successor states mutate tiny critical instances.
-		var rowSigArr [16]sigPair
-		rowSigs := rowSigArr[:0]
-		if r.nrows > len(rowSigArr) {
-			rowSigs = make([]sigPair, 0, r.nrows)
-		}
-		for i := 0; i < r.nrows; i++ {
-			s0 := mix64(uint64(len(order)+1) * hashK0)
-			s1 := mix64(uint64(len(order)+2) * hashK1)
-			for _, j := range order {
-				cs := sigs[r.cols[j][i]]
-				s0 = mix64(s0 ^ (cs.lo * hashK1))
-				s1 = mix64(s1 ^ (cs.lo * hashK0))
-				s0 = mix64(s0 ^ (cs.hi * hashK1))
-				s1 = mix64(s1 ^ (cs.hi * hashK0))
-			}
-			rowSigs = append(rowSigs, sigPair{lo: s0, hi: s1})
-		}
-		for i := 1; i < len(rowSigs); i++ {
-			for j := i; j > 0 && sigLess(rowSigs[j], rowSigs[j-1]); j-- {
-				rowSigs[j], rowSigs[j-1] = rowSigs[j-1], rowSigs[j]
-			}
-		}
-		for _, rs := range rowSigs {
-			absorb(rs.lo)
-			absorb(rs.hi)
-		}
-		// Cross the lanes once so each output half depends on every input.
-		h0, h1 = mix64(h0^h1), mix64(h1+h0)
-		var out [16]byte
-		putLeUint64(out[0:8], h0)
-		putLeUint64(out[8:16], h1)
-		m.hash = out
+		m.hash = hashCore(r.nameSym, r.attrSyms, r.cols, -1, r.nrows, nil)
 	})
 	return m.hash
+}
+
+// hashCore is the relation hash behind Hash and the child-hash previews
+// (preview.go): the digest of a relation named nameSym whose schema is
+// attrSyms without the attribute at position skip (none when skip is -1),
+// whose column k is cols[k], and whose rows are the positions keep of those
+// columns — all nrows rows when keep is nil. It reads nothing else, so a
+// preview hands it a parent's columns under the child's schema. Up to
+// hashStackMax attributes and rows, every scratch slice lives on the stack.
+func hashCore(nameSym Symbol, attrSyms []Symbol, cols [][]Symbol, skip, nrows int, keep []int) [16]byte {
+	sigs, ords, strs := hashSnapshot()
+	var posArr [hashStackMax]int
+	var keyArr [hashStackMax]uint64
+	pos, keys := posArr[:0], keyArr[:0]
+	if len(attrSyms) > hashStackMax {
+		pos, keys = make([]int, 0, len(attrSyms)), make([]uint64, 0, len(attrSyms))
+	}
+	pos = sortAttrs(pos, keys, attrSyms, skip, ords, strs)
+	h0 := mix64(uint64(len(pos)+1) * hashK0)
+	h1 := mix64(uint64(len(pos)+2) * hashK1)
+	absorb := func(x uint64) {
+		h0 = mix64(h0 ^ (x * hashK1))
+		h1 = mix64(h1 ^ (x * hashK0))
+	}
+	ns := sigs[nameSym]
+	absorb(ns.lo)
+	absorb(ns.hi)
+	for _, k := range pos {
+		as := sigs[attrSyms[k]]
+		absorb(as.lo)
+		absorb(as.hi)
+	}
+	if keep != nil {
+		nrows = len(keep)
+	}
+	absorb(uint64(nrows))
+	// One signature per row: chain the cell signatures in sorted-attr
+	// order, then sort the row signatures for permutation invariance (rows
+	// are deduplicated; equal signatures mean — up to a collision — equal
+	// rows, so ordering ties is immaterial). Insertion sort: successor
+	// states mutate tiny critical instances.
+	var rowSigArr [hashStackMax]sigPair
+	rowSigs := rowSigArr[:0]
+	if nrows > hashStackMax {
+		rowSigs = make([]sigPair, 0, nrows)
+	}
+	for t := 0; t < nrows; t++ {
+		i := t
+		if keep != nil {
+			i = keep[t]
+		}
+		s0 := mix64(uint64(len(pos)+1) * hashK0)
+		s1 := mix64(uint64(len(pos)+2) * hashK1)
+		for _, k := range pos {
+			cs := sigs[cols[k][i]]
+			s0 = mix64(s0 ^ (cs.lo * hashK1))
+			s1 = mix64(s1 ^ (cs.lo * hashK0))
+			s0 = mix64(s0 ^ (cs.hi * hashK1))
+			s1 = mix64(s1 ^ (cs.hi * hashK0))
+		}
+		rowSigs = append(rowSigs, sigPair{lo: s0, hi: s1})
+	}
+	for i := 1; i < len(rowSigs); i++ {
+		for j := i; j > 0 && sigLess(rowSigs[j], rowSigs[j-1]); j-- {
+			rowSigs[j], rowSigs[j-1] = rowSigs[j-1], rowSigs[j]
+		}
+	}
+	for _, rs := range rowSigs {
+		absorb(rs.lo)
+		absorb(rs.hi)
+	}
+	// Cross the lanes once so each output half depends on every input.
+	h0, h1 = mix64(h0^h1), mix64(h1+h0)
+	var out [16]byte
+	putLeUint64(out[0:8], h0)
+	putLeUint64(out[8:16], h1)
+	return out
 }
 
 // sigLess orders signature pairs lexicographically; the canonical row order
