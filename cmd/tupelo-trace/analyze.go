@@ -24,44 +24,13 @@ type input struct {
 	report *obs.RunReport
 	bench  *experiments.BenchReport
 	flight *flightDump
-	trace  []traceEvent
+	trace  []obs.EventRecord
 }
 
-// flightDump is a parsed tupelo-flight/v1 JSONL stream.
+// flightDump is a parsed tupelo-flight/v2 JSONL stream.
 type flightDump struct {
-	Header  flightHeader
-	Records []flightRecord
-}
-
-type flightHeader struct {
-	Schema   string    `json:"schema"`
-	Start    time.Time `json:"start"`
-	RingSize int       `json:"ring_size"`
-	Rings    int       `json:"rings"`
-	Cause    string    `json:"cause"`
-}
-
-type flightRecord struct {
-	Ring string `json:"ring"`
-	I    uint64 `json:"i"`
-	AtNS int64  `json:"at_ns"`
-	Kind string `json:"kind"`
-	Seq  uint32 `json:"seq"`
-	A    int32  `json:"a"`
-	B    int32  `json:"b"`
-}
-
-// traceEvent is the wire form of one obs.Event as written by
-// obs.NewJSONTracer (tupelo discover -trace-json).
-type traceEvent struct {
-	Kind      string `json:"kind"`
-	Label     string `json:"label"`
-	Seq       int    `json:"seq"`
-	N         int    `json:"n"`
-	Depth     int    `json:"depth"`
-	Goal      bool   `json:"goal"`
-	Err       string `json:"err"`
-	ElapsedNS int64  `json:"elapsed_ns"`
+	Header  obs.FlightHeader
+	Records []obs.EventRecord
 }
 
 // detectInput sniffs the artifact format from the first JSON value: the
@@ -112,27 +81,27 @@ func parseFlight(data []byte) (*input, error) {
 	if err := json.Unmarshal(sc.Bytes(), &d.Header); err != nil {
 		return nil, fmt.Errorf("flight dump header: %v", err)
 	}
-	for sc.Scan() {
-		var rec flightRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("flight dump record %d: %v", len(d.Records), err)
-		}
-		d.Records = append(d.Records, rec)
-	}
-	return &input{kind: "flight", flight: d}, sc.Err()
+	recs, err := parseRecords(sc, "flight dump record")
+	d.Records = recs
+	return &input{kind: "flight", flight: d}, err
 }
 
 func parseTrace(data []byte) (*input, error) {
-	var events []traceEvent
-	sc := newLineScanner(data)
+	recs, err := parseRecords(newLineScanner(data), "trace event")
+	return &input{kind: "trace", trace: recs}, err
+}
+
+// parseRecords decodes the remaining JSONL lines as event records.
+func parseRecords(sc *bufio.Scanner, what string) ([]obs.EventRecord, error) {
+	var recs []obs.EventRecord
 	for sc.Scan() {
-		var e traceEvent
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("trace event %d: %v", len(events), err)
+		var rec obs.EventRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("%s %d: %v", what, len(recs), err)
 		}
-		events = append(events, e)
+		recs = append(recs, rec)
 	}
-	return &input{kind: "trace", trace: events}, sc.Err()
+	return recs, sc.Err()
 }
 
 // newLineScanner returns a scanner sized for long JSONL lines.
@@ -196,7 +165,72 @@ func summarizeReport(w io.Writer, r *obs.RunReport) error {
 		fmt.Fprintln(w, "  spans:")
 		writeSpan(w, r.Span, "    ")
 	}
+	if r.Perf != nil {
+		writeProfile(w, r.Perf)
+	}
 	return nil
+}
+
+// writeProfile renders a report's performance profile: the expansion line,
+// then the depth, operator and timeline tables.
+func writeProfile(w io.Writer, p *obs.RunProfile) {
+	fmt.Fprintf(w, "expansions: %d (total %s); moves offered: %d\n",
+		p.Expansions, time.Duration(p.ExpandNS), p.Moves)
+	if len(p.Depths) > 0 {
+		fmt.Fprintf(w, "%-6s %11s %8s\n", "depth", "expansions", "moves")
+		for _, d := range p.Depths {
+			fmt.Fprintf(w, "%-6d %11d %8d\n", d.Depth, d.Expansions, d.Moves)
+		}
+	}
+	if len(p.Ops) > 0 {
+		kinds := make([]string, 0, len(p.Ops))
+		for k := range p.Ops {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		fmt.Fprintf(w, "%-14s %9s %8s %12s %10s\n", "operator", "proposed", "applied", "apply total", "apply max")
+		for _, k := range kinds {
+			op := p.Ops[k]
+			fmt.Fprintf(w, "%-14s %9d %8d %12s %10s\n", k, op.Proposed, op.Applied,
+				time.Duration(op.ApplyTotalNS), time.Duration(op.ApplyMaxNS))
+		}
+	}
+	if len(p.Timeline) > 1 {
+		fmt.Fprintf(w, "timeline (%d checkpoints, stride %d states):\n", len(p.Timeline), p.Stride)
+		// Render at most 10 evenly spaced rows so long runs stay readable.
+		step := (len(p.Timeline) + 9) / 10
+		prev := obs.ProfileCheckpoint{}
+		for i := 0; i < len(p.Timeline); i += step {
+			c := p.Timeline[i]
+			fmt.Fprintf(w, "  +%-12s %8d states %10.0f states/sec %6.1f%% cache hits",
+				time.Duration(c.OffsetNS), c.Examined, statesPerSec(prev, c), hitPercent(c.CacheHits, c.CacheMisses))
+			if c.MemoHits+c.MemoMisses > 0 {
+				fmt.Fprintf(w, " %6.1f%% memo hits", hitPercent(c.MemoHits, c.MemoMisses))
+			}
+			fmt.Fprintln(w)
+			prev = c
+		}
+	}
+	if p.SlicesDropped > 0 {
+		fmt.Fprintf(w, "(%d expansion slices beyond the first %d not recorded)\n", p.SlicesDropped, len(p.Slices))
+	}
+}
+
+// statesPerSec is the throughput between two checkpoints; 0 when no time
+// passed.
+func statesPerSec(prev, c obs.ProfileCheckpoint) float64 {
+	if dt := c.OffsetNS - prev.OffsetNS; dt > 0 {
+		return float64(c.Examined-prev.Examined) / time.Duration(dt).Seconds()
+	}
+	return 0
+}
+
+// hitPercent is a hit rate in percent; 0 without lookups.
+func hitPercent(hits, misses int64) float64 {
+	if n := hits + misses; n > 0 {
+		return 100 * float64(hits) / float64(n)
+	}
+	return 0
 }
 
 func bestQuality(qs []obs.HeuristicQuality) *obs.HeuristicQuality {
@@ -255,44 +289,63 @@ func summarizeFlight(w io.Writer, d *flightDump) error {
 		fmt.Fprintf(w, ", cause: %s", h.Cause)
 	}
 	fmt.Fprintln(w)
-	type ringSummary struct {
-		count  int
-		byKind map[string]int
-		last   flightRecord
-	}
-	rings := map[string]*ringSummary{}
-	var order []string
-	for _, rec := range d.Records {
-		rs := rings[rec.Ring]
-		if rs == nil {
-			rs = &ringSummary{byKind: map[string]int{}}
-			rings[rec.Ring] = rs
-			order = append(order, rec.Ring)
+	for _, ring := range ringsOf(d.Records) {
+		byKind := map[string]int{}
+		for _, rec := range ring {
+			byKind[rec.Kind]++
 		}
-		rs.count++
-		rs.byKind[rec.Kind]++
-		rs.last = rec
-	}
-	for _, name := range order {
-		rs := rings[name]
-		kinds := make([]string, 0, len(rs.byKind))
-		for k := range rs.byKind {
+		kinds := make([]string, 0, len(byKind))
+		for k := range byKind {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
 		var parts []string
 		for _, k := range kinds {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, rs.byKind[k]))
+			parts = append(parts, fmt.Sprintf("%s=%d", k, byKind[k]))
 		}
-		fmt.Fprintf(w, "  ring %-10s %6d records (%s), last: %s seq=%d a=%d b=%d at +%s\n",
-			name, rs.count, strings.Join(parts, " "),
-			rs.last.Kind, rs.last.Seq, rs.last.A, rs.last.B,
-			time.Duration(rs.last.AtNS).Round(time.Microsecond))
+		last := ring[len(ring)-1]
+		fmt.Fprintf(w, "  ring %d %-18s %6d records (%s), last: %s at +%s\n",
+			last.Ring, last.Label, len(ring), strings.Join(parts, " "),
+			payload(last), time.Duration(last.AtNS).Round(time.Microsecond))
 	}
 	return nil
 }
 
-func summarizeTrace(w io.Writer, events []traceEvent) error {
+// ringsOf splits dump records into their rings, in dump order: a dump
+// writes each ring's records contiguously, and two rings may share a label.
+func ringsOf(recs []obs.EventRecord) [][]obs.EventRecord {
+	var rings [][]obs.EventRecord
+	start := 0
+	for i := 1; i <= len(recs); i++ {
+		if i == len(recs) || recs[i].Ring != recs[start].Ring {
+			rings = append(rings, recs[start:i])
+			start = i
+		}
+	}
+	return rings
+}
+
+// payload renders a record's kind and its nonzero payload fields.
+func payload(rec obs.EventRecord) string {
+	s := rec.Kind
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"seq", rec.Seq}, {"depth", rec.Depth}, {"n", rec.N}} {
+		if f.v != 0 {
+			s += fmt.Sprintf(" %s=%d", f.name, f.v)
+		}
+	}
+	if rec.Goal {
+		s += " goal"
+	}
+	if rec.Err != "" {
+		s += " err=" + rec.Err
+	}
+	return s
+}
+
+func summarizeTrace(w io.Writer, events []obs.EventRecord) error {
 	byKind := map[string]int{}
 	var order []string
 	solved := false

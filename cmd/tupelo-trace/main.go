@@ -1,10 +1,10 @@
-// Command tupelo-trace analyzes the forensic artifacts the engine emits:
+// Command tupelo-trace renders the forensic artifacts the engine emits:
 // run reports (tupelo-report/v1, from tupelo discover -report or
 // core.BuildReport), benchmark reports (tupelo-bench/v1, from tupelo-bench
-// -bench-out), flight-recorder dumps (tupelo-flight/v1, from tupelo
+// -bench-out), flight-recorder dumps (tupelo-flight/v2, from tupelo
 // discover -flight), and structured JSONL traces (from -trace-json).
 //
-//	tupelo-trace summary FILE          # what ran, what happened, where time went
+//	tupelo-trace summary FILE          # what ran, what happened, where time went (profile tables)
 //	tupelo-trace heuristic FILE        # heuristic-quality ranking (the paper's §5 question)
 //	tupelo-trace diff OLD NEW          # compare two reports of the same kind
 //	tupelo-trace chrome FILE [-o OUT]  # convert to Chrome trace-event JSON (Perfetto)
@@ -85,25 +85,31 @@ func withInput(args []string, n int, fn func([]*input) error) error {
 
 // chromeMain handles the chrome subcommand's optional -o flag.
 func chromeMain(args []string) error {
-	out := os.Stdout
+	var outPath string
 	var files []string
 	for i := 0; i < len(args); i++ {
 		if args[i] == "-o" {
 			if i+1 >= len(args) {
 				return fmt.Errorf("chrome: -o needs a file argument")
 			}
-			f, err := os.Create(args[i+1])
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
+			outPath = args[i+1]
 			i++
 			continue
 		}
 		files = append(files, args[i])
 	}
 	return withInput(files, 1, func(ins []*input) error {
-		return chromeCmd(out, ins[0])
+		if outPath == "" {
+			return chromeCmd(os.Stdout, ins[0])
+		}
+		f, err := os.Create(outPath)
+		if err != nil {
+			return err
+		}
+		if err := chromeCmd(f, ins[0]); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	})
 }

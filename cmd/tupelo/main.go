@@ -14,6 +14,8 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -71,7 +73,6 @@ func usage() {
                   [-portfolio default|SPEC,SPEC,...] [-retries N]
                   [-simplify] [-pretty] [-stats]
                   [-trace] [-trace-json FILE] [-trace-sample N]
-                  [-profile FILE] [-trace-chrome FILE]
                   [-report FILE] [-flight FILE]
                   [-metrics] [-metrics-addr HOST:PORT] [-pprof-addr HOST:PORT]
                   (a portfolio SPEC is algo/heuristic or algo/heuristic/K,
@@ -147,11 +148,9 @@ func cmdDiscover(args []string) error {
 	stats := fs.Bool("stats", false, "print search statistics to stderr")
 	trace := fs.Bool("trace", false, "print a search transcript (goal tests, expansions, portfolio members) to stderr")
 	traceJSON := fs.String("trace-json", "", "write the full structured event stream as JSON Lines to FILE")
-	profilePath := fs.String("profile", "", "write a per-run performance profile (text report) to FILE")
-	traceChrome := fs.String("trace-chrome", "", "write a Chrome trace_event JSON profile (chrome://tracing, Perfetto) to FILE")
 	sampleN := fs.Int("trace-sample", 0, "forward only every Nth high-frequency trace event (0 or 1 = all)")
-	reportPath := fs.String("report", "", "write a tupelo-report/v1 run report (JSON) to FILE, even on an aborted run (analyze with tupelo-trace)")
-	flightPath := fs.String("flight", "", "arm the flight recorder; its rings are dumped as tupelo-flight/v1 JSONL to FILE only when the run dies abnormally (panic, memory abort, deadline)")
+	reportPath := fs.String("report", "", "write a tupelo-report/v1 run report (JSON, with the performance profile) to FILE, even on an aborted run (render with tupelo-trace summary or chrome)")
+	flightPath := fs.String("flight", "", "arm the flight recorder; its rings are dumped as tupelo-flight/v2 JSONL to FILE only when the run dies abnormally (panic, memory abort, deadline)")
 	metrics := fs.Bool("metrics", false, "print a metrics snapshot (Prometheus text format) to stderr after the run")
 	metricsAddr := fs.String("metrics-addr", "", "serve metrics over HTTP at HOST:PORT (/metrics; ?format=json) for the run's duration")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof at HOST:PORT (/debug/pprof/) for the run's duration")
@@ -198,31 +197,23 @@ func cmdDiscover(args []string) error {
 	if *trace {
 		tracers = append(tracers, tupelo.NewWriterTracer(os.Stderr))
 	}
+	// Each requested artifact is finished after the run, even an aborted
+	// one; one that fails to write is reported and fails the command once
+	// the mapping is printed.
+	type artifact struct {
+		flag   string
+		finish func() error
+	}
+	var artifacts []artifact
 	if *traceJSON != "" {
 		f, ferr := os.Create(*traceJSON)
 		if ferr != nil {
 			return fmt.Errorf("trace-json: %v", ferr)
 		}
-		defer f.Close()
-		tracers = append(tracers, tupelo.NewJSONTracer(f))
-	}
-	if *profilePath != "" || *traceChrome != "" {
-		prof := tupelo.NewProfile()
-		tracers = append(tracers, prof)
-		// Deferred so an aborted run (deadline, budget) still yields its
-		// partial profile.
-		defer func() {
-			if *profilePath != "" {
-				if werr := writeFileWith(*profilePath, prof.WriteReport); werr != nil {
-					fmt.Fprintf(os.Stderr, "tupelo: profile: %v\n", werr)
-				}
-			}
-			if *traceChrome != "" {
-				if werr := writeFileWith(*traceChrome, prof.WriteChromeTrace); werr != nil {
-					fmt.Fprintf(os.Stderr, "tupelo: trace-chrome: %v\n", werr)
-				}
-			}
-		}()
+		defer f.Close() // for early returns; the artifact checks its Close
+		jt := tupelo.NewJSONTracer(f)
+		tracers = append(tracers, jt)
+		artifacts = append(artifacts, artifact{"trace-json", func() error { return cmp.Or(jt.Err(), f.Close()) }})
 	}
 	switch len(tracers) {
 	case 1:
@@ -235,8 +226,8 @@ func cmdDiscover(args []string) error {
 	if *sampleN > 1 && opts.Tracer != nil {
 		opts.Tracer = tupelo.SampleTracer(opts.Tracer, *sampleN)
 	}
-	// The report builder rides outside the sampling wrapper: its cache
-	// accounting must see every event, not every Nth.
+	// The report builder rides outside the sampling wrapper: its tables
+	// must count every event, not every Nth.
 	var reportBuilder *tupelo.ReportBuilder
 	if *reportPath != "" {
 		reportBuilder = tupelo.NewReportBuilder()
@@ -251,17 +242,24 @@ func cmdDiscover(args []string) error {
 		if ferr != nil {
 			return fmt.Errorf("flight: %v", ferr)
 		}
-		defer f.Close()
+		defer f.Close() // for early returns; the artifact checks its Close
+		// The dump is flushed from inside the run, which drops its write
+		// error; buffering it lets the artifact check the write.
+		var dump bytes.Buffer
 		fr := tupelo.NewFlightRecorder(0)
-		fr.SetAutoDump(f)
+		fr.SetAutoDump(&dump)
 		opts.Flight = fr
+		artifacts = append(artifacts, artifact{"flight", func() error {
+			_, err := f.Write(dump.Bytes())
+			return cmp.Or(err, f.Close())
+		}})
 	}
 	if *pprofAddr != "" {
 		if err := servePprof(*pprofAddr); err != nil {
 			return err
 		}
 	}
-	if *metrics || *metricsAddr != "" || *reportPath != "" {
+	if *metrics || *metricsAddr != "" {
 		reg := tupelo.NewMetrics()
 		opts.Metrics = reg
 		if *metricsAddr != "" {
@@ -317,15 +315,21 @@ func cmdDiscover(args []string) error {
 	if *reportPath != "" {
 		// Written even when discovery failed: the report carries the abort
 		// cause and whatever the run learned before dying.
-		werr := writeFileWith(*reportPath, func(w io.Writer) error {
-			rep, berr := tupelo.BuildReport(res, runErr, src.DB, tgt.DB, opts, reportBuilder)
-			if berr != nil {
-				return berr
-			}
-			return tupelo.WriteRunReport(w, rep)
-		})
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "tupelo: report: %v\n", werr)
+		artifacts = append(artifacts, artifact{"report", func() error {
+			return writeFileWith(*reportPath, func(w io.Writer) error {
+				rep, err := tupelo.BuildReport(res, runErr, src.DB, tgt.DB, opts, reportBuilder)
+				if err != nil {
+					return err
+				}
+				return tupelo.WriteRunReport(w, rep)
+			})
+		}})
+	}
+	failed := 0
+	for _, a := range artifacts {
+		if err := a.finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "tupelo: %s: %v\n", a.flag, err)
+			failed++
 		}
 	}
 	if runErr != nil {
@@ -348,6 +352,9 @@ func cmdDiscover(args []string) error {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "algorithm=%s heuristic=%s k=%g states=%d generated=%d depth=%d\n",
 			res.Algorithm, res.Heuristic, res.K, res.Stats.Examined, res.Stats.Generated, res.Stats.Depth)
+	}
+	if failed > 0 {
+		return fmt.Errorf("discover: %d requested artifact(s) not written", failed)
 	}
 	return nil
 }

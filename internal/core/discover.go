@@ -71,7 +71,7 @@ func DiscoverContext(ctx context.Context, source, target *relation.Database, opt
 	if err != nil {
 		return nil, err
 	}
-	res, derr := discoverNormalized(ctx, source, target, opts)
+	res, derr := discoverNormalized(ctx, source, target, opts, "")
 	// The search has returned: if the run died in a way that requested a
 	// flight dump (panic, memory, deadline), flush it now, at the one point
 	// where no ring can still be written. Portfolio races flush at their own
@@ -82,14 +82,16 @@ func DiscoverContext(ctx context.Context, source, target *relation.Database, opt
 
 // discoverNormalized runs discovery on already-normalized options. Split
 // from DiscoverContext so the portfolio runner, which normalizes each
-// member configuration up front, can launch members directly.
+// member configuration up front, can launch members directly. label names
+// the run in its flight ring and run events: a portfolio member's
+// configuration, or "" for the algorithm name.
 //
 // A panic anywhere in the run — a heuristic evaluated on the search
 // goroutine, the goal test, move generation — is recovered here and
 // returned as a *search.Error wrapping a *search.PanicError, so discovery
 // never takes down the caller. (Operator and pre-warm panics are recovered
 // closer to the site, in applyAll, and arrive as ordinary expansion errors.)
-func discoverNormalized(ctx context.Context, source, target *relation.Database, opts Options) (res *Result, err error) {
+func discoverNormalized(ctx context.Context, source, target *relation.Database, opts Options, label string) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe := search.NewPanicError(fmt.Sprintf("discover %s/%s", opts.Algorithm, cacheLabel(opts)), r)
@@ -101,7 +103,7 @@ func discoverNormalized(ctx context.Context, source, target *relation.Database, 
 			res, err = nil, &search.Error{Err: pe}
 		}
 	}()
-	hooks := obs.Obs{Metrics: opts.Metrics, Trace: opts.Tracer, Flight: opts.Flight}
+	hooks := obs.Obs{Metrics: opts.Metrics, Trace: opts.Tracer, Flight: opts.Flight, Label: label}
 	if hooks.Enabled() || hooks.Flight != nil {
 		// Hand metrics and tracing down to the search algorithms (run
 		// events, per-algorithm examined/generated counters) without

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -138,65 +135,51 @@ func TestPortfolioEventStreamAndMetrics(t *testing.T) {
 	}
 }
 
-// TestProfileOpTableMatchesMetrics: the profile's operator table and the
-// core.ops.proposed/applied counters describe the same applications. A
+// TestProfileOpTableMatchesMetrics: the report profile's operator table and
+// the core.ops.proposed/applied counters describe the same applications. A
 // candidate that fails, returns its input (µ when nothing coalesces) or
 // leaves the state's key unchanged is proposed but not applied in both. The
 // Flights restructuring proposes many merges that coalesce nothing, so the
-// two would disagree there if the trace event marked them as applied.
+// two would disagree there if the trace event marked them as applied. The
+// profile's depth rows sum to its expansion count, which matches the
+// expansion-latency histogram.
 func TestProfileOpTableMatchesMetrics(t *testing.T) {
 	src, tgt, err := datagen.FlightsScaled(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := obs.NewProfile()
+	rb := obs.NewReportBuilder()
 	reg := obs.NewRegistry()
-	if _, err := Discover(src, tgt, Options{Algorithm: search.IDA, Heuristic: heuristic.H1, Tracer: prof, Metrics: reg}); err != nil {
+	opts := Options{Algorithm: search.IDA, Heuristic: heuristic.H1, Tracer: rb, Metrics: reg}
+	res, err := Discover(src, tgt, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var report strings.Builder
-	if err := prof.WriteReport(&report); err != nil {
+	rep, err := BuildReport(res, nil, src, tgt, opts, rb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	table := profileOpTable(t, report.String())
+	p := rep.Perf
+	if p == nil {
+		t.Fatal("report has no profile section")
+	}
 	for _, k := range opKindNames {
 		proposed := reg.Counter(obs.Name("core.ops.proposed", "op", k)).Value()
 		applied := reg.Counter(obs.Name("core.ops.applied", "op", k)).Value()
-		if got := table[k]; got != [2]int64{proposed, applied} {
-			t.Errorf("%s: profile proposed/applied = %d/%d, core.ops = %d/%d", k, got[0], got[1], proposed, applied)
+		if got := p.Ops[k]; got.Proposed != proposed || got.Applied != applied {
+			t.Errorf("%s: profile proposed/applied = %d/%d, core.ops = %d/%d", k, got.Proposed, got.Applied, proposed, applied)
 		}
 	}
-	if m := table["merge"]; m[1] == 0 || m[1] == m[0] {
-		t.Fatalf("merge proposed/applied = %d/%d: the run should apply some merges and reject others", m[0], m[1])
+	if m := p.Ops["merge"]; m.Applied == 0 || m.Applied == m.Proposed {
+		t.Fatalf("merge proposed/applied = %d/%d: the run should apply some merges and reject others", m.Proposed, m.Applied)
 	}
-}
-
-// profileOpTable parses the operator table of a Profile text report into
-// kind → {proposed, applied}.
-func profileOpTable(t *testing.T, report string) map[string][2]int64 {
-	t.Helper()
-	out := make(map[string][2]int64)
-	lines := strings.Split(report, "\n")
-	for i, line := range lines {
-		if !strings.HasPrefix(line, "operator ") {
-			continue
-		}
-		for _, row := range lines[i+1:] {
-			f := strings.Fields(row)
-			if len(f) != 5 {
-				break
-			}
-			proposed, err1 := strconv.ParseInt(f[1], 10, 64)
-			applied, err2 := strconv.ParseInt(f[2], 10, 64)
-			if err1 != nil || err2 != nil {
-				break
-			}
-			out[f[0]] = [2]int64{proposed, applied}
-		}
-		return out
+	var expansions int64
+	for _, d := range p.Depths {
+		expansions += d.Expansions
 	}
-	t.Fatalf("report has no operator table:\n%s", report)
-	return nil
+	if hist := reg.Histogram(obs.Name("search.expand.seconds", "algo", "IDA")).Count(); expansions != p.Expansions || expansions != hist {
+		t.Fatalf("depth rows sum to %d expansions, profile counts %d, histogram %d", expansions, p.Expansions, hist)
+	}
 }
 
 // TestLatencyHistogramsRecorded is the acceptance check for the profiling
@@ -249,39 +232,51 @@ func histNames(s obs.Snapshot) []string {
 	return names
 }
 
-// TestSharedProfileAcrossPortfolio is meaningful under -race: every
-// portfolio member emits into one shared Profile, the
-// intended CLI wiring of tupelo discover -profile -portfolio. The profile
-// must survive the concurrency and still describe the race.
+// TestSharedProfileAcrossPortfolio runs default races, each under one
+// report builder and one flight recorder shared by every member
+// (meaningful under -race). Every member's search carries the member's
+// label: each member span holds its own search span with the same states
+// examined, the win member's search is the solved one, each member records
+// its own flight ring, and the shared profile counts every member's work.
 func TestSharedProfileAcrossPortfolio(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(8)
-	prof := obs.NewProfile()
-	opts := PortfolioOptions{
-		Configs: []PortfolioConfig{
-			{Algorithm: search.RBFS, Heuristic: heuristic.Cosine},
-			{Algorithm: search.IDA, Heuristic: heuristic.H1},
-		},
-	}
-	opts.Options.Tracer = prof
-	if _, err := DiscoverPortfolio(context.Background(), src, tgt, opts); err != nil {
-		t.Fatal(err)
-	}
-	var report strings.Builder
-	if err := prof.WriteReport(&report); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(report.String(), "solved") {
-		t.Fatalf("shared profile lost the winning run:\n%s", report.String())
-	}
-	var trace bytes.Buffer
-	if err := prof.WriteChromeTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(trace.Bytes(), &events); err != nil {
-		t.Fatalf("chrome trace from a portfolio run is not a JSON array: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("chrome trace empty")
+	for race := 0; race < 20; race++ {
+		rb := obs.NewReportBuilder()
+		fr := obs.NewFlightRecorder(0)
+		var popts PortfolioOptions
+		popts.Options.Tracer = rb
+		popts.Options.Flight = fr
+		pres, err := DiscoverPortfolio(context.Background(), src, tgt, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := BuildReport(pres.Result, nil, src, tgt, popts.Options, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := rep.Span.Children
+		if len(members) != len(DefaultPortfolio()) {
+			t.Fatalf("race %d: root holds %d spans, want one per member", race, len(members))
+		}
+		examined := 0
+		for _, m := range members {
+			if m.Kind != "member" || len(m.Children) != 1 {
+				t.Fatalf("race %d: span %s (%s) holds %d children, want its one search", race, m.Name, m.Kind, len(m.Children))
+			}
+			s := m.Children[0]
+			if s.Kind != "search" || s.Name != m.Name || s.Examined != m.Examined {
+				t.Fatalf("race %d: member %s (examined %d) holds %s %s (examined %d)", race, m.Name, m.Examined, s.Kind, s.Name, s.Examined)
+			}
+			if m.Outcome == "win" && s.Outcome != "solved" {
+				t.Fatalf("race %d: win member %s holds a %s search", race, m.Name, s.Outcome)
+			}
+			if len(fr.Records(m.Name)) == 0 {
+				t.Fatalf("race %d: member %s recorded no flight ring of its own", race, m.Name)
+			}
+			examined += s.Examined
+		}
+		if p := rep.Perf; p == nil || p.Timeline[len(p.Timeline)-1].Examined > int64(examined) || p.Expansions == 0 {
+			t.Fatalf("race %d: shared profile %+v does not describe %d states examined", race, rep.Perf, examined)
+		}
 	}
 }

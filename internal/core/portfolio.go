@@ -225,7 +225,7 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 			}
 			tracer.Event(obs.Event{Kind: obs.EvMemberStart, Label: m.label, N: len(members)})
 			start = time.Now()
-			res, err := discoverNormalized(raceCtx, source, target, m.opts)
+			res, err := discoverNormalized(raceCtx, source, target, m.opts, m.label)
 			if err == nil && !res.Partial {
 				// End the race from the winning goroutine itself: waiting
 				// for the collector below to be scheduled can cost a full

@@ -14,8 +14,8 @@ import (
 // BuildReport assembles the tupelo-report/v1 run report for one discovery:
 // the outcome and effort of the run, the effective branching factor, the
 // heuristic-quality profile of every heuristic kind along the found solution
-// path, and — when a ReportBuilder traced the run — the span tree and
-// cache/memo hit rates.
+// path, and — when a ReportBuilder traced the run — the span tree,
+// cache/memo hit rates and the performance profile.
 //
 // res and runErr are the discovery outcome (either may be nil/non-nil as
 // returned by DiscoverContext or DiscoverPortfolio); opts must be the
@@ -57,7 +57,7 @@ func BuildReport(res *Result, runErr error, source, target *relation.Database, o
 		}
 	}
 	if rb != nil {
-		r.Span, r.Caches, r.Memo = rb.Skeleton()
+		rb.Fill(r)
 	}
 	return r, nil
 }

@@ -147,7 +147,7 @@ func TestBuildReportAbort(t *testing.T) {
 
 // TestFlightDumpOnAbort verifies the end-to-end forensic path: a run aborted
 // by its deadline marks the recorder, and the join point flushes a
-// tupelo-flight/v1 dump with the recorded examine events.
+// tupelo-flight/v2 dump with the recorded goal-test events.
 func TestFlightDumpOnAbort(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(8)
 	fr := obs.NewFlightRecorder(256)
@@ -191,9 +191,9 @@ func TestFlightRecordsSolvedRun(t *testing.T) {
 	var examines, finishes int
 	for _, e := range recs {
 		switch e.Kind {
-		case obs.FKExamine:
+		case obs.EvGoalTest:
 			examines++
-		case obs.FKRunFinish:
+		case obs.EvRunFinish:
 			finishes++
 		}
 	}

@@ -3,8 +3,9 @@ package obs
 import "context"
 
 // Obs bundles the observability hooks a run can carry: a metrics registry,
-// a tracer, and a flight recorder. Any or all may be nil; nil instruments
-// are no-ops, and Tracer() substitutes Nop for a nil tracer.
+// a tracer, a flight recorder, and the run's label. Any or all may be
+// zero; nil instruments are no-ops, and Tracer() substitutes Nop for a nil
+// tracer.
 type Obs struct {
 	// Metrics receives counters, gauges, and timers. Nil disables metrics.
 	Metrics *Registry
@@ -13,6 +14,11 @@ type Obs struct {
 	// Flight hands out per-goroutine forensic ring buffers. Nil disables
 	// the flight recorder (rings come back nil; Record is a nil check).
 	Flight *FlightRecorder
+	// Label names the run in its flight ring and its run events: a
+	// portfolio member's configuration, so racing members that share an
+	// algorithm stay apart. Empty means the algorithm name. Metrics keep
+	// the algorithm name either way.
+	Label string
 }
 
 // Tracer returns the configured tracer, or Nop when none is set, so callers

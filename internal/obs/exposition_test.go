@@ -120,6 +120,13 @@ func TestSampleProperty(t *testing.T) {
 		EvRunStart, EvRunFinish, EvGoalTest, EvExpand, EvMove,
 		EvCacheHit, EvCacheMiss, EvMemberStart, EvMemberWin,
 		EvMemberLose, EvMemberCancel, EvOpApply, EvMemoHit, EvMemoMiss,
+		EvPanic,
+	}
+	// The high-frequency kinds: one event per examined state, expansion,
+	// move, operator application, heuristic lookup or memo lookup.
+	sampled := map[EventKind]bool{
+		EvGoalTest: true, EvExpand: true, EvMove: true, EvOpApply: true,
+		EvCacheHit: true, EvCacheMiss: true, EvMemoHit: true, EvMemoMiss: true,
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -150,7 +157,7 @@ func TestSampleProperty(t *testing.T) {
 		}
 		for _, k := range kinds {
 			want := sent[k]
-			if int(k) < len(sampledKinds) && sampledKinds[k] {
+			if sampled[k] {
 				// (2) one in n, first one always through: ceil(k/n).
 				want = (sent[k] + n - 1) / n
 			}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -19,7 +18,7 @@ import (
 // capacity a long one needs; a ring at its cap records without allocating. When a run dies
 // (panic, memory-budget abort, deadline) the rings hold the last ringSize
 // events of every goroutine leading up to the failure, and are dumped as a
-// JSONL stream (`tupelo-flight/v1`) that cmd/tupelo-trace can analyze.
+// JSONL stream (`tupelo-flight/v2`) that cmd/tupelo-trace can analyze.
 // DESIGN.md §11 documents the overhead methodology.
 //
 // Concurrency model: each FlightRing is written by exactly one goroutine
@@ -30,45 +29,17 @@ import (
 // marks the cause; the actual dump is flushed at the top of the engine once
 // every writer has returned.
 
-// FlightKind classifies one flight-recorder record. Kinds are deliberately
-// few and payload fields generic (A, B) to keep the record compact.
-type FlightKind uint8
-
-const (
-	// FKExamine is one examined state: Seq the global examined ordinal,
-	// A the search depth (g), B 1 when the goal test succeeded.
-	FKExamine FlightKind = iota + 1
-	// FKExpand is one successor expansion: A the depth, B the move count.
-	FKExpand
-	// FKRunStart marks a run entering its search loop.
-	FKRunStart
-	// FKRunFinish marks a run leaving its search loop: A 1 when solved.
-	FKRunFinish
-	// FKAbort is a run abort: A an abortCause code (see causeCode).
-	FKAbort
-)
-
-// String names the kind for dumps and debugging.
-func (k FlightKind) String() string {
-	switch k {
-	case FKExamine:
-		return "examine"
-	case FKExpand:
-		return "expand"
-	case FKRunStart:
-		return "run-start"
-	case FKRunFinish:
-		return "run-finish"
-	case FKAbort:
-		return "abort"
-	default:
-		return fmt.Sprintf("FlightKind(%d)", uint8(k))
-	}
-}
-
 // FlightEvent is one compact binary record: 24 bytes, written in place into
-// the ring. At is nanoseconds since the recorder's epoch, refreshed from the
-// wall clock every flightStampInterval records (reading the clock per event
+// the ring. A search loop records four kinds, with Seq, A and B as payload:
+//
+//	EvRunStart   none
+//	EvGoalTest   Seq the examined ordinal, A the depth g, B 1 on a goal
+//	EvExpand     Seq the examined ordinal, A the depth g, B the move count
+//	EvRunFinish  Seq the states examined, A the abort cause code (0 when
+//	             solved; see CauseCode), B the solution depth
+//
+// At is nanoseconds since the recorder's epoch, refreshed from the wall
+// clock every flightStampInterval records (reading the clock per event
 // would cost more than the whole record — see DESIGN.md §11), so it is
 // coarse: accurate to the duration of the last few dozen events.
 type FlightEvent struct {
@@ -76,7 +47,40 @@ type FlightEvent struct {
 	Seq  uint32
 	A    int32
 	B    int32
-	Kind FlightKind
+	Kind EventKind
+}
+
+// record renders one ring record as the JSONL record type, each payload
+// field under the name a tracer gives it for the same kind.
+func (e FlightEvent) record(ring int, label string, i uint64) EventRecord {
+	rec := EventRecord{Kind: e.Kind.String(), Label: label, Ring: ring, I: i, AtNS: e.At}
+	switch e.Kind {
+	case EvGoalTest:
+		rec.Seq, rec.Depth, rec.Goal = int(e.Seq), int(e.A), e.B == 1
+	case EvExpand:
+		rec.Seq, rec.Depth, rec.N = int(e.Seq), int(e.A), int(e.B)
+	case EvRunFinish:
+		rec.N, rec.Depth, rec.Goal = int(e.Seq), int(e.B), e.A == 0
+		if e.A > 0 && int(e.A) < len(causeNames) {
+			rec.Err = causeNames[e.A]
+		}
+	}
+	return rec
+}
+
+// causeNames is the abort-cause vocabulary of search.Error.Cause, indexed
+// by the code an EvRunFinish flight record carries; code 0 is a solved run.
+var causeNames = [...]string{"", "panic", "deadline", "canceled", "memory", "limit", "exhausted", "error"}
+
+// CauseCode is the flight-record code of an abort cause; a name outside the
+// vocabulary gets the code of "error".
+func CauseCode(cause string) int32 {
+	for i := 1; i < len(causeNames); i++ {
+		if causeNames[i] == cause {
+			return int32(i)
+		}
+	}
+	return int32(len(causeNames) - 1)
 }
 
 // flightStampInterval is how many records a ring writes between wall-clock
@@ -199,8 +203,8 @@ func (r *FlightRecorder) FlushDump() {
 	r.dumpOnce.Do(func() { _ = r.Dump(w) })
 }
 
-// flightHeader is the first line of a dump.
-type flightHeader struct {
+// FlightHeader is the first line of a dump.
+type FlightHeader struct {
 	Schema   string    `json:"schema"`
 	Start    time.Time `json:"start"`
 	RingSize int       `json:"ring_size"`
@@ -208,24 +212,14 @@ type flightHeader struct {
 	Cause    string    `json:"cause,omitempty"`
 }
 
-// flightRecordJSON is one dumped record.
-type flightRecordJSON struct {
-	Ring string `json:"ring"`
-	I    uint64 `json:"i"`
-	AtNS int64  `json:"at_ns"`
-	Kind string `json:"kind"`
-	Seq  uint32 `json:"seq,omitempty"`
-	A    int32  `json:"a,omitempty"`
-	B    int32  `json:"b,omitempty"`
-}
-
 // FlightSchema identifies the dump format: a JSONL stream whose first line
-// is a header object and whose remaining lines are records, oldest first
-// within each ring. The format is stable in the same sense as
-// tupelo-report/v1: fields may be added, never renamed.
-const FlightSchema = "tupelo-flight/v1"
+// is a FlightHeader and whose remaining lines are EventRecords, ring by
+// ring (Ring numbers them from 1), oldest first within each ring. Fields
+// may be added, never renamed; v2 replaced v1's opaque a/b payload fields
+// with the tracer's names and its string ring field with a ring number.
+const FlightSchema = "tupelo-flight/v2"
 
-// Dump writes the recorder contents as a tupelo-flight/v1 JSONL stream:
+// Dump writes the recorder contents as a tupelo-flight/v2 JSONL stream:
 // header line, then every ring's surviving records oldest-first. The caller
 // must guarantee quiescence (no goroutine still recording); dumps taken
 // while writers run would be torn.
@@ -235,7 +229,7 @@ func (r *FlightRecorder) Dump(w io.Writer) error {
 	}
 	r.mu.Lock()
 	rings := append([]*FlightRing(nil), r.rings...)
-	hdr := flightHeader{
+	hdr := FlightHeader{
 		Schema:   FlightSchema,
 		Start:    r.start,
 		RingSize: r.size,
@@ -247,23 +241,13 @@ func (r *FlightRecorder) Dump(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, g := range rings {
+	for n, g := range rings {
 		lo := uint64(0)
 		if g.pos > uint64(len(g.rec)) {
 			lo = g.pos - uint64(len(g.rec))
 		}
 		for i := lo; i < g.pos; i++ {
-			e := g.rec[i&g.mask]
-			rec := flightRecordJSON{
-				Ring: g.label,
-				I:    i,
-				AtNS: e.At,
-				Kind: e.Kind.String(),
-				Seq:  e.Seq,
-				A:    e.A,
-				B:    e.B,
-			}
-			if err := enc.Encode(rec); err != nil {
+			if err := enc.Encode(g.rec[i&g.mask].record(n+1, g.label, i)); err != nil {
 				return err
 			}
 		}
@@ -313,7 +297,7 @@ type FlightRing struct {
 // that is full but below its cap doubles in that same amortized branch:
 // before the first wrap record i sits at index i under either mask, so the
 // old records copy over in place.
-func (g *FlightRing) Record(k FlightKind, seq uint32, a, b int32) {
+func (g *FlightRing) Record(k EventKind, seq uint32, a, b int32) {
 	if g == nil {
 		return
 	}

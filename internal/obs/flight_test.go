@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ func TestFlightRingRecordAndRecords(t *testing.T) {
 	r := NewFlightRecorder(8)
 	g := r.Ring("main")
 	for i := 0; i < 5; i++ {
-		g.Record(FKExamine, uint32(i+1), int32(i), 0)
+		g.Record(EvGoalTest, uint32(i+1), int32(i), 0)
 	}
 	if g.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", g.Len())
@@ -24,7 +25,7 @@ func TestFlightRingRecordAndRecords(t *testing.T) {
 		t.Fatalf("Records = %d, want 5", len(recs))
 	}
 	for i, e := range recs {
-		if e.Kind != FKExamine || e.Seq != uint32(i+1) || e.A != int32(i) {
+		if e.Kind != EvGoalTest || e.Seq != uint32(i+1) || e.A != int32(i) {
 			t.Fatalf("record %d = %+v", i, e)
 		}
 	}
@@ -34,7 +35,7 @@ func TestFlightRingWrapKeepsNewest(t *testing.T) {
 	r := NewFlightRecorder(8)
 	g := r.Ring("main")
 	for i := 1; i <= 20; i++ {
-		g.Record(FKExamine, uint32(i), 0, 0)
+		g.Record(EvGoalTest, uint32(i), 0, 0)
 	}
 	recs := r.Records("main")
 	if len(recs) != 8 {
@@ -57,7 +58,7 @@ func TestFlightNilSafety(t *testing.T) {
 	if g != nil {
 		t.Fatalf("nil recorder returned non-nil ring")
 	}
-	g.Record(FKExamine, 1, 2, 3) // must not panic
+	g.Record(EvGoalTest, 1, 2, 3) // must not panic
 	if g.Len() != 0 {
 		t.Fatalf("nil ring Len = %d", g.Len())
 	}
@@ -74,9 +75,9 @@ func TestFlightNilSafety(t *testing.T) {
 func TestFlightDumpFormat(t *testing.T) {
 	r := NewFlightRecorder(16)
 	g := r.Ring("RBFS")
-	g.Record(FKRunStart, 0, 0, 0)
-	g.Record(FKExamine, 1, 2, 1)
-	g.Record(FKAbort, 0, 3, 0)
+	g.Record(EvRunStart, 0, 0, 0)
+	g.Record(EvGoalTest, 1, 2, 1)
+	g.Record(EvRunFinish, 1, CauseCode("deadline"), 0)
 	r.RequestDump("deadline")
 
 	var buf bytes.Buffer
@@ -102,18 +103,74 @@ func TestFlightDumpFormat(t *testing.T) {
 	}
 	var kinds []string
 	for sc.Scan() {
-		var rec flightRecordJSON
+		var rec EventRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("record: %v", err)
 		}
-		if rec.Ring != "RBFS" {
-			t.Fatalf("ring = %q", rec.Ring)
+		if rec.Ring != 1 || rec.Label != "RBFS" {
+			t.Fatalf("ring/label = %d/%q", rec.Ring, rec.Label)
 		}
 		kinds = append(kinds, rec.Kind)
 	}
-	want := []string{"run-start", "examine", "abort"}
+	want := []string{"run-start", "goal-test", "run-finish"}
 	if strings.Join(kinds, ",") != strings.Join(want, ",") {
 		t.Fatalf("kinds = %v, want %v", kinds, want)
+	}
+}
+
+// TestFlightDumpGolden pins a tupelo-flight/v2 dump: two rings sharing a
+// label stay apart by number, and each kind's payload is written under the
+// tracer's field names. The wall-clock fields are the only ones masked.
+func TestFlightDumpGolden(t *testing.T) {
+	r := NewFlightRecorder(8)
+	for _, cause := range []string{"", "canceled"} {
+		g := r.Ring("RBFS/cosine/k=24")
+		g.Record(EvRunStart, 0, 0, 0)
+		g.Record(EvGoalTest, 1, 0, 0)
+		g.Record(EvExpand, 1, 0, 5)
+		g.Record(EvGoalTest, 2, 1, 1)
+		if cause == "" {
+			g.Record(EvRunFinish, 2, 0, 1)
+		} else {
+			g.Record(EvRunFinish, 2, CauseCode(cause), 0)
+		}
+	}
+	r.RequestDump("deadline")
+	var buf bytes.Buffer
+	if err := r.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`"start":"[^"]*"`).ReplaceAllString(buf.String(), `"start":"T"`)
+	got = regexp.MustCompile(`,"at_ns":\d+`).ReplaceAllString(got, "")
+	const want = `{"schema":"tupelo-flight/v2","start":"T","ring_size":8,"rings":2,"cause":"deadline"}
+{"kind":"run-start","label":"RBFS/cosine/k=24","ring":1}
+{"kind":"goal-test","label":"RBFS/cosine/k=24","seq":1,"ring":1,"i":1}
+{"kind":"expand","label":"RBFS/cosine/k=24","seq":1,"n":5,"ring":1,"i":2}
+{"kind":"goal-test","label":"RBFS/cosine/k=24","seq":2,"depth":1,"goal":true,"ring":1,"i":3}
+{"kind":"run-finish","label":"RBFS/cosine/k=24","n":2,"depth":1,"goal":true,"ring":1,"i":4}
+{"kind":"run-start","label":"RBFS/cosine/k=24","ring":2}
+{"kind":"goal-test","label":"RBFS/cosine/k=24","seq":1,"ring":2,"i":1}
+{"kind":"expand","label":"RBFS/cosine/k=24","seq":1,"n":5,"ring":2,"i":2}
+{"kind":"goal-test","label":"RBFS/cosine/k=24","seq":2,"depth":1,"goal":true,"ring":2,"i":3}
+{"kind":"run-finish","label":"RBFS/cosine/k=24","n":2,"err":"canceled","ring":2,"i":4}
+`
+	if got != want {
+		t.Fatalf("dump drifted.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCauseCodes: every abort cause round-trips through its flight code,
+// no cause shares the solved code 0, and an unknown name is an "error".
+func TestCauseCodes(t *testing.T) {
+	for _, cause := range []string{"panic", "deadline", "canceled", "memory", "limit", "exhausted", "error"} {
+		code := CauseCode(cause)
+		rec := FlightEvent{Kind: EvRunFinish, A: code}.record(1, "x", 0)
+		if code == 0 || rec.Goal || rec.Err != cause {
+			t.Fatalf("cause %q: code %d decodes to goal=%v err=%q", cause, code, rec.Goal, rec.Err)
+		}
+	}
+	if CauseCode("no-such-cause") != CauseCode("error") {
+		t.Fatal("unknown cause must encode as error")
 	}
 }
 
@@ -132,7 +189,7 @@ func TestFlightFlushDumpOnceAndOnlyWhenRequested(t *testing.T) {
 	var buf bytes.Buffer
 	r.SetAutoDump(&buf)
 	g := r.Ring("main")
-	g.Record(FKExamine, 1, 0, 0)
+	g.Record(EvGoalTest, 1, 0, 0)
 
 	r.FlushDump() // not requested yet
 	if buf.Len() != 0 {
@@ -162,7 +219,7 @@ func TestFlightConcurrentRings(t *testing.T) {
 			defer wg.Done()
 			g := r.Ring("w")
 			for i := 0; i < 10_000; i++ {
-				g.Record(FKExamine, uint32(i), int32(id), 0)
+				g.Record(EvGoalTest, uint32(i), int32(id), 0)
 			}
 			if id == 0 {
 				r.RequestDump("memory")
@@ -192,7 +249,7 @@ func TestFlightRingGrowsOnDemand(t *testing.T) {
 				t.Fatalf("cap %d: new ring holds %d slots, want at most %d", capacity, len(g.rec), flightRingStart)
 			}
 			for i := 0; i < n; i++ {
-				g.Record(FKExamine, uint32(i), int32(i%7), int32(i%5))
+				g.Record(EvExpand, uint32(i), int32(i%7), int32(i%5))
 			}
 			want := min(n, capacity)
 			first := n - want // the oldest surviving record
@@ -205,7 +262,7 @@ func TestFlightRingGrowsOnDemand(t *testing.T) {
 			}
 			for j, e := range recs {
 				i := first + j
-				if e.Kind != FKExamine || e.Seq != uint32(i) || e.A != int32(i%7) || e.B != int32(i%5) {
+				if e.Kind != EvExpand || e.Seq != uint32(i) || e.A != int32(i%7) || e.B != int32(i%5) {
 					t.Fatalf("cap %d, n %d: record %d = %+v, want record %d", capacity, n, j, e, i)
 				}
 			}
@@ -214,7 +271,7 @@ func TestFlightRingGrowsOnDemand(t *testing.T) {
 				t.Fatal(err)
 			}
 			lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-			var hdr flightHeader
+			var hdr FlightHeader
 			if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 				t.Fatal(err)
 			}
@@ -225,12 +282,12 @@ func TestFlightRingGrowsOnDemand(t *testing.T) {
 				t.Fatalf("cap %d, n %d: dump holds %d records, want %d", capacity, n, got, want)
 			}
 			for j, line := range lines[1:] {
-				var rec flightRecordJSON
+				var rec EventRecord
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatal(err)
 				}
 				i := first + j
-				if rec.I != uint64(i) || rec.Seq != uint32(i) || rec.A != int32(i%7) || rec.B != int32(i%5) {
+				if rec.I != uint64(i) || rec.Seq != i || rec.Depth != i%7 || rec.N != i%5 {
 					t.Fatalf("cap %d, n %d: dump line %d = %+v, want record %d", capacity, n, j, rec, i)
 				}
 			}
@@ -238,12 +295,12 @@ func TestFlightRingGrowsOnDemand(t *testing.T) {
 
 		g := NewFlightRecorder(capacity).Ring("main")
 		for i := 0; i < capacity; i++ {
-			g.Record(FKExamine, uint32(i), 0, 0)
+			g.Record(EvGoalTest, uint32(i), 0, 0)
 		}
 		if len(g.rec) != capacity {
 			t.Fatalf("cap %d: ring holds %d slots after %d records", capacity, len(g.rec), capacity)
 		}
-		if allocs := testing.AllocsPerRun(3*capacity, func() { g.Record(FKExamine, 7, 3, 1) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(3*capacity, func() { g.Record(EvGoalTest, 7, 3, 1) }); allocs != 0 {
 			t.Fatalf("cap %d: Record at cap allocates %v per op, want 0", capacity, allocs)
 		}
 	}
@@ -253,7 +310,7 @@ func TestFlightRecordZeroAllocs(t *testing.T) {
 	r := NewFlightRecorder(1024)
 	g := r.Ring("main")
 	allocs := testing.AllocsPerRun(10_000, func() {
-		g.Record(FKExamine, 7, 3, 1)
+		g.Record(EvGoalTest, 7, 3, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates %v per op, want 0", allocs)
@@ -268,7 +325,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Record(FKExamine, uint32(i), int32(i&7), 0)
+		g.Record(EvGoalTest, uint32(i), int32(i&7), 0)
 	}
 }
 
@@ -279,6 +336,6 @@ func BenchmarkFlightRecordDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Record(FKExamine, uint32(i), 0, 0)
+		g.Record(EvGoalTest, uint32(i), 0, 0)
 	}
 }

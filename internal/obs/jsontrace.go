@@ -6,9 +6,13 @@ import (
 	"sync"
 )
 
-// jsonEvent is the wire form of one Event: kind as its String name, error
-// as its message, elapsed in nanoseconds, zero-valued fields omitted.
-type jsonEvent struct {
+// EventRecord is the JSONL form of one event, written by JSONTracer and by
+// FlightRecorder.Dump: kind as its String name, error or abort cause as
+// text, elapsed in nanoseconds, zero-valued fields omitted. Ring, I and
+// AtNS are set only on flight records: the ring's number in its dump, the
+// record's ordinal within the ring, and its coarse offset from the
+// recorder's epoch.
+type EventRecord struct {
 	Kind      string `json:"kind"`
 	Label     string `json:"label,omitempty"`
 	Seq       int    `json:"seq,omitempty"`
@@ -17,15 +21,20 @@ type jsonEvent struct {
 	Goal      bool   `json:"goal,omitempty"`
 	Err       string `json:"err,omitempty"`
 	ElapsedNS int64  `json:"elapsed_ns,omitempty"`
+	Ring      int    `json:"ring,omitempty"`
+	I         uint64 `json:"i,omitempty"`
+	AtNS      int64  `json:"at_ns,omitempty"`
 }
 
 // JSONTracer writes the full event stream — including the cache and
-// operator-apply events that transcripts omit — as one JSON object per
+// operator-apply events that transcripts omit — as one EventRecord per
 // line, so traces are machine-parseable without writing a custom Tracer.
-// A mutex serializes writes; a JSONTracer is safe for concurrent use.
+// A mutex serializes writes; a JSONTracer is safe for concurrent use. The
+// first write error stops the stream and is kept for Err.
 type JSONTracer struct {
 	mu  sync.Mutex
 	enc *json.Encoder
+	err error
 }
 
 // NewJSONTracer returns a Tracer streaming JSON event objects to w.
@@ -35,7 +44,7 @@ func NewJSONTracer(w io.Writer) *JSONTracer {
 
 // Event implements Tracer.
 func (t *JSONTracer) Event(e Event) {
-	rec := jsonEvent{
+	rec := EventRecord{
 		Kind:      e.Kind.String(),
 		Label:     e.Label,
 		Seq:       e.Seq,
@@ -49,5 +58,14 @@ func (t *JSONTracer) Event(e Event) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_ = t.enc.Encode(rec)
+	if t.err == nil {
+		t.err = t.enc.Encode(rec)
+	}
+}
+
+// Err returns the first error writing the stream, or nil.
+func (t *JSONTracer) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -16,10 +17,12 @@ import (
 // derived analytics answering the paper's central question of *why* a
 // heuristic examined the states it did: the heuristic-quality profile (h(s)
 // against true remaining cost along the found solution path), the effective
-// branching factor, cache and memo hit rates, and the abort cause. The obs
-// package owns the schema and the analytics math; the core package
-// assembles reports (it knows heuristics and solution paths), and
-// cmd/tupelo-trace consumes them.
+// branching factor, cache and memo hit rates, the abort cause, and a
+// performance profile (work per depth and per operator family, and a
+// throughput timeline). The obs package owns the schema, the analytics math
+// and the one live aggregator, ReportBuilder; the core package assembles
+// reports (it knows heuristics and solution paths), and cmd/tupelo-trace
+// renders them.
 
 // ReportSchema identifies the run-report JSON format. Stability contract as
 // for tupelo-bench/v1: fields may be added in later versions, never renamed
@@ -70,7 +73,78 @@ type RunReport struct {
 	// Memo reports the successor-memo hit rate; nil when the memo saw no
 	// traffic.
 	Memo *CacheReport `json:"memo,omitempty"`
+
+	// Perf is the performance profile; nil when no ReportBuilder saw the
+	// run examine or expand a state.
+	Perf *RunProfile `json:"profile,omitempty"`
 }
+
+// RunProfile aggregates a run's event stream: expansions and moves per
+// search depth, operator applications per family, a timeline of throughput
+// and hit rates, and a log of the first expansions for trace viewers.
+// Offsets share the span tree's clock.
+type RunProfile struct {
+	Expansions int64 `json:"expansions"`
+	ExpandNS   int64 `json:"expand_ns"`
+	// Moves sums the move counts of the expansions.
+	Moves int64 `json:"moves"`
+	// Depths holds one row per expanded search depth, ascending.
+	Depths []DepthProfile `json:"depths,omitempty"`
+	// Ops is keyed by operator family, the rendered move's prefix before
+	// its argument bracket ("rename_att").
+	Ops map[string]OpProfile `json:"ops,omitempty"`
+	// Stride is the number of examined states between checkpoints.
+	Stride   int64               `json:"stride"`
+	Timeline []ProfileCheckpoint `json:"timeline,omitempty"`
+	// Slices logs the first maxSlices expansions; SlicesDropped counts the
+	// expansions past the cap.
+	Slices        []ExpandSlice `json:"slices,omitempty"`
+	SlicesDropped int64         `json:"slices_dropped,omitempty"`
+}
+
+// DepthProfile is the expansion work at one search depth.
+type DepthProfile struct {
+	Depth      int   `json:"depth"`
+	Expansions int64 `json:"expansions"`
+	Moves      int64 `json:"moves"`
+}
+
+// ProfileCheckpoint is one point of the run timeline: cumulative counts at
+// OffsetNS nanoseconds after the root span started.
+type ProfileCheckpoint struct {
+	OffsetNS    int64 `json:"offset_ns"`
+	Examined    int64 `json:"examined"`
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	MemoHits    int64 `json:"memo_hits"`
+	MemoMisses  int64 `json:"memo_misses"`
+}
+
+// OpProfile aggregates one operator family: how many applications were
+// proposed, how many yielded a successor, and the apply latency they cost.
+type OpProfile struct {
+	Proposed     int64 `json:"proposed"`
+	Applied      int64 `json:"applied"`
+	ApplyTotalNS int64 `json:"apply_total_ns"`
+	ApplyMaxNS   int64 `json:"apply_max_ns"`
+}
+
+// ExpandSlice is one logged expansion: its start offset and duration.
+type ExpandSlice struct {
+	OffsetNS int64 `json:"offset_ns"`
+	DurNS    int64 `json:"dur_ns"`
+	Depth    int   `json:"depth"`
+	Moves    int   `json:"moves"`
+}
+
+const (
+	// maxCheckpoints bounds the timeline: when full, every other
+	// checkpoint is dropped and the recording stride doubles, so an
+	// arbitrarily long run keeps a fixed-size, evenly spaced timeline.
+	maxCheckpoints = 512
+	// maxSlices bounds the expansion log.
+	maxSlices = 4096
+)
 
 // Span is one timed node of the run's span tree.
 type Span struct {
@@ -285,13 +359,14 @@ func ReadRunReport(rd io.Reader) (*RunReport, error) {
 	return &r, nil
 }
 
-// ReportBuilder is a Tracer that captures the structural skeleton of a run —
-// span tree and cache/memo traffic — for report assembly. It records only
-// structural events (member/run boundaries) plus four counters for the
-// high-frequency cache events, so it is cheap enough to attach to any run.
-// Safe for concurrent use.
+// ReportBuilder is the Tracer that aggregates a run's event stream into
+// its report: the span tree, cache and memo traffic, and the performance
+// profile. One mutex serializes Event, so portfolio members can share a
+// builder, and the clock is read only for events that land on the span
+// tree, the timeline or the expansion log.
 type ReportBuilder struct {
 	mu    sync.Mutex
+	now   func() time.Time
 	start time.Time
 	root  *Span
 	// open tracks unfinished member/search spans by name, oldest first, so
@@ -300,30 +375,54 @@ type ReportBuilder struct {
 	openSearches map[string][]*Span
 	cacheHits    map[string]int64
 	cacheMisses  map[string]int64
-	memoHits     int64
-	memoMisses   int64
+
+	// Totals over every label, for the timeline.
+	hits, misses         int64
+	memoHits, memoMisses int64
+
+	examined   int64
+	expansions int64
+	expandNS   int64
+	moves      int64
+	depths     []DepthProfile // indexed by depth
+	ops        map[string]*OpProfile
+
+	stride        int64
+	timeline      []ProfileCheckpoint
+	slices        []ExpandSlice
+	slicesDropped int64
 }
 
 // NewReportBuilder returns a builder whose root span starts now.
 func NewReportBuilder() *ReportBuilder {
+	return newReportBuilder(time.Now)
+}
+
+func newReportBuilder(now func() time.Time) *ReportBuilder {
 	return &ReportBuilder{
-		start:        time.Now(),
+		now:          now,
+		start:        now(),
 		root:         &Span{Name: "run", Kind: "run"},
 		openMembers:  map[string][]*Span{},
 		openSearches: map[string][]*Span{},
 		cacheHits:    map[string]int64{},
 		cacheMisses:  map[string]int64{},
+		ops:          map[string]*OpProfile{},
+		stride:       1,
 	}
 }
 
+// offset is the builder's clock: nanoseconds since the root span started.
+// Callers hold b.mu.
+func (b *ReportBuilder) offset() int64 { return int64(b.now().Sub(b.start)) }
+
 // Event implements Tracer.
 func (b *ReportBuilder) Event(e Event) {
-	now := time.Since(b.start)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch e.Kind {
 	case EvMemberStart:
-		s := &Span{Name: e.Label, Kind: "member", StartNS: int64(now)}
+		s := &Span{Name: e.Label, Kind: "member", StartNS: b.offset()}
 		b.root.Children = append(b.root.Children, s)
 		b.openMembers[e.Label] = append(b.openMembers[e.Label], s)
 	case EvMemberWin, EvMemberLose, EvMemberCancel:
@@ -331,53 +430,123 @@ func (b *ReportBuilder) Event(e Event) {
 		if s == nil {
 			return
 		}
-		s.DurationNS = int64(now) - s.StartNS
-		if e.Elapsed > 0 {
-			s.DurationNS = int64(e.Elapsed)
-		}
-		s.Examined = e.N
+		b.finishSpan(s, e)
 		switch e.Kind {
 		case EvMemberWin:
 			s.Outcome = "win"
 		case EvMemberLose:
 			s.Outcome = "lose"
-			if e.Err != nil {
-				s.Error = e.Err.Error()
-			}
 		case EvMemberCancel:
 			s.Outcome = "cancel"
 		}
 	case EvRunStart:
-		s := &Span{Name: e.Label, Kind: "search", StartNS: int64(now)}
-		b.root.Children = append(b.root.Children, s)
+		s := &Span{Name: e.Label, Kind: "search", StartNS: b.offset()}
+		parent := b.memberFor(e.Label)
+		parent.Children = append(parent.Children, s)
 		b.openSearches[e.Label] = append(b.openSearches[e.Label], s)
 	case EvRunFinish:
 		s := popOpen(b.openSearches, e.Label)
 		if s == nil {
 			return
 		}
-		s.DurationNS = int64(now) - s.StartNS
-		if e.Elapsed > 0 {
-			s.DurationNS = int64(e.Elapsed)
-		}
-		s.Examined = e.N
+		b.finishSpan(s, e)
+		s.Outcome = "failed"
 		if e.Goal {
 			s.Outcome = "solved"
-		} else {
-			s.Outcome = "failed"
-			if e.Err != nil {
-				s.Error = e.Err.Error()
-			}
 		}
+	case EvGoalTest:
+		b.examined++
+		if b.examined%b.stride == 0 {
+			b.checkpoint()
+		}
+	case EvExpand:
+		b.expansions++
+		b.expandNS += int64(e.Elapsed)
+		b.moves += int64(e.N)
+		for len(b.depths) <= e.Depth {
+			b.depths = append(b.depths, DepthProfile{Depth: len(b.depths)})
+		}
+		b.depths[e.Depth].Expansions++
+		b.depths[e.Depth].Moves += int64(e.N)
+		if len(b.slices) < maxSlices {
+			start := max(b.offset()-int64(e.Elapsed), 0)
+			b.slices = append(b.slices, ExpandSlice{OffsetNS: start, DurNS: int64(e.Elapsed), Depth: e.Depth, Moves: e.N})
+		} else {
+			b.slicesDropped++
+		}
+	case EvOpApply:
+		family := e.Label
+		if i := strings.IndexByte(family, '['); i >= 0 {
+			family = family[:i]
+		}
+		op := b.ops[family]
+		if op == nil {
+			op = &OpProfile{}
+			b.ops[family] = op
+		}
+		op.Proposed++
+		if e.Goal {
+			op.Applied++
+		}
+		op.ApplyTotalNS += int64(e.Elapsed)
+		op.ApplyMaxNS = max(op.ApplyMaxNS, int64(e.Elapsed))
 	case EvCacheHit:
 		b.cacheHits[e.Label]++
+		b.hits++
 	case EvCacheMiss:
 		b.cacheMisses[e.Label]++
+		b.misses++
 	case EvMemoHit:
 		b.memoHits++
 	case EvMemoMiss:
 		b.memoMisses++
 	}
+}
+
+// finishSpan stamps a finished span's duration (the event's own Elapsed
+// when it carries one), examined count and error. Callers hold b.mu.
+func (b *ReportBuilder) finishSpan(s *Span, e Event) {
+	s.DurationNS = b.offset() - s.StartNS
+	if e.Elapsed > 0 {
+		s.DurationNS = int64(e.Elapsed)
+	}
+	s.Examined = e.N
+	if e.Err != nil {
+		s.Error = e.Err.Error()
+	}
+}
+
+// memberFor returns the span a search labelled label nests under: the
+// oldest open portfolio member of that label not already running a search,
+// or the root for a discovery outside a portfolio. Callers hold b.mu.
+func (b *ReportBuilder) memberFor(label string) *Span {
+	for _, m := range b.openMembers[label] {
+		if n := len(m.Children); n == 0 || m.Children[n-1].Outcome != "" {
+			return m
+		}
+	}
+	return b.root
+}
+
+// checkpoint records one timeline point. Callers hold b.mu.
+func (b *ReportBuilder) checkpoint() {
+	b.timeline = append(b.timeline, ProfileCheckpoint{
+		OffsetNS:    b.offset(),
+		Examined:    b.examined,
+		CacheHits:   b.hits,
+		CacheMisses: b.misses,
+		MemoHits:    b.memoHits,
+		MemoMisses:  b.memoMisses,
+	})
+	if len(b.timeline) < maxCheckpoints {
+		return
+	}
+	keep := b.timeline[:0]
+	for i := 1; i < len(b.timeline); i += 2 {
+		keep = append(keep, b.timeline[i])
+	}
+	b.timeline = keep
+	b.stride *= 2
 }
 
 // popOpen removes and returns the oldest open span under the label.
@@ -395,31 +564,56 @@ func popOpen(open map[string][]*Span, label string) *Span {
 	return s
 }
 
-// Skeleton seals and returns the builder's contribution to a report: the
-// span tree (root duration stamped now) and the cache/memo sections. The builder can keep receiving events afterwards;
-// each call re-seals the current state. The returned spans are shared with
-// the builder — callers must not mutate them while the run still traces.
-func (b *ReportBuilder) Skeleton() (root *Span, caches []CacheReport, memo *CacheReport) {
+// Fill seals the builder's contribution into r: the span tree (root
+// duration stamped now), the cache and memo sections, and the profile. The
+// builder can keep receiving events afterwards; each call re-seals the
+// current state. The spans are shared with the builder — callers must not
+// mutate them while the run still traces.
+func (b *ReportBuilder) Fill(r *RunReport) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.root.DurationNS = int64(time.Since(b.start))
+	b.root.DurationNS = b.offset()
+	r.Span = b.root
 	names := make([]string, 0, len(b.cacheHits)+len(b.cacheMisses))
-	seen := map[string]bool{}
 	for n := range b.cacheHits {
-		names, seen[n] = append(names, n), true
+		names = append(names, n)
 	}
 	for n := range b.cacheMisses {
-		if !seen[n] {
+		if _, seen := b.cacheHits[n]; !seen {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
+	r.Caches = nil
 	for _, n := range names {
-		caches = append(caches, NewCacheReport(n, b.cacheHits[n], b.cacheMisses[n]))
+		r.Caches = append(r.Caches, NewCacheReport(n, b.cacheHits[n], b.cacheMisses[n]))
 	}
 	if b.memoHits+b.memoMisses > 0 {
 		m := NewCacheReport("succmemo", b.memoHits, b.memoMisses)
-		memo = &m
+		r.Memo = &m
 	}
-	return b.root, caches, memo
+	if b.examined == 0 && b.expansions == 0 {
+		return
+	}
+	p := &RunProfile{
+		Expansions:    b.expansions,
+		ExpandNS:      b.expandNS,
+		Moves:         b.moves,
+		Stride:        b.stride,
+		Timeline:      append([]ProfileCheckpoint(nil), b.timeline...),
+		Slices:        append([]ExpandSlice(nil), b.slices...),
+		SlicesDropped: b.slicesDropped,
+	}
+	for _, d := range b.depths {
+		if d.Expansions > 0 {
+			p.Depths = append(p.Depths, d)
+		}
+	}
+	if len(b.ops) > 0 {
+		p.Ops = make(map[string]OpProfile, len(b.ops))
+		for k, op := range b.ops {
+			p.Ops[k] = *op
+		}
+	}
+	r.Perf = p
 }

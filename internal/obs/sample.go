@@ -3,10 +3,10 @@ package obs
 import "sync/atomic"
 
 // sampledKinds marks the high-frequency event kinds that a sampling tracer
-// thins: one event per examined state, per candidate move, per operator
-// application, or per heuristic evaluation. Structural events (run, member)
-// always pass through — there are only a handful per run and consumers key
-// on them.
+// thins: one event per examined state, per expansion, per candidate move,
+// per operator application, per heuristic evaluation, or per successor-memo
+// lookup. Structural events (run, member, panic) always pass through —
+// there are only a handful per run and consumers key on them.
 var sampledKinds = [...]bool{
 	EvGoalTest:  true,
 	EvExpand:    true,
@@ -14,11 +14,13 @@ var sampledKinds = [...]bool{
 	EvOpApply:   true,
 	EvCacheHit:  true,
 	EvCacheMiss: true,
+	EvMemoHit:   true,
+	EvMemoMiss:  true,
 }
 
 // Sample wraps t so only one in n events of each high-frequency kind
-// (goal tests, expansions, moves, operator applies, cache hits/misses) is
-// forwarded; run and member events always pass through. Counting is per
+// (goal tests, expansions, moves, operator applies, cache and memo lookups)
+// is forwarded; run and member events always pass through. Counting is per
 // kind with atomics, so a sampled tracer adds a few nanoseconds per dropped
 // event and remains safe for concurrent use. n <= 1 returns t unchanged;
 // a nil or Nop t returns Nop.

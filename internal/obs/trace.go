@@ -7,11 +7,14 @@ import (
 	"time"
 )
 
-// EventKind classifies a trace event.
+// EventKind classifies a trace event. Flight rings record the four search
+// kinds EvRunStart, EvGoalTest, EvExpand and EvRunFinish in the same
+// vocabulary (see FlightEvent).
 type EventKind uint8
 
 const (
-	// EvRunStart marks the start of one search run; Label is the algorithm.
+	// EvRunStart marks the start of one search run; Label is the run's
+	// label: the portfolio member's configuration, or else the algorithm.
 	EvRunStart EventKind = iota + 1
 	// EvRunFinish marks the end of one search run; Goal reports success, N
 	// the states examined, Err the failure cause.
@@ -57,7 +60,7 @@ const (
 	// EvMemoHit is a successor-memo hit: an expansion answered from the
 	// memoized move list without re-applying any operator. High-frequency
 	// (one per memoized expansion) and omitted from transcripts; it exists
-	// so profiles can tell "operators are cheap" apart from "operators were
+	// so a report can tell "operators are cheap" apart from "operators were
 	// never run" — per-operator apply metrics sample only memo misses.
 	EvMemoHit
 	// EvMemoMiss is a successor-memo miss: the expansion ran the operator
@@ -201,9 +204,9 @@ func (t *WriterTracer) Event(e Event) {
 		fmt.Fprintf(t.w, "panic in %s: %v\n", e.Label, e.Err)
 	case EvCacheHit, EvCacheMiss, EvOpApply, EvMemoHit, EvMemoMiss:
 		// Omitted: one line per heuristic evaluation, operator apply, or
-		// memoized expansion would drown the transcript. Counters and
-		// histograms carry the aggregate; Collector, JSONTracer, or
-		// Profile carry the stream.
+		// memoized expansion would drown the transcript. Counters,
+		// histograms and the ReportBuilder carry the aggregate; Collector
+		// or JSONTracer carry the stream.
 	}
 }
 

@@ -378,6 +378,7 @@ type counter struct {
 	lim   Limits
 	ctx   context.Context
 	algo  string
+	label string // the run's name in its flight ring and run events
 	o     obs.Obs
 	start time.Time
 
@@ -404,12 +405,15 @@ func newCounter(ctx context.Context, algo string, lim Limits) *counter {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &counter{lim: lim, ctx: ctx, algo: algo, o: obs.FromContext(ctx)}
+	c := &counter{lim: lim, ctx: ctx, algo: algo, label: algo, o: obs.FromContext(ctx)}
+	if c.o.Label != "" {
+		c.label = c.o.Label
+	}
 	if lim.BestEffort {
 		c.best = &bestSeen{}
 	}
-	c.ring = c.o.Flight.Ring(algo)
-	c.ring.Record(obs.FKRunStart, 0, 0, 0)
+	c.ring = c.o.Flight.Ring(c.label)
+	c.ring.Record(obs.EvRunStart, 0, 0, 0)
 	if c.o.Enabled() {
 		c.start = time.Now()
 		if m := c.o.Metrics; m != nil {
@@ -420,7 +424,7 @@ func newCounter(ctx context.Context, algo string, lim Limits) *counter {
 			c.hExpand = m.Histogram(obs.Name("search.expand.seconds", "algo", algo))
 			m.Counter(obs.Name("search.runs", "algo", algo)).Inc()
 		}
-		c.o.Tracer().Event(obs.Event{Kind: obs.EvRunStart, Label: algo})
+		c.o.Tracer().Event(obs.Event{Kind: obs.EvRunStart, Label: c.label})
 	}
 	return c
 }
@@ -524,13 +528,13 @@ func (c *counter) generated(n int) {
 func (c *counter) isGoal(p Problem, s State, g int) bool {
 	if !c.o.Enabled() {
 		goal := p.IsGoal(s)
-		c.ring.Record(obs.FKExamine, uint32(c.stats.Examined), int32(g), flightBool(goal))
+		c.ring.Record(obs.EvGoalTest, uint32(c.stats.Examined), int32(g), flightBool(goal))
 		return goal
 	}
 	start := time.Now()
 	goal := p.IsGoal(s)
 	c.hGoalTest.Observe(time.Since(start))
-	c.ring.Record(obs.FKExamine, uint32(c.stats.Examined), int32(g), flightBool(goal))
+	c.ring.Record(obs.EvGoalTest, uint32(c.stats.Examined), int32(g), flightBool(goal))
 	c.o.Tracer().Event(obs.Event{Kind: obs.EvGoalTest, Seq: c.stats.Examined, Depth: g, Goal: goal})
 	return goal
 }
@@ -553,7 +557,7 @@ func (c *counter) expand(p Problem, s State, g int) ([]Move, error) {
 			return nil, err
 		}
 		c.generated(len(moves))
-		c.ring.Record(obs.FKExpand, uint32(c.stats.Examined), int32(g), int32(len(moves)))
+		c.ring.Record(obs.EvExpand, uint32(c.stats.Examined), int32(g), int32(len(moves)))
 		return moves, nil
 	}
 	start := time.Now()
@@ -566,7 +570,7 @@ func (c *counter) expand(p Problem, s State, g int) ([]Move, error) {
 		return nil, err
 	}
 	c.generated(len(moves))
-	c.ring.Record(obs.FKExpand, uint32(c.stats.Examined), int32(g), int32(len(moves)))
+	c.ring.Record(obs.EvExpand, uint32(c.stats.Examined), int32(g), int32(len(moves)))
 	tr.Event(obs.Event{Kind: obs.EvExpand, Seq: c.stats.Examined, Depth: g, N: len(moves), Elapsed: elapsed})
 	if c.o.Trace != nil {
 		// Operator text is rendered only for an attached tracer.
@@ -599,7 +603,7 @@ func (c *counter) fail(err error) error {
 		e.Partial = c.best.take()
 	}
 	cause := e.Cause()
-	c.ring.Record(obs.FKAbort, uint32(c.stats.Examined), causeCode(cause), 0)
+	c.ring.Record(obs.EvRunFinish, uint32(c.stats.Examined), obs.CauseCode(cause), 0)
 	switch cause {
 	case "panic", "memory", "deadline":
 		// The run died rather than merely losing a race or exhausting its
@@ -613,32 +617,11 @@ func (c *counter) fail(err error) error {
 			m.Counter(obs.Name("search.aborts", "algo", c.algo, "cause", e.Cause())).Inc()
 		}
 		c.o.Tracer().Event(obs.Event{
-			Kind: obs.EvRunFinish, Label: c.algo,
+			Kind: obs.EvRunFinish, Label: c.label,
 			N: c.stats.Examined, Err: err, Elapsed: time.Since(c.start),
 		})
 	}
 	return e
-}
-
-// causeCode maps the Error.Cause vocabulary to the stable numeric codes
-// carried in FKAbort flight records (the A payload).
-func causeCode(cause string) int32 {
-	switch cause {
-	case "panic":
-		return 1
-	case "deadline":
-		return 2
-	case "canceled":
-		return 3
-	case "memory":
-		return 4
-	case "limit":
-		return 5
-	case "exhausted":
-		return 6
-	default:
-		return 0
-	}
 }
 
 // finish stamps the final statistics on a successful result and emits the
@@ -646,10 +629,10 @@ func causeCode(cause string) int32 {
 func (c *counter) finish(res *Result) *Result {
 	res.Stats = c.stats
 	res.Stats.Depth = len(res.Path)
-	c.ring.Record(obs.FKRunFinish, uint32(res.Stats.Examined), 1, int32(res.Stats.Depth))
+	c.ring.Record(obs.EvRunFinish, uint32(res.Stats.Examined), 0, int32(res.Stats.Depth))
 	if c.o.Enabled() {
 		c.o.Tracer().Event(obs.Event{
-			Kind: obs.EvRunFinish, Label: c.algo, Goal: true,
+			Kind: obs.EvRunFinish, Label: c.label, Goal: true,
 			N: res.Stats.Examined, Elapsed: time.Since(c.start),
 		})
 	}

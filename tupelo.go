@@ -244,23 +244,23 @@ type (
 	TraceEventKind = obs.EventKind
 	// TraceCollector is a Tracer that records the event stream in memory.
 	TraceCollector = obs.Collector
-	// Profile is a Tracer that aggregates a run's event stream into a
-	// performance profile: per-depth expansion counts, per-operator apply
-	// latencies, and a states/sec timeline. Render it with WriteReport
-	// (text) or WriteChromeTrace (chrome://tracing / Perfetto JSON).
-	Profile = obs.Profile
+	// JSONTracer is a Tracer writing one JSON object per event; Err
+	// reports the first write error.
+	JSONTracer = obs.JSONTracer
 	// FlightRecorder is the always-on forensic event log: per-goroutine
-	// ring buffers of compact binary records, dumped as a tupelo-flight/v1
+	// ring buffers of compact binary records, dumped as a tupelo-flight/v2
 	// JSONL stream when a run dies (panic, memory abort, deadline). Attach
 	// one through Options.Flight.
 	FlightRecorder = obs.FlightRecorder
 	// RunReport is the tupelo-report/v1 forensic run report: span tree,
-	// heuristic-quality profile, effective branching factor, and cache hit
-	// rates. Assemble one with BuildReport.
+	// heuristic-quality profile, effective branching factor, cache hit
+	// rates, and the performance profile (work per depth and operator,
+	// throughput timeline). Assemble one with BuildReport; render it with
+	// cmd/tupelo-trace.
 	RunReport = obs.RunReport
-	// ReportBuilder is a Tracer that captures the structural skeleton of a
-	// run (spans, cache traffic) for BuildReport. Attach it
-	// through Options.Tracer (compose with MultiTracer to keep others).
+	// ReportBuilder is the Tracer that aggregates a run's event stream
+	// (spans, cache traffic, performance profile) for BuildReport. Attach
+	// it through Options.Tracer (compose with MultiTracer to keep others).
 	ReportBuilder = obs.ReportBuilder
 )
 
@@ -307,14 +307,10 @@ func MultiTracer(tracers ...Tracer) Tracer { return obs.MultiTracer(tracers...) 
 // NewJSONTracer returns a Tracer writing one JSON object per event to w
 // (JSON Lines), for machine-readable transcripts (tupelo discover
 // -trace-json).
-func NewJSONTracer(w io.Writer) Tracer { return obs.NewJSONTracer(w) }
-
-// NewProfile returns an empty run profile; attach it through Options.Tracer
-// (compose with MultiTracer to keep other tracers).
-func NewProfile() *Profile { return obs.NewProfile() }
+func NewJSONTracer(w io.Writer) *JSONTracer { return obs.NewJSONTracer(w) }
 
 // SampleTracer forwards every n-th high-frequency event (goal tests,
-// expansions, moves, operator applies, cache traffic) to t, passing
+// expansions, moves, operator applies, cache and memo traffic) to t, passing
 // structural run/portfolio events through unchanged. n <= 1 returns t.
 func SampleTracer(t Tracer, n int) Tracer { return obs.Sample(t, n) }
 
