@@ -130,6 +130,10 @@ func runReportFixture(t *testing.T, opts core.Options) *obs.RunReport {
 
 func TestSummaryAndHeuristicOnRunReport(t *testing.T) {
 	report := runReportFixture(t, core.Options{Algorithm: search.RBFS, Heuristic: heuristic.Cosine})
+	// The builder stamps the run's wall time: the root span's duration.
+	if report.Span == nil || report.DurationNS <= 0 || report.DurationNS != report.Span.DurationNS {
+		t.Fatalf("DurationNS = %d, want the root span's duration > 0", report.DurationNS)
+	}
 	var buf bytes.Buffer
 	if err := obs.WriteRunReport(&buf, report); err != nil {
 		t.Fatalf("WriteRunReport: %v", err)
@@ -145,7 +149,7 @@ func TestSummaryAndHeuristicOnRunReport(t *testing.T) {
 	if err := summaryCmd(&sum, in); err != nil {
 		t.Fatalf("summaryCmd: %v", err)
 	}
-	for _, want := range []string{"outcome:  solved", "RBFS", "cosine", "spans:", "search RBFS [solved]"} {
+	for _, want := range []string{"outcome:  solved", "RBFS", "cosine", " wall=", "spans:", "search RBFS [solved]"} {
 		if !strings.Contains(sum.String(), want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum.String())
 		}

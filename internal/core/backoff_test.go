@@ -14,9 +14,9 @@ func TestRetryBackoffFullJitter(t *testing.T) {
 	const base = 5 * time.Millisecond
 
 	ceiling := func(attempt int) time.Duration {
-		c := maxRetryBackoff
+		c := retryBackoffMax
 		if attempt < 10 {
-			if d := base << attempt; d > 0 && d < maxRetryBackoff {
+			if d := base << attempt; d > 0 && d < retryBackoffMax {
 				c = d
 			}
 		}
@@ -72,10 +72,10 @@ func TestRetryBackoffFullJitter(t *testing.T) {
 // over-cap bases.
 func TestRetryBackoffLargeBaseOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, base := range []time.Duration{time.Hour, maxRetryBackoff, 1 << 62} {
+	for _, base := range []time.Duration{time.Hour, retryBackoffMax, 1 << 62} {
 		for attempt := 0; attempt < 70; attempt++ {
-			if d := retryBackoff(rng, base, attempt); d < 0 || d > maxRetryBackoff {
-				t.Fatalf("base %v attempt %d: delay %v outside [0, %v]", base, attempt, d, maxRetryBackoff)
+			if d := retryBackoff(rng, base, attempt); d < 0 || d > retryBackoffMax {
+				t.Fatalf("base %v attempt %d: delay %v outside [0, %v]", base, attempt, d, retryBackoffMax)
 			}
 		}
 	}

@@ -262,26 +262,6 @@ func TestDisablePruningStillWorks(t *testing.T) {
 	}
 }
 
-func TestDisableCycleCheckExhaustsBudget(t *testing.T) {
-	src := relation.MustDatabase(
-		relation.MustNew("R", []string{"A1", "A2"}, relation.Tuple{"a1", "a2"}),
-	)
-	tgt := relation.MustDatabase(
-		relation.MustNew("R", []string{"B1", "B2"}, relation.Tuple{"a1", "a2"}),
-	)
-	// Blind IDA without duplicate pruning oscillates between renames; the
-	// budget must stop it.
-	_, err := Discover(src, tgt, Options{
-		Algorithm:         search.IDA,
-		Heuristic:         heuristic.H0,
-		Limits:            search.Limits{MaxStates: 500, MaxDepth: 2},
-		DisableCycleCheck: true,
-	})
-	if err == nil {
-		t.Log("cycle-check-free search still finished within budget (acceptable)")
-	}
-}
-
 func TestResultApply(t *testing.T) {
 	src := relation.MustDatabase(
 		relation.MustNew("Emp", []string{"nm"}, relation.Tuple{"ann"}),

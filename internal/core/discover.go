@@ -111,14 +111,7 @@ func discoverNormalized(ctx context.Context, source, target *relation.Database, 
 		ctx = obs.NewContext(ctx, hooks)
 	}
 	prob := newProblem(source, target, opts)
-	var sp search.Problem = prob
-	if opts.DisableCycleCheck {
-		// Ablation: give every generated state a unique key, defeating the
-		// path-local duplicate pruning in IDA/RBFS and the closed set in
-		// A*. Only sensible together with a small Limits.MaxStates.
-		sp = &uniqueKeyProblem{inner: prob}
-	}
-	sres, serr := search.RunContext(ctx, opts.Algorithm, sp, prob.h, opts.Limits)
+	sres, serr := search.RunContext(ctx, opts.Algorithm, prob, prob.h, opts.Limits)
 	return finish(sres, serr, opts)
 }
 
@@ -211,33 +204,6 @@ func BranchingFactor(source, target *relation.Database, opts Options) (int, erro
 		return 0, err
 	}
 	return len(moves), nil
-}
-
-// uniqueKeyProblem wraps a problem so that every state has a distinct key
-// (ablation of the cycle check). Forged states sit outside the state table,
-// so each starts with no estimate, no moves and no goal verdict of its own.
-type uniqueKeyProblem struct {
-	inner *mappingProblem
-	n     int
-}
-
-func (p *uniqueKeyProblem) Start() search.State { return p.inner.Start() }
-func (p *uniqueKeyProblem) IsGoal(s search.State) bool {
-	return p.inner.IsGoal(s)
-}
-func (p *uniqueKeyProblem) Successors(s search.State) ([]search.Move, error) {
-	moves, err := p.inner.Successors(s)
-	if err != nil {
-		return nil, err
-	}
-	// The inner list may be s's memoized moves: forge into a copy.
-	forged := make([]search.Move, len(moves))
-	for i, m := range moves {
-		p.n++
-		m.To = &dbState{db: m.To.(*dbState).db, key: fmt.Sprintf("%s#%d", m.To.Key(), p.n)}
-		forged[i] = m
-	}
-	return forged, nil
 }
 
 // Apply executes the discovered expression against a database instance,

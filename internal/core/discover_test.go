@@ -50,8 +50,9 @@ func TestDiscoverContextCancelled(t *testing.T) {
 
 func TestDiscoverDeadline(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
-	opts := Options{Limits: search.Limits{Deadline: time.Now().Add(-time.Second)}}
-	_, err := Discover(src, tgt, opts)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := DiscoverContext(ctx, src, tgt, Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -75,8 +75,8 @@ func TestSuccessorKeysMatchRecomputed(t *testing.T) {
 		t.Fatal("no successor moves at all")
 	}
 	for _, m := range moves {
-		db := m.To.(*dbState).db
-		if got, want := m.To.Key(), db.Clone().Key(); got != want {
+		ds := m.To.(*dbState)
+		if got, want := ds.key, ds.db.Clone().Key(); got != want {
 			t.Fatalf("move %s: memoized key differs from recomputed key", m.Op)
 		}
 	}

@@ -45,15 +45,6 @@ type Options struct {
 	// DisablePruning turns off the paper's "obviously inapplicable"
 	// enhancements (§2.3) for ablation studies.
 	DisablePruning bool
-	// DisableCycleCheck turns off path-local duplicate pruning for
-	// ablation studies.
-	DisableCycleCheck bool
-	// DisableIncremental turns off incremental (delta-merged) heuristic
-	// evaluation, forcing every estimate to be computed from scratch, for
-	// ablation studies and differential testing. The estimates themselves
-	// are identical either way — incremental evaluation maintains exact
-	// integer counters, not approximations — so only cost changes.
-	DisableIncremental bool
 	// Tracer, when non-nil, receives a structured event stream of the
 	// search: run start/finish, every expansion with its candidate moves,
 	// every goal test, cache hits and misses, and — under

@@ -66,15 +66,13 @@ type PortfolioOptions struct {
 	// recur on the same (heuristic, k); other unclassified member errors
 	// relaunch the same configuration. Deterministic verdicts (exhausted
 	// space, budget and deadline aborts) and cancellations are never
-	// retried. 0 disables retries.
+	// retried. 0 disables retries. Before each restart the slot waits a
+	// delay drawn uniformly from [0, ceiling] (full jitter). The ceiling
+	// starts at 5ms and doubles with each further restart of the same slot,
+	// capped at 100ms so a crashy member cannot stall the race; the jitter
+	// keeps hedged retries across slots — or across a fleet of processes
+	// replaying the same failure — from synchronizing.
 	MaxRetries int
-	// RetryBackoff scales the delay before a member's restarts: the delay
-	// ceiling doubles with each further restart of the same slot, capped at
-	// 100ms so a crashy member cannot stall the race, and the actual delay
-	// is drawn uniformly from [0, ceiling] (full jitter) so hedged retries
-	// across slots — or across a fleet of processes replaying the same
-	// failure — do not synchronize. 0 means a 5ms initial ceiling.
-	RetryBackoff time.Duration
 	// RetrySeed seeds the jitter's deterministic random source, so a fixed
 	// seed reproduces the exact restart schedule under test. 0 means seed 1;
 	// callers wanting decorrelated schedules across processes (the serve
@@ -269,10 +267,6 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		}
 		return member{}, false
 	}
-	retryDelay := popts.RetryBackoff
-	if retryDelay <= 0 {
-		retryDelay = defaultRetryBackoff
-	}
 	seed := popts.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -324,7 +318,7 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 				if retryRNG == nil {
 					retryRNG = rand.New(rand.NewSource(seed))
 				}
-				launch(o.idx, o.attempt+1, next, retryBackoff(retryRNG, retryDelay, o.attempt))
+				launch(o.idx, o.attempt+1, next, retryBackoff(retryRNG, retryBackoffBase, o.attempt))
 				continue // outstanding unchanged: the slot runs again
 			}
 			if errors.Is(fail, context.Canceled) {
@@ -385,23 +379,22 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 }
 
 const (
-	// defaultRetryBackoff is the delay before a member's first restart when
-	// PortfolioOptions.RetryBackoff is unset.
-	defaultRetryBackoff = 5 * time.Millisecond
-	// maxRetryBackoff caps the exponential restart delay.
-	maxRetryBackoff = 100 * time.Millisecond
+	// retryBackoffBase is the delay ceiling before a slot's first restart.
+	retryBackoffBase = 5 * time.Millisecond
+	// retryBackoffMax caps the exponential restart delay.
+	retryBackoffMax = 100 * time.Millisecond
 )
 
 // retryBackoff is the delay before relaunching a slot whose attempt-th run
 // (0-based) just failed: full jitter over a capped exponential ceiling —
-// uniform in [0, min(base<<attempt, maxRetryBackoff)]. The ceiling keeps a
+// uniform in [0, min(base<<attempt, retryBackoffMax)]. The ceiling keeps a
 // crashy member from stalling the race; the jitter keeps simultaneous
 // failures (several slots, or several processes replaying one fault) from
 // relaunching in lockstep.
 func retryBackoff(rng *rand.Rand, base time.Duration, attempt int) time.Duration {
-	ceiling := maxRetryBackoff
+	ceiling := retryBackoffMax
 	if attempt < 10 {
-		if d := base << attempt; d > 0 && d < maxRetryBackoff {
+		if d := base << attempt; d > 0 && d < retryBackoffMax {
 			ceiling = d
 		}
 	}

@@ -19,11 +19,17 @@ import (
 //
 // res and runErr are the discovery outcome (either may be nil/non-nil as
 // returned by DiscoverContext or DiscoverPortfolio); opts must be the
-// options the run used.
+// options the run used. The reported configuration (algorithm, heuristic,
+// K, and the heuristic profile's used kind) is the one res records, so a
+// portfolio's report names the member that produced it; opts supplies it
+// only when the run returned no result.
 func BuildReport(res *Result, runErr error, source, target *relation.Database, opts Options, rb *obs.ReportBuilder) (*obs.RunReport, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
+	}
+	if res != nil {
+		opts.Algorithm, opts.Heuristic, opts.K = res.Algorithm, res.Heuristic, res.K
 	}
 	r := &obs.RunReport{
 		Schema:      obs.ReportSchema,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -120,6 +121,35 @@ func TestBuildReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildReportNamesPortfolioMember: a portfolio's report names the member
+// that produced its result, with that member's K and heuristic marked used,
+// not the base options the race was configured with (RBFS/cosine here).
+func TestBuildReportNamesPortfolioMember(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(4)
+	pres, err := DiscoverPortfolio(context.Background(), src, tgt, PortfolioOptions{
+		Configs: []PortfolioConfig{{Algorithm: search.IDA, Heuristic: heuristic.H1}},
+	})
+	if err != nil {
+		t.Fatalf("DiscoverPortfolio: %v", err)
+	}
+	report, err := BuildReport(pres.Result, nil, src, tgt, Options{}, nil)
+	if err != nil {
+		t.Fatalf("BuildReport: %v", err)
+	}
+	if report.Algorithm != "IDA" || report.Heuristic != "h1" || report.K != 1 {
+		t.Fatalf("config = %s/%s k=%g, want IDA/h1 k=1", report.Algorithm, report.Heuristic, report.K)
+	}
+	var used []string
+	for _, q := range report.HeuristicQuality {
+		if q.Used {
+			used = append(used, fmt.Sprintf("%s k=%g", q.Kind, q.K))
+		}
+	}
+	if len(used) != 1 || used[0] != "h1 k=1" {
+		t.Fatalf("used heuristic entries = %v, want [h1 k=1]", used)
+	}
+}
+
 func TestBuildReportAbort(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(8)
 	opts := Options{
@@ -156,10 +186,12 @@ func TestFlightDumpOnAbort(t *testing.T) {
 	opts := Options{
 		Algorithm: search.RBFS,
 		Heuristic: heuristic.H0, // blind search: guaranteed to still be running at the deadline
-		Limits:    search.Limits{Deadline: pastDeadline(), MaxStates: 1_000_000},
+		Limits:    search.Limits{MaxStates: 1_000_000},
 		Flight:    fr,
 	}
-	_, err := DiscoverContext(context.Background(), src, tgt, opts)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := DiscoverContext(ctx, src, tgt, opts)
 	if err == nil {
 		t.Fatalf("expected deadline abort")
 	}
@@ -173,9 +205,6 @@ func TestFlightDumpOnAbort(t *testing.T) {
 		t.Fatalf("dump missing schema header: %s", dump.Bytes()[:min(200, dump.Len())])
 	}
 }
-
-// pastDeadline returns a deadline that has already expired.
-func pastDeadline() time.Time { return time.Now().Add(-time.Second) }
 
 func TestFlightRecordsSolvedRun(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)

@@ -146,10 +146,9 @@ func TestPortfolioRetriesPanickedMember(t *testing.T) {
 		faults.Fault{Site: faults.SiteHeuristicEval, After: 1, Kind: faults.Panic},
 	)
 	port, err := DiscoverPortfolio(context.Background(), src, tgt, PortfolioOptions{
-		Configs:      []PortfolioConfig{{Algorithm: search.RBFS, Heuristic: heuristic.Cosine}},
-		Options:      Options{FaultHook: inj.Hit},
-		MaxRetries:   1,
-		RetryBackoff: time.Millisecond,
+		Configs:    []PortfolioConfig{{Algorithm: search.RBFS, Heuristic: heuristic.Cosine}},
+		Options:    Options{FaultHook: inj.Hit},
+		MaxRetries: 1,
 	})
 	if err != nil {
 		t.Fatalf("race failed despite retry budget: %v", err)
@@ -171,10 +170,9 @@ func TestPortfolioRetryBudgetExhausted(t *testing.T) {
 		faults.Fault{Site: faults.SiteHeuristicEval, After: 1, Every: 1, Kind: faults.Panic},
 	)
 	_, err := DiscoverPortfolio(context.Background(), src, tgt, PortfolioOptions{
-		Configs:      []PortfolioConfig{{Algorithm: search.RBFS, Heuristic: heuristic.Cosine}},
-		Options:      Options{FaultHook: inj.Hit},
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
+		Configs:    []PortfolioConfig{{Algorithm: search.RBFS, Heuristic: heuristic.Cosine}},
+		Options:    Options{FaultHook: inj.Hit},
+		MaxRetries: 2,
 	})
 	if err == nil {
 		t.Fatal("deterministic panic should fail the race")
@@ -240,9 +238,11 @@ func TestBestEffortStateBudgetReturnsPartial(t *testing.T) {
 
 func TestBestEffortDeadlineReturnsPartial(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
-	res, err := Discover(src, tgt, Options{
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := DiscoverContext(ctx, src, tgt, Options{
 		Heuristic: heuristic.H1,
-		Limits:    search.Limits{Deadline: time.Now().Add(-time.Second), BestEffort: true},
+		Limits:    search.Limits{BestEffort: true},
 	})
 	if err != nil {
 		t.Fatalf("best-effort abort surfaced as error: %v", err)

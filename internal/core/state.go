@@ -12,16 +12,17 @@ import (
 	"tupelo/internal/search"
 )
 
-// dbState adapts a relational database to the search.State interface.
-// The key is the database's compact 128-bit identity (relation.Database.Key),
-// computed once when the state is created. Per-relation canonical forms are
-// memoized on the relations themselves, so keying a successor that replaced
-// one relation copy-on-write only pays for hashing that relation; the shared
-// relations reuse their cached hashes.
+// dbState is the search state of a relational database. key is the
+// database's compact 128-bit identity (relation.Database.Key), computed once
+// when the state is created; it is the state table's key for the state.
+// Per-relation canonical forms are memoized on the relations themselves, so
+// keying a successor that replaced one relation copy-on-write only pays for
+// hashing that relation; the shared relations reuse their cached hashes.
 //
 // Each discovery run keeps one canonical dbState per key in its stateTable
-// and hands the search only canonical states, so the state itself carries
-// everything the run derives about its key: its heuristic estimate, its
+// and hands the search only canonical states, so the search's identity,
+// pointer equality, is key equality. The state itself carries everything
+// the run derives about its key: its heuristic estimate, its
 // move list and its goal verdict. IDA* and RBFS re-examine states
 // relentlessly — on the paper's exp1 workload 96% of expansions are of a
 // state already expanded — and each revisit reads these fields instead of
@@ -64,9 +65,6 @@ type estimate struct {
 	h   int
 	agg heuristic.Agg
 }
-
-// Key implements search.State.
-func (s *dbState) Key() string { return s.key }
 
 // stateTable maps each state key of one discovery run to the run's
 // canonical *dbState. Lookups happen only when a successor is created — a

@@ -32,7 +32,9 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 // fresh expansion of the state's own database with the move memo off, and
 // every state and every move's successor is the table's canonical state for
 // its key, which both the state's database and a Clone of it recompute. It
-// covers the tree searches and A*.
+// covers the tree searches and A*, and every paper heuristic under IDA* and
+// RBFS on matching6: incremental (delta-merged) estimates must equal
+// from-scratch ones at every examined state, not only in the end counts.
 //
 // The fresh expansion runs under a FaultHook, which turns the child-key
 // preview off along with the memo, so every comparison is also a
@@ -52,18 +54,26 @@ func TestMemoTableMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instances := []struct {
+	type instance struct {
 		name     string
 		src, tgt *relation.Database
 		opts     Options
-	}{
-		{"flights3x2", flightsSrc, flightsTgt, Options{}},
-		{"matching5", matchSrc, matchTgt, Options{}},
-		{"matching12", wideSrc, wideTgt, Options{Heuristic: heuristic.H1}},
-		{"inventory3", invSrc, invTgt, Options{Registry: inv.Registry, Correspondences: invCorrs}},
+		algos    []search.Algorithm
+	}
+	all := []search.Algorithm{search.IDA, search.RBFS, search.AStar}
+	instances := []instance{
+		{"flights3x2", flightsSrc, flightsTgt, Options{}, all},
+		{"matching5", matchSrc, matchTgt, Options{}, all},
+		{"matching12", wideSrc, wideTgt, Options{Heuristic: heuristic.H1}, all},
+		{"inventory3", invSrc, invTgt, Options{Registry: inv.Registry, Correspondences: invCorrs}, all},
+	}
+	src6, tgt6 := datagen.MustMatchingPair(6)
+	for _, kind := range heuristic.Kinds() {
+		instances = append(instances, instance{"matching6/" + kind.String(), src6, tgt6,
+			Options{Heuristic: kind}, []search.Algorithm{search.IDA, search.RBFS}})
 	}
 	for _, in := range instances {
-		for _, algo := range []search.Algorithm{search.IDA, search.RBFS, search.AStar} {
+		for _, algo := range in.algos {
 			o := in.opts
 			o.Algorithm = algo
 			opts, err := o.normalize()
@@ -124,9 +134,10 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(moves), len(wantMoves))
 		}
 		for i, m := range moves {
-			if m.Op.String() != wantMoves[i].Op.String() || m.To.Key() != wantMoves[i].To.Key() {
+			got, want := m.To.(*dbState).key, wantMoves[i].To.(*dbState).key
+			if m.Op.String() != wantMoves[i].Op.String() || got != want {
 				t.Fatalf("state %x move %d: table %s → %x, fresh %s → %x",
-					s.key, i, m.Op, m.To.Key(), wantMoves[i].Op, wantMoves[i].To.Key())
+					s.key, i, m.Op, got, wantMoves[i].Op, want)
 			}
 			if !canonical(m.To.(*dbState)) {
 				t.Fatalf("state %x move %d (%s): successor is not the table's state for its key", s.key, i, m.Op)

@@ -83,10 +83,9 @@ type mappingProblem struct {
 
 	// Expansion machinery. est estimates every state an expansion
 	// creates, so the search loop's h() calls are field reads. inc is est's
-	// incremental capability view when it has one (and the run hasn't
-	// disabled it): successors are then estimated by delta-merging the
-	// replaced relation's fragment against the parent's aggregate instead
-	// of re-encoding the state.
+	// incremental capability view when it has one: successors are then
+	// estimated by delta-merging the replaced relation's fragment against
+	// the parent's aggregate instead of re-encoding the state.
 	est heuristic.Evaluator
 	inc heuristic.IncrementalEvaluator
 
@@ -141,9 +140,7 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 	if opts.Metrics != nil {
 		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", hLabel))
 	}
-	if !opts.DisableIncremental {
-		p.inc, _ = heuristic.AsIncremental(p.est)
-	}
+	p.inc, _ = heuristic.AsIncremental(p.est)
 	// The target's token sets double as symbol sets: every name and value in
 	// them is (re-)interned here, once, so state columns can be probed by
 	// symbol. Any string a state can ever hold under these sets is already
@@ -247,8 +244,8 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 		}
 		if agg == nil {
 			// The parent's estimate was computed from scratch (the start
-			// state, a state forged by the cycle-check ablation): seed an
-			// aggregate for this expansion so its successors are deltas.
+			// state): seed an aggregate for this expansion so its
+			// successors are deltas.
 			agg = p.inc.Seed(parent.db)
 		}
 	}
@@ -473,8 +470,7 @@ func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, n
 }
 
 // h is the run's search.Heuristic: a read of the state's estimate. The
-// lookup misses for the start state and for states forged by the
-// cycle-check ablation; a miss evaluates from scratch.
+// lookup misses only for the start state, which it evaluates from scratch.
 func (p *mappingProblem) h(s search.State) int {
 	ds := s.(*dbState)
 	if ds.est != nil {

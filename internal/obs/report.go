@@ -48,12 +48,15 @@ type RunReport struct {
 	Error      string `json:"error,omitempty"`
 
 	// Effort, as in search.Stats.
-	Examined    int   `json:"examined"`
-	Generated   int   `json:"generated"`
-	MaxFrontier int   `json:"max_frontier,omitempty"`
-	Iterations  int   `json:"iterations,omitempty"`
-	Depth       int   `json:"depth,omitempty"`
-	DurationNS  int64 `json:"duration_ns,omitempty"`
+	Examined    int `json:"examined"`
+	Generated   int `json:"generated"`
+	MaxFrontier int `json:"max_frontier,omitempty"`
+	Iterations  int `json:"iterations,omitempty"`
+	Depth       int `json:"depth,omitempty"`
+
+	// DurationNS is the run's wall time: the root span's duration, stamped
+	// by ReportBuilder.Fill; 0 for a report built without a builder.
+	DurationNS int64 `json:"duration_ns,omitempty"`
 
 	// EBF is the effective branching factor: the uniform branching factor
 	// b* whose tree of the solution depth contains exactly the examined
@@ -565,7 +568,8 @@ func popOpen(open map[string][]*Span, label string) *Span {
 }
 
 // Fill seals the builder's contribution into r: the span tree (root
-// duration stamped now), the cache and memo sections, and the profile. The
+// duration stamped now, and copied to r.DurationNS), the cache and memo
+// sections, and the profile. The
 // builder can keep receiving events afterwards; each call re-seals the
 // current state. The spans are shared with the builder — callers must not
 // mutate them while the run still traces.
@@ -573,7 +577,7 @@ func (b *ReportBuilder) Fill(r *RunReport) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.root.DurationNS = b.offset()
-	r.Span = b.root
+	r.Span, r.DurationNS = b.root, b.root.DurationNS
 	names := make([]string, 0, len(b.cacheHits)+len(b.cacheMisses))
 	for n := range b.cacheHits {
 		names = append(names, n)

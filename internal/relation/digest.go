@@ -4,8 +4,8 @@ import "encoding/binary"
 
 // digest128 is the 128-bit mixing function behind Relation.Hash and
 // Database.Key. State identity is the hottest path in the search — every
-// generated successor is keyed for the cycle check and the heuristic cache —
-// and a cryptographic hash there is pure overhead: nothing is adversarial
+// generated successor is keyed to find its canonical state — and a
+// cryptographic hash there is pure overhead: nothing is adversarial
 // about the inputs, only accidental collisions matter. digest128 runs two
 // independent 64-bit lanes over the buffer, each absorbing 8 bytes per step
 // through a multiply + splitmix64 finalizer, which is an order of magnitude

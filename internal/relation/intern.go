@@ -168,12 +168,3 @@ func orderedLess(ka, kb uint64, a, b string) bool {
 // EmptySymbol returns the interned empty string — the absent-value marker
 // the FIRA restructuring operators use (DESIGN.md §12).
 func EmptySymbol() Symbol { return emptySym }
-
-// InternedCount returns the number of distinct strings interned so far;
-// exposed for tests and capacity diagnostics.
-func InternedCount() int {
-	in := globalIntern
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.strs)
-}

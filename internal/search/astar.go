@@ -34,19 +34,11 @@ func (f *frontier) Pop() any {
 	return x
 }
 
-// AStarSearch is textbook best-first A* with a closed set. It is included
-// for ablation: the paper reports that A*'s exponential memory made early
-// TUPELO implementations ineffective, motivating IDA and RBFS.
-func AStarSearch(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
-	return bestFirst(ctx, p, h, lim, false)
-}
-
-// GreedySearch is greedy best-first search ordering the frontier by h
-// alone. Fast but not optimal; included for ablation.
-func GreedySearch(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
-	return bestFirst(ctx, p, h, lim, true)
-}
-
+// bestFirst is textbook best-first search with a closed set: A* orders the
+// frontier by f = g + h, and greedy best-first search (greedy) by h alone.
+// Both are included for ablation: the paper reports that A*'s exponential
+// memory made early TUPELO implementations ineffective, motivating IDA and
+// RBFS, and greedy search is fast but not optimal.
 func bestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits, greedy bool) (*Result, error) {
 	algo := "A*"
 	if greedy {
@@ -59,11 +51,11 @@ func bestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits, greedy b
 	c.candidate(start, f, func() []Move { return nil })
 	open := &frontier{{state: start, g: 0, f: f, seq: seq}}
 	heap.Init(open)
-	bestG := map[string]int{start.Key(): 0}
+	bestG := map[State]int{start: 0}
 	for open.Len() > 0 {
 		c.frontier(open.Len())
 		n := heap.Pop(open).(*node)
-		if g, ok := bestG[n.state.Key()]; ok && n.g > g {
+		if g, ok := bestG[n.state]; ok && n.g > g {
 			continue // stale entry
 		}
 		if err := c.examine(); err != nil {
@@ -72,20 +64,16 @@ func bestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits, greedy b
 		if c.isGoal(p, n.state, n.g) {
 			return c.finish(&Result{Path: n.path, Goal: n.state}), nil
 		}
-		if !c.depthOK(n.g + 1) {
-			continue
-		}
 		moves, err := c.expand(p, n.state, n.g)
 		if err != nil {
 			return nil, c.fail(err)
 		}
 		for _, m := range moves {
 			g := n.g + m.Cost
-			k := m.To.Key()
-			if prev, seen := bestG[k]; seen && g >= prev {
+			if prev, seen := bestG[m.To]; seen && g >= prev {
 				continue
 			}
-			bestG[k] = g
+			bestG[m.To] = g
 			seq++
 			hv := h(m.To)
 			f := g + hv

@@ -1,9 +1,6 @@
 package search
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // benchGrid is the workload of the examine benchmark: a dense open grid with real branching, large enough that the per-state
 // bookkeeping dominates rather than setup.
@@ -28,7 +25,7 @@ func BenchmarkExamine(b *testing.B) {
 			lim := Limits{Cooperative: coop}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := AStarSearch(context.Background(), p, h, lim)
+				res, err := run(AStar, p, h, lim)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -41,7 +38,7 @@ func BenchmarkExamine(b *testing.B) {
 }
 
 // BenchmarkTreeSearch measures IDA*'s and RBFS's per-visit bookkeeping —
-// the path-key check, building and ordering the children, RBFS's
+// the path check, building and ordering the children, RBFS's
 // re-insertion of a revised child — on the walled "barrier" grid, whose
 // detour makes both searches revisit states many times over.
 func BenchmarkTreeSearch(b *testing.B) {
@@ -51,7 +48,7 @@ func BenchmarkTreeSearch(b *testing.B) {
 		b.Run(algo.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(algo, p, h, Limits{})
+				res, err := run(algo, p, h, Limits{})
 				if err != nil {
 					b.Fatal(err)
 				}

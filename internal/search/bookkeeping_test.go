@@ -71,7 +71,7 @@ func TestTreeSearchBookkeepingPinned(t *testing.T) {
 		p := grids[name]
 		for _, algo := range []Algorithm{IDA, RBFS} {
 			t.Run(name+"/"+algo.String(), func(t *testing.T) {
-				res, err := Run(algo, p, p.manhattan(), Limits{})
+				res, err := run(algo, p, p.manhattan(), Limits{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,22 +88,22 @@ func TestTreeSearchBookkeepingPinned(t *testing.T) {
 }
 
 // bestEffortOutcome renders what a budgeted run hands back: the goal it
-// reached, or the partial's key, H and path; with the run's MaxFrontier.
+// reached, or the partial's state, H and path; with the run's MaxFrontier.
 func bestEffortOutcome(res *Result, err error) string {
 	if err == nil {
-		return fmt.Sprintf("goal %s %s frontier=%d", res.Goal.Key(), pathOps(res.Path), res.Stats.MaxFrontier)
+		return fmt.Sprintf("goal %s %s frontier=%d", res.Goal, pathOps(res.Path), res.Stats.MaxFrontier)
 	}
 	var se *Error
 	if !errors.As(err, &se) || se.Partial == nil {
 		return "error " + err.Error()
 	}
 	p := se.Partial
-	return fmt.Sprintf("%s h=%d %s frontier=%d", p.State.Key(), p.H, pathOps(p.Path), se.Stats.MaxFrontier)
+	return fmt.Sprintf("%s h=%d %s frontier=%d", p.State, p.H, pathOps(p.Path), se.Stats.MaxFrontier)
 }
 
 // TestTreeSearchBestEffortPartialsPinned pins what IDA* and RBFS hand back
 // under BestEffort when a state budget stops them on the walled grids: the
-// best partial's key, H and path and the run's MaxFrontier, or the goal
+// best partial's state, H and path and the run's MaxFrontier, or the goal
 // where the budget suffices. IDA* offers a child over its bound without
 // entering it, so these pin that every such child is still offered.
 func TestTreeSearchBestEffortPartialsPinned(t *testing.T) {
@@ -164,7 +164,7 @@ func TestTreeSearchBestEffortPartialsPinned(t *testing.T) {
 			for _, budget := range []int{3, 7, 20, 50, 120, 300} {
 				id := fmt.Sprintf("%s/%s/%d", name, algo, budget)
 				t.Run(id, func(t *testing.T) {
-					res, err := Run(algo, p, p.manhattan(), Limits{MaxStates: budget, BestEffort: true})
+					res, err := run(algo, p, p.manhattan(), Limits{MaxStates: budget, BestEffort: true})
 					if got := bestEffortOutcome(res, err); got != want[id] {
 						t.Errorf("got %q, want %q", got, want[id])
 					}

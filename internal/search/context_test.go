@@ -43,6 +43,9 @@ func TestPreCancelledContext(t *testing.T) {
 			if !errors.As(err, &serr) {
 				t.Fatalf("err = %T, want *search.Error with partial stats", err)
 			}
+			if serr.Cause() != "canceled" {
+				t.Fatalf("Cause() = %q, want \"canceled\"", serr.Cause())
+			}
 			if serr.Stats.Examined == 0 {
 				t.Fatal("cancelled run should still report the states it examined")
 			}
@@ -71,12 +74,15 @@ func TestMidSearchCancellation(t *testing.T) {
 	}
 }
 
+// TestDeadlineLimit: a context deadline is the search's wall-clock bound,
+// and every algorithm reports it as context.DeadlineExceeded.
 func TestDeadlineLimit(t *testing.T) {
 	p := lineProblem{n: 100}
-	lim := Limits{Deadline: time.Now().Add(-time.Second)}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	for _, algo := range allAlgorithms() {
 		t.Run(algo.String(), func(t *testing.T) {
-			_, err := RunContext(context.Background(), algo, p, lineHeuristic(p), lim)
+			_, err := RunContext(ctx, algo, p, lineHeuristic(p), Limits{})
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -96,7 +102,7 @@ func TestContextDeadline(t *testing.T) {
 
 func TestAlgorithmUnsetResolvesToRBFS(t *testing.T) {
 	p := lineProblem{n: 5}
-	res, err := Run(AlgorithmUnset, p, lineHeuristic(p), Limits{})
+	res, err := run(AlgorithmUnset, p, lineHeuristic(p), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestAlgorithmUnsetResolvesToRBFS(t *testing.T) {
 
 func TestErrorCarriesStatsOnLimit(t *testing.T) {
 	p := lineProblem{n: 1000}
-	_, err := Run(RBFS, p, func(State) int { return 0 }, Limits{MaxStates: 50})
+	_, err := run(RBFS, p, func(State) int { return 0 }, Limits{MaxStates: 50})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
 	}

@@ -6,20 +6,20 @@ import (
 	"slices"
 )
 
-// IDAStar runs Iterative Deepening A* (§2.3): a sequence of depth-first
+// idaStar runs Iterative Deepening A* (§2.3): a sequence of depth-first
 // probes, each bounded by an f-value limit, iteratively raising the limit to
 // the smallest f-value that exceeded it. Memory use is linear in the depth
 // of the search; states may be re-examined across iterations, which the
 // paper accepts (and counts) in exchange for the memory guarantee. The
 // context is checked at every examined state.
-func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
+func idaStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
 	start := p.Start()
 	c := newCounter(ctx, "IDA", lim)
 	bound := h(start)
 	var fl childFreeList
-	// Every probe pops what it pushes, so one path-key slice serves all
+	// Every probe pops what it pushes, so one path slice serves all
 	// iterations.
-	onPath := []string{start.Key()}
+	onPath := []State{start}
 	for {
 		c.stats.Iterations++
 		var path []Move
@@ -42,10 +42,9 @@ func IDAStar(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, 
 
 // idaProbe performs one bounded depth-first probe. It returns the smallest
 // f-value that exceeded the bound (inf if the subtree is exhausted), or a
-// result if a goal was found on this probe. onPath holds the keys of the
-// states on the current path, the start state first; s's key is already on
-// it.
-func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath *[]string, fl *childFreeList) (int, *Result, error) {
+// result if a goal was found on this probe. onPath holds the states on the
+// current path, the start state first; s is already on it.
+func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[]Move, onPath *[]State, fl *childFreeList) (int, *Result, error) {
 	f := g + h(s)
 	if c.best != nil {
 		c.candidate(s, f-g, func() []Move { return append([]Move(nil), *path...) })
@@ -58,9 +57,6 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	}
 	if c.isGoal(p, s, g) {
 		return 0, &Result{Path: append([]Move(nil), *path...), Goal: s}, nil
-	}
-	if !c.depthOK(g + 1) {
-		return inf, nil, nil
 	}
 	moves, err := c.expand(p, s, g)
 	if err != nil {
@@ -81,8 +77,7 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 	min := inf
 	for _, kid := range kids {
 		m := moves[kid.i]
-		k := m.To.Key()
-		if slices.Contains(*onPath, k) {
+		if slices.Contains(*onPath, m.To) {
 			continue // cycle along the current path
 		}
 		if kid.f > bound {
@@ -104,7 +99,7 @@ func idaProbe(p Problem, h Heuristic, c *counter, s State, g, bound int, path *[
 			})
 			continue
 		}
-		*onPath = append(*onPath, k)
+		*onPath = append(*onPath, m.To)
 		*path = append(*path, m)
 		c.frontier(len(*path))
 		t, res, err := idaProbe(p, h, c, m.To, kid.g, bound, path, onPath, fl)

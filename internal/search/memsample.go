@@ -9,7 +9,7 @@ import (
 
 // The heap-budget check used to call runtime.ReadMemStats inline from every
 // racing portfolio member, and ReadMemStats stops the world: N concurrent
-// searches each paid a full STW pause every wallCheckInterval states, and the
+// searches each paid a full STW pause every heapCheckInterval states, and the
 // pauses of one member stalled all the others. heapLiveBytes replaces it with
 // one process-wide sampler over the runtime/metrics package, whose reads are
 // lock-free snapshots of runtime-internal counters — no stop-the-world, no
@@ -52,7 +52,7 @@ func heapLiveBytes() uint64 {
 		heapSampler.refresh.Lock()
 	} else if !heapSampler.refresh.TryLock() {
 		// Someone else is refreshing right now; their result lands within
-		// microseconds, and the budget check tolerates wallCheckInterval
+		// microseconds, and the budget check tolerates heapCheckInterval
 		// states of slack anyway.
 		return heapSampler.bytes.Load()
 	}

@@ -10,80 +10,25 @@ import (
 	"tupelo/internal/obs"
 )
 
-// TestDeadlineVsContextDeadlineStableCause pins the precedence when
-// Limits.Deadline and a context deadline race each other in
-// counter.examine: the context is checked first, so whichever deadline
-// mechanism fired, every algorithm reports the same wrapped cause
-// (context.DeadlineExceeded) with partial stats attached.
-func TestDeadlineVsContextDeadlineStableCause(t *testing.T) {
-	p := lineProblem{n: 100}
-	past := time.Now().Add(-time.Second)
-	for _, algo := range allAlgorithms() {
-		t.Run(algo.String(), func(t *testing.T) {
-			ctx, cancel := context.WithDeadline(context.Background(), past)
-			defer cancel()
-			_, err := RunContext(ctx, algo, p, lineHeuristic(p), Limits{Deadline: past})
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			var serr *Error
-			if !errors.As(err, &serr) {
-				t.Fatalf("err = %T, want *search.Error", err)
-			}
-			if serr.Cause() != "deadline" {
-				t.Fatalf("Cause() = %q, want \"deadline\"", serr.Cause())
-			}
-			if serr.Stats.Examined == 0 {
-				t.Fatal("deadline abort must report partial stats")
-			}
-		})
-	}
-}
-
-// TestCancelBeatsLimitsDeadline pins the other half of the interplay: an
-// already-cancelled context wins over an expired Limits.Deadline, again
-// uniformly across algorithms, so callers can rely on errors.Is(err,
-// context.Canceled) to distinguish "caller stopped the run" from "the run
-// timed out" no matter which algorithm ran.
-func TestCancelBeatsLimitsDeadline(t *testing.T) {
-	p := lineProblem{n: 100}
-	for _, algo := range allAlgorithms() {
-		t.Run(algo.String(), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_, err := RunContext(ctx, algo, p, lineHeuristic(p),
-				Limits{Deadline: time.Now().Add(-time.Second)})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v must not also match DeadlineExceeded", err)
-			}
-			var serr *Error
-			if !errors.As(err, &serr) || serr.Cause() != "canceled" {
-				t.Fatalf("err = %v, want *Error with cause \"canceled\"", err)
-			}
-		})
-	}
-}
-
 // TestErrorMessageDistinguishesCauses verifies the Error() text names which
 // bound fired instead of a bare "limit exceeded" for every kind of abort.
 func TestErrorMessageDistinguishesCauses(t *testing.T) {
 	p := lineProblem{n: 1000}
 	blind := func(State) int { return 0 }
 
-	_, err := Run(RBFS, p, blind, Limits{MaxStates: 10})
+	_, err := run(RBFS, p, blind, Limits{MaxStates: 10})
 	if err == nil || !strings.Contains(err.Error(), "state budget") || !strings.Contains(err.Error(), "cause=limit") {
 		t.Fatalf("state-budget abort message = %v", err)
 	}
 
-	_, err = Run(RBFS, p, blind, Limits{Deadline: time.Now().Add(-time.Second)})
-	if err == nil || !strings.Contains(err.Error(), "wall-clock deadline") || !strings.Contains(err.Error(), "cause=deadline") {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err = RunContext(ctx, RBFS, p, blind, Limits{})
+	if err == nil || !strings.Contains(err.Error(), "deadline exceeded") || !strings.Contains(err.Error(), "cause=deadline") {
 		t.Fatalf("deadline abort message = %v", err)
 	}
 
-	_, err = Run(RBFS, lineProblem{n: 3}, blind, Limits{MaxDepth: 1})
+	_, err = run(RBFS, deadEndProblem{}, blind, Limits{})
 	if err == nil || !strings.Contains(err.Error(), "cause=exhausted") {
 		t.Fatalf("exhausted message = %v", err)
 	}
@@ -97,7 +42,7 @@ func TestMaxFrontierTrackedForLinearMemoryAlgorithms(t *testing.T) {
 	p := lineProblem{n: 12}
 	for _, algo := range []Algorithm{IDA, RBFS} {
 		t.Run(algo.String(), func(t *testing.T) {
-			res, err := Run(algo, p, lineHeuristic(p), Limits{})
+			res, err := run(algo, p, lineHeuristic(p), Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}

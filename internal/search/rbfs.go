@@ -5,18 +5,18 @@ import (
 	"slices"
 )
 
-// RecursiveBestFirst runs RBFS (Korf 1993; §2.3 of the paper): a localized,
+// recursiveBestFirst runs RBFS (Korf 1993; §2.3 of the paper): a localized,
 // recursive best-first exploration that keeps track of a locally optimal
 // f-value and backtracks when it is exceeded, backing up the best known
 // f-value of each abandoned subtree. Like IDA it uses memory linear in the
 // search depth and may re-generate subtrees. The context is checked at
 // every examined state.
-func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
+func recursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits) (*Result, error) {
 	start := p.Start()
 	c := newCounter(ctx, "RBFS", lim)
 	hs := h(start)
 	c.candidate(start, hs, func() []Move { return nil })
-	onPath := []string{start.Key()}
+	onPath := []State{start}
 	var path []Move
 	res, _, err := rbfs(p, h, c, start, 0, hs, inf, &path, &onPath, &childFreeList{})
 	if err != nil {
@@ -30,17 +30,14 @@ func RecursiveBestFirst(ctx context.Context, p Problem, h Heuristic, lim Limits)
 
 // rbfs explores s with the given stored f-value under fLimit. It returns a
 // result if a goal is found, otherwise the revised backed-up f-value of s.
-// onPath holds the keys of the states on the current path, the start state
-// first; s's key is already on it.
-func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath *[]string, fl *childFreeList) (*Result, int, error) {
+// onPath holds the states on the current path, the start state first; s is
+// already on it.
+func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[]Move, onPath *[]State, fl *childFreeList) (*Result, int, error) {
 	if err := c.examine(); err != nil {
 		return nil, 0, err
 	}
 	if c.isGoal(p, s, g) {
 		return &Result{Path: append([]Move(nil), *path...), Goal: s}, 0, nil
-	}
-	if !c.depthOK(g + 1) {
-		return nil, inf, nil
 	}
 	moves, err := c.expand(p, s, g)
 	if err != nil {
@@ -51,7 +48,7 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 	children := fl.get(len(moves))
 	defer func() { fl.put(children) }()
 	for i, m := range moves {
-		if slices.Contains(*onPath, m.To.Key()) {
+		if slices.Contains(*onPath, m.To) {
 			continue
 		}
 		cg := g + m.Cost
@@ -79,9 +76,9 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 	sortChildren(children)
 	for {
 		best := &children[0]
-		// best.f >= inf means every child subtree is exhausted (dead ends or
-		// depth limits); without this check the top-level call, whose fLimit
-		// is inf, would recurse forever.
+		// best.f >= inf means every child subtree is exhausted (dead ends);
+		// without this check the top-level call, whose fLimit is inf, would
+		// recurse forever.
 		if best.f > fLimit || best.f >= inf {
 			return nil, best.f, nil
 		}
@@ -93,7 +90,7 @@ func rbfs(p Problem, h Heuristic, c *counter, s State, g, f, fLimit int, path *[
 			alt = fLimit
 		}
 		m := moves[best.i]
-		*onPath = append(*onPath, m.To.Key())
+		*onPath = append(*onPath, m.To)
 		*path = append(*path, m)
 		c.frontier(len(*path))
 		res, revised, err := rbfs(p, h, c, m.To, best.g, best.f, alt, path, onPath, fl)

@@ -16,7 +16,7 @@ func TestHeapBudgetAborts(t *testing.T) {
 	p := lineProblem{n: 1000}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
 		t.Run(algo.String(), func(t *testing.T) {
-			_, err := Run(algo, p, lineHeuristic(p), Limits{MaxHeapBytes: 1})
+			_, err := run(algo, p, lineHeuristic(p), Limits{MaxHeapBytes: 1})
 			if !errors.Is(err, ErrLimit) || !errors.Is(err, ErrMemory) {
 				t.Fatalf("err = %v, want both ErrLimit and ErrMemory", err)
 			}
@@ -35,7 +35,7 @@ func TestHeapBudgetAborts(t *testing.T) {
 }
 
 // TestHeapBudgetSampledCadence pins that the heap check runs every
-// wallCheckInterval examined states, not per state: a budget the run only
+// heapCheckInterval examined states, not per state: a budget the run only
 // exceeds mid-search aborts exactly at a sample point (Examined ≡ 1 mod 64,
 // past the first).
 func TestHeapBudgetSampledCadence(t *testing.T) {
@@ -49,7 +49,7 @@ func TestHeapBudgetSampledCadence(t *testing.T) {
 		ballast = append(ballast, make([]byte, 1<<20))
 		return p.n - int(s.(intState))
 	}
-	_, err := Run(RBFS, p, h, Limits{MaxHeapBytes: ms.HeapAlloc + 8<<20})
+	_, err := run(RBFS, p, h, Limits{MaxHeapBytes: ms.HeapAlloc + 8<<20})
 	runtime.KeepAlive(ballast)
 	if !errors.Is(err, ErrMemory) {
 		t.Fatalf("err = %v, want ErrMemory", err)
@@ -58,19 +58,21 @@ func TestHeapBudgetSampledCadence(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %T, want *Error", err)
 	}
-	if n := serr.Stats.Examined; n <= 1 || n%wallCheckInterval != 1 {
-		t.Fatalf("aborted at state %d, want a later sample point (≡ 1 mod %d)", n, wallCheckInterval)
+	if n := serr.Stats.Examined; n <= 1 || n%heapCheckInterval != 1 {
+		t.Fatalf("aborted at state %d, want a later sample point (≡ 1 mod %d)", n, heapCheckInterval)
 	}
 }
 
-// TestExpiredDeadlineAbortsAtFirstState pins that moving the wall-clock
-// check onto the sampling cadence kept the degenerate case exact: an
-// already-expired deadline still aborts at state 1.
+// TestExpiredDeadlineAbortsAtFirstState pins that the context is checked at
+// every examined state, not on the heap sample's cadence: an
+// already-expired deadline aborts at state 1.
 func TestExpiredDeadlineAbortsAtFirstState(t *testing.T) {
 	p := lineProblem{n: 1000}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
 		t.Run(algo.String(), func(t *testing.T) {
-			_, err := Run(algo, p, lineHeuristic(p), Limits{Deadline: time.Now().Add(-time.Second)})
+			_, err := RunContext(ctx, algo, p, lineHeuristic(p), Limits{})
 			var serr *Error
 			if !errors.As(err, &serr) {
 				t.Fatalf("err = %T, want *Error", err)
@@ -91,7 +93,7 @@ func TestBestEffortPartialOnStateBudget(t *testing.T) {
 	p := lineProblem{n: 1000}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
 		t.Run(algo.String(), func(t *testing.T) {
-			_, err := Run(algo, p, lineHeuristic(p), Limits{MaxStates: 25, BestEffort: true})
+			_, err := run(algo, p, lineHeuristic(p), Limits{MaxStates: 25, BestEffort: true})
 			if !errors.Is(err, ErrLimit) {
 				t.Fatalf("err = %v, want ErrLimit", err)
 			}
@@ -114,8 +116,8 @@ func TestBestEffortPartialOnStateBudget(t *testing.T) {
 			if len(part.Path) == 0 {
 				t.Fatal("partial path empty despite progress")
 			}
-			if got := part.Path[len(part.Path)-1].To.Key(); got != part.State.Key() {
-				t.Fatalf("path ends at %s, state is %s", got, part.State.Key())
+			if got := part.Path[len(part.Path)-1].To; got != part.State {
+				t.Fatalf("path ends at %v, state is %v", got, part.State)
 			}
 			// And the heuristic value matches the recorded state.
 			if h := lineHeuristic(p)(part.State); h != part.H {
@@ -130,7 +132,7 @@ func TestBestEffortPartialOnStateBudget(t *testing.T) {
 // still structurally valid.
 func TestBestEffortPartialOnImmediateAbort(t *testing.T) {
 	p := lineProblem{n: 50}
-	_, err := Run(RBFS, p, lineHeuristic(p), Limits{MaxHeapBytes: 1, BestEffort: true})
+	_, err := run(RBFS, p, lineHeuristic(p), Limits{MaxHeapBytes: 1, BestEffort: true})
 	var serr *Error
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %T, want *Error", err)
@@ -138,7 +140,7 @@ func TestBestEffortPartialOnImmediateAbort(t *testing.T) {
 	if serr.Partial == nil {
 		t.Fatal("no partial")
 	}
-	if len(serr.Partial.Path) != 0 || serr.Partial.State.Key() != p.Start().Key() {
+	if len(serr.Partial.Path) != 0 || serr.Partial.State != p.Start() {
 		t.Fatalf("partial = %+v, want empty path at start", serr.Partial)
 	}
 }
@@ -172,7 +174,7 @@ func TestBestEffortPartialOnCancel(t *testing.T) {
 // expose partial tracking.
 func TestBestEffortOffNoPartial(t *testing.T) {
 	p := lineProblem{n: 1000}
-	_, err := Run(RBFS, p, lineHeuristic(p), Limits{MaxStates: 25})
+	_, err := run(RBFS, p, lineHeuristic(p), Limits{MaxStates: 25})
 	var serr *Error
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %T, want *Error", err)

@@ -33,21 +33,16 @@ import (
 	"tupelo/internal/obs"
 )
 
-// State is a node of the search space. Implementations must provide a
-// canonical key so that semantically equal states collapse; TUPELO uses a
-// compact 128-bit hash of the database's canonical form (raw bytes, not a
-// full fingerprint string), keeping the per-run path bookkeeping — IDA*'s
-// and RBFS's current-path key slices and A*'s bestG map — cheap to compare,
-// hash and store. The search
-// never caches anything by key: facts derived from a state (its heuristic
-// value, its moves, its goal verdict) are the Problem's and Heuristic's to
-// remember.
-type State interface {
-	// Key returns a canonical identifier: equal keys mean equal states.
-	// Keys may be compact hashes, so "equal" holds up to the hash's
-	// collision probability (negligible at 128 bits; see DESIGN.md).
-	Key() string
-}
+// State is a node of the search space. It carries no method: two states are
+// the same state exactly when they are ==. A Problem must therefore return
+// one comparable value per distinct state — a canonical pointer (TUPELO's
+// core hands the search one *dbState per database) or a comparable value
+// such as an integer or an array — and never two unequal values for one
+// state. IDA*'s and RBFS's current-path check and A*'s bestG map compare
+// states with == and nothing else. The search never caches anything by
+// state: facts derived from a state (its heuristic value, its moves, its
+// goal verdict) are the Problem's and Heuristic's to remember.
+type State any
 
 // Move is an edge of the search space: an operator and the successor it
 // produces.
@@ -78,23 +73,15 @@ type Problem interface {
 // 0 for goal states to keep IDA/RBFS well-behaved (the paper's h(t)=0).
 type Heuristic func(State) int
 
-// Limits bounds a search run. Zero values mean unlimited.
+// Limits bounds a search run. Zero values mean unlimited. A wall-clock
+// bound is the context's deadline (RunContext).
 type Limits struct {
 	// MaxStates aborts the search after this many states are examined.
 	MaxStates int
-	// MaxDepth bounds the depth (g-value) of the search.
-	MaxDepth int
-	// Deadline aborts the search once the wall clock passes it; the run
-	// fails with an error wrapping context.DeadlineExceeded. A context
-	// deadline works identically — this field exists for callers that
-	// carry limits as plain data rather than through a context. The clock
-	// is sampled every wallCheckInterval examined states, so an abort can
-	// overshoot the deadline by the time those states take to examine.
-	Deadline time.Time
 	// MaxHeapBytes aborts the search once the process heap (live object
 	// bytes, MemStats.HeapAlloc) exceeds this many bytes, failing with an
 	// error matching both ErrLimit and ErrMemory. The heap is sampled every
-	// wallCheckInterval examined states through a process-wide runtime/metrics
+	// heapCheckInterval examined states through a process-wide runtime/metrics
 	// sampler (no stop-the-world, unlike runtime.ReadMemStats) whose reading
 	// may additionally be up to heapSampleTTL stale, so the abort fires within
 	// that many states of the budget being crossed. The budget is
@@ -151,7 +138,7 @@ type Result struct {
 // ErrNotFound reports an exhausted search space without a goal.
 var ErrNotFound = errors.New("search: no goal state found")
 
-// ErrLimit reports an aborted search (state or depth budget exhausted).
+// ErrLimit reports an aborted search (state or heap budget exhausted).
 var ErrLimit = errors.New("search: limit exceeded")
 
 // ErrMemory refines ErrLimit for heap-budget aborts: an error from a run
@@ -159,16 +146,11 @@ var ErrLimit = errors.New("search: limit exceeded")
 // abort) and ErrMemory (it is specifically the memory budget).
 var ErrMemory = errors.New("search: memory budget exceeded")
 
-// errStateBudget, errWallDeadline, and errHeapBudget refine the generic
-// sentinels so that error text states which bound fired: a MaxStates abort
-// and a Limits.Deadline abort previously surfaced as an undifferentiated
-// "limit exceeded" / "context deadline exceeded". errors.Is still matches
-// ErrLimit and context.DeadlineExceeded respectively, and errHeapBudget
-// matches both ErrLimit and ErrMemory.
+// errStateBudget and errHeapBudget refine ErrLimit so that error text
+// states which budget fired; errHeapBudget also matches ErrMemory.
 var (
-	errStateBudget  = fmt.Errorf("%w (state budget exhausted)", ErrLimit)
-	errWallDeadline = fmt.Errorf("%w (wall-clock deadline passed)", context.DeadlineExceeded)
-	errHeapBudget   = fmt.Errorf("%w (%w)", ErrLimit, ErrMemory)
+	errStateBudget = fmt.Errorf("%w (state budget exhausted)", ErrLimit)
+	errHeapBudget  = fmt.Errorf("%w (%w)", ErrLimit, ErrMemory)
 )
 
 // PanicError is a panic recovered inside search-owned code: a portfolio
@@ -231,9 +213,8 @@ type Error struct {
 // Cause classifies the wrapped error into a small stable vocabulary —
 // "panic", "deadline", "canceled", "memory", "limit", "exhausted", or
 // "error" — used in the error text and as the metrics label for aborted
-// runs. Deadlines are checked before limits so a run that trips both reports
-// the same cause the errors.Is chain resolves first; "memory" is checked
-// before "limit" because a heap-budget abort matches both sentinels.
+// runs. "memory" is checked before "limit" because a heap-budget abort
+// matches both sentinels.
 func (e *Error) Cause() string {
 	var pe *PanicError
 	switch {
@@ -265,7 +246,7 @@ type Algorithm int
 
 const (
 	// AlgorithmUnset is the zero Algorithm. It is not a strategy of its
-	// own: Run and RunContext resolve it to RBFS, the paper's overall best
+	// own: RunContext resolves it to RBFS, the paper's overall best
 	// performer, so a zero-valued configuration genuinely means "use the
 	// paper's best" instead of silently selecting IDA.
 	AlgorithmUnset Algorithm = iota
@@ -341,26 +322,21 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Run executes the selected algorithm on the problem without external
-// cancellation; it is RunContext with context.Background().
-func Run(a Algorithm, p Problem, h Heuristic, lim Limits) (*Result, error) {
-	return RunContext(context.Background(), a, p, h, lim)
-}
-
-// RunContext executes the selected algorithm on the problem. The context is
-// checked at every examined state; when it is cancelled or its deadline
-// passes, the run stops with an *Error wrapping the context's error and
-// carrying the partial Stats. AlgorithmUnset resolves to RBFS.
+// RunContext executes the selected algorithm on the problem; it is the
+// package's one entry point. The context is checked at every examined
+// state; when it is cancelled or its deadline passes, the run stops with an
+// *Error wrapping the context's error and carrying the partial Stats.
+// AlgorithmUnset resolves to RBFS.
 func RunContext(ctx context.Context, a Algorithm, p Problem, h Heuristic, lim Limits) (*Result, error) {
 	switch a {
 	case IDA:
-		return IDAStar(ctx, p, h, lim)
+		return idaStar(ctx, p, h, lim)
 	case AlgorithmUnset, RBFS:
-		return RecursiveBestFirst(ctx, p, h, lim)
+		return recursiveBestFirst(ctx, p, h, lim)
 	case AStar:
-		return AStarSearch(ctx, p, h, lim)
+		return bestFirst(ctx, p, h, lim, false)
 	case Greedy:
-		return GreedySearch(ctx, p, h, lim)
+		return bestFirst(ctx, p, h, lim, true)
 	default:
 		return nil, fmt.Errorf("search: unknown algorithm %d", int(a))
 	}
@@ -430,8 +406,8 @@ func newCounter(ctx context.Context, algo string, lim Limits) *counter {
 }
 
 // examine counts one goal test and reports why the run must stop, if it
-// must: budget exhausted, context cancelled, or deadline passed. It is the
-// single cancellation point shared by every algorithm.
+// must: budget exhausted or context cancelled (a deadline included). It is
+// the single cancellation point shared by every algorithm.
 func (c *counter) examine() error {
 	c.stats.Examined++
 	c.mExamined.Inc()
@@ -449,28 +425,20 @@ func (c *counter) examine() error {
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
-	// The wall clock and the heap are sampled every wallCheckInterval
-	// states rather than per state: time.Now and the heap sampler are far
-	// more expensive than the atomic counting above. The phase is 1, not 0,
-	// so the very first examined state still catches an already-expired
-	// deadline or an already-blown heap budget.
-	if c.stats.Examined&(wallCheckInterval-1) == 1 {
-		if !c.lim.Deadline.IsZero() && time.Now().After(c.lim.Deadline) {
-			return errWallDeadline
-		}
-		if c.lim.MaxHeapBytes > 0 && heapLiveBytes() > c.lim.MaxHeapBytes {
-			return errHeapBudget
-		}
+	// The heap is sampled every heapCheckInterval states rather than per
+	// state: the sampler is far more expensive than the atomic counting
+	// above. The phase is 1, not 0, so the very first examined state still
+	// catches an already-blown heap budget.
+	if c.lim.MaxHeapBytes > 0 && c.stats.Examined&(heapCheckInterval-1) == 1 && heapLiveBytes() > c.lim.MaxHeapBytes {
+		return errHeapBudget
 	}
 	return nil
 }
 
-// wallCheckInterval is how often (in examined states) examine samples the
-// wall clock and the heap. Must be a power of two. A deadline or memory
-// abort can therefore overshoot its bound by up to wallCheckInterval-1
-// states — well within the tolerance of the portfolio deadline tests, which
-// allow hundreds of milliseconds of teardown slack.
-const wallCheckInterval = 64
+// heapCheckInterval is how often (in examined states) examine samples the
+// heap. Must be a power of two. A memory abort can therefore overshoot its
+// budget by up to heapCheckInterval-1 states.
+const heapCheckInterval = 64
 
 // bestSeen tracks the frontier state with the lowest heuristic value
 // observed during a run, for best-effort degradation. The algorithms offer
@@ -587,10 +555,6 @@ func (c *counter) frontier(n int) {
 	if n > c.stats.MaxFrontier {
 		c.stats.MaxFrontier = n
 	}
-}
-
-func (c *counter) depthOK(g int) bool {
-	return c.lim.MaxDepth == 0 || g <= c.lim.MaxDepth
 }
 
 // fail wraps err with the partial statistics of the run so far — plus the

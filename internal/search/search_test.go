@@ -12,7 +12,12 @@ import (
 // intState is a trivial State for toy problems.
 type intState int
 
-func (s intState) Key() string { return fmt.Sprintf("%d", int(s)) }
+func (s intState) String() string { return fmt.Sprintf("%d", int(s)) }
+
+// run is RunContext under a context that is never cancelled.
+func run(a Algorithm, p Problem, h Heuristic, lim Limits) (*Result, error) {
+	return RunContext(context.Background(), a, p, h, lim)
+}
 
 // opName is a test operator whose text is its name.
 type opName string
@@ -44,7 +49,7 @@ func TestAllAlgorithmsSolveLine(t *testing.T) {
 	p := lineProblem{n: 12}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
 		t.Run(algo.String(), func(t *testing.T) {
-			res, err := Run(algo, p, lineHeuristic(p), Limits{})
+			res, err := run(algo, p, lineHeuristic(p), Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +68,7 @@ func TestAllAlgorithmsSolveLine(t *testing.T) {
 
 func TestPerfectHeuristicExaminesLinearly(t *testing.T) {
 	p := lineProblem{n: 20}
-	res, err := IDAStar(context.Background(), p, lineHeuristic(p), Limits{})
+	res, err := idaStar(context.Background(), p, lineHeuristic(p), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +88,11 @@ func TestBlindSearchExaminesMore(t *testing.T) {
 	p := gridProblem{w: 6, h: 6, walls: map[[2]int]bool{}, start: [2]int{0, 0}, target: [2]int{5, 5}}
 	blind := func(State) int { return 0 }
 	for _, algo := range []Algorithm{IDA, RBFS} {
-		resBlind, err := Run(algo, p, blind, Limits{})
+		resBlind, err := run(algo, p, blind, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resExact, err := Run(algo, p, p.manhattan(), Limits{})
+		resExact, err := run(algo, p, p.manhattan(), Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +106,7 @@ func TestBlindSearchExaminesMore(t *testing.T) {
 func TestStartIsGoal(t *testing.T) {
 	p := lineProblem{n: 0}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-		res, err := Run(algo, p, lineHeuristic(p), Limits{})
+		res, err := run(algo, p, lineHeuristic(p), Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -119,7 +124,7 @@ func TestAbortedRunsReportZeroDepth(t *testing.T) {
 	blind := func(State) int { return 0 }
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
 		t.Run(algo.String(), func(t *testing.T) {
-			_, err := Run(algo, p, blind, Limits{MaxStates: 25})
+			_, err := run(algo, p, blind, Limits{MaxStates: 25})
 			if !errors.Is(err, ErrLimit) {
 				t.Fatalf("err = %v, want ErrLimit", err)
 			}
@@ -149,7 +154,7 @@ func (deadEndProblem) IsGoal(State) bool { return false }
 
 func TestNotFound(t *testing.T) {
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-		_, err := Run(algo, deadEndProblem{}, func(State) int { return 0 }, Limits{})
+		_, err := run(algo, deadEndProblem{}, func(State) int { return 0 }, Limits{})
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: err = %v, want ErrNotFound", algo, err)
 		}
@@ -159,19 +164,9 @@ func TestNotFound(t *testing.T) {
 func TestMaxStatesLimit(t *testing.T) {
 	p := lineProblem{n: 1000}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-		_, err := Run(algo, p, func(State) int { return 0 }, Limits{MaxStates: 50})
+		_, err := run(algo, p, func(State) int { return 0 }, Limits{MaxStates: 50})
 		if !errors.Is(err, ErrLimit) {
 			t.Fatalf("%s: err = %v, want ErrLimit", algo, err)
-		}
-	}
-}
-
-func TestMaxDepthLimit(t *testing.T) {
-	p := lineProblem{n: 10}
-	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-		_, err := Run(algo, p, lineHeuristic(p), Limits{MaxDepth: 3})
-		if err == nil {
-			t.Fatalf("%s: depth-limited search should not reach the goal", algo)
 		}
 	}
 }
@@ -179,7 +174,7 @@ func TestMaxDepthLimit(t *testing.T) {
 func TestSuccessorErrorPropagates(t *testing.T) {
 	p := errProblem{}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-		_, err := Run(algo, p, func(State) int { return 1 }, Limits{})
+		_, err := run(algo, p, func(State) int { return 1 }, Limits{})
 		if err == nil || errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: err = %v, want successor error", algo, err)
 		}
@@ -193,7 +188,7 @@ func (errProblem) Successors(State) ([]Move, error) { return nil, errors.New("bo
 func (errProblem) IsGoal(State) bool                { return false }
 
 func TestUnknownAlgorithm(t *testing.T) {
-	if _, err := Run(Algorithm(99), lineProblem{n: 1}, nil, Limits{}); err == nil {
+	if _, err := run(Algorithm(99), lineProblem{n: 1}, nil, Limits{}); err == nil {
 		t.Fatal("unknown algorithm should fail")
 	}
 	if got := Algorithm(99).String(); got != "Algorithm(99)" {
@@ -212,7 +207,7 @@ type gridProblem struct {
 
 type gridState [2]int
 
-func (s gridState) Key() string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
+func (s gridState) String() string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
 
 func (p gridProblem) Start() State { return gridState(p.start) }
 func (p gridProblem) IsGoal(s State) bool {
@@ -292,7 +287,7 @@ func TestPropertyOptimalityOnRandomGrids(t *testing.T) {
 		delete(p.walls, p.target)
 		want := bfsLen(p)
 		for _, algo := range []Algorithm{IDA, RBFS, AStar} {
-			res, err := Run(algo, p, p.manhattan(), Limits{})
+			res, err := run(algo, p, p.manhattan(), Limits{})
 			if want < 0 {
 				if !errors.Is(err, ErrNotFound) {
 					return false
@@ -327,7 +322,7 @@ func TestPropertyPathValidity(t *testing.T) {
 			return true
 		}
 		for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
-			res, err := Run(algo, p, p.manhattan(), Limits{})
+			res, err := run(algo, p, p.manhattan(), Limits{})
 			if err != nil {
 				return false
 			}
@@ -336,7 +331,7 @@ func TestPropertyPathValidity(t *testing.T) {
 				moves, _ := p.Successors(cur)
 				ok := false
 				for _, cand := range moves {
-					if cand.Op == m.Op && cand.To.Key() == m.To.Key() {
+					if cand.Op == m.Op && cand.To == m.To {
 						ok = true
 						break
 					}
@@ -376,11 +371,11 @@ func TestRBFSCompetitiveWithIDA(t *testing.T) {
 		if bfsLen(p) < 0 {
 			continue
 		}
-		ri, err := IDAStar(context.Background(), p, p.manhattan(), Limits{})
+		ri, err := idaStar(context.Background(), p, p.manhattan(), Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := RecursiveBestFirst(context.Background(), p, p.manhattan(), Limits{})
+		rr, err := recursiveBestFirst(context.Background(), p, p.manhattan(), Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +389,7 @@ func TestRBFSCompetitiveWithIDA(t *testing.T) {
 
 func TestAStarTracksFrontier(t *testing.T) {
 	p := lineProblem{n: 5}
-	res, err := AStarSearch(context.Background(), p, lineHeuristic(p), Limits{})
+	res, err := run(AStar, p, lineHeuristic(p), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -453,16 +453,11 @@ func (s *Server) writeForensics(name string, data []byte) {
 // job, best-effort.
 func (s *Server) writeReport(id int64, j *job, pres *core.PortfolioResult, runErr error, base core.Options, rb *obs.ReportBuilder) {
 	var res *core.Result
-	opts := base
 	if pres != nil {
 		res = pres.Result
-		// Report under the winner's configuration, not the base default.
-		opts.Algorithm = pres.Winner.Algorithm
-		opts.Heuristic = pres.Winner.Heuristic
-		opts.K = pres.Winner.K
 	}
 	src, tgt := j.pair()
-	rep, err := core.BuildReport(res, runErr, src, tgt, opts, rb)
+	rep, err := core.BuildReport(res, runErr, src, tgt, base, rb)
 	if err != nil {
 		return
 	}
