@@ -180,7 +180,7 @@ func bestEffortResult(err error, opts Options) (*Result, bool) {
 		Heuristic:    opts.Heuristic,
 		K:            opts.K,
 		Partial:      true,
-		PartialState: ds.db,
+		PartialState: ds.database(),
 		PartialH:     serr.Partial.H,
 		AbortErr:     err,
 	}, true

@@ -76,7 +76,7 @@ func TestSuccessorKeysMatchRecomputed(t *testing.T) {
 	}
 	for _, m := range moves {
 		ds := m.To.(*dbState)
-		if got, want := ds.key, ds.db.Clone().Key(); got != want {
+		if got, want := ds.key, ds.database().Clone().Key(); got != want {
 			t.Fatalf("move %s: memoized key differs from recomputed key", m.Op)
 		}
 	}

@@ -7,6 +7,9 @@
 package core
 
 import (
+	"fmt"
+
+	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/relation"
 	"tupelo/internal/search"
@@ -19,6 +22,13 @@ import (
 // keying a successor that replaced one relation copy-on-write only pays for
 // hashing that relation; the shared relations reuse their cached hashes.
 //
+// A state created from a ρ^att or π̄ preview is pending: it holds its parent
+// state, the operator and the previewed hash instead of a database, and its
+// estimate was delta-merged from a fragment derived from the parent's.
+// Every reader of the database goes through database(), which builds a
+// pending state on first use — normally its first goal test, when the
+// search enters it (DESIGN.md §8, "Building on entry").
+//
 // Each discovery run keeps one canonical dbState per key in its stateTable
 // and hands the search only canonical states, so the search's identity,
 // pointer equality, is key equality. The state itself carries everything
@@ -29,8 +39,19 @@ import (
 // recomputing. A run's states are read and written only by the run's own
 // goroutine (DESIGN.md §10), so the fields are plain.
 type dbState struct {
+	// db is the state's database; nil while the state is pending. Read it
+	// through database().
 	db  *relation.Database
 	key string
+
+	// A pending state's recipe, cleared by its build: the operator that
+	// creates it from from's database, the previewed hash of the relation
+	// the operator rebuilds, and that relation's fragment as derived for
+	// the state's estimate (nil if none was derived).
+	from *dbState
+	op   fira.Op
+	hash relation.ChildHash
+	frag *relation.Fragment
 
 	// est is the state's heuristic estimate; nil until the state's creator
 	// (or, for the start state, the search's first lookup) sets it.
@@ -66,6 +87,34 @@ type estimate struct {
 	agg heuristic.Agg
 }
 
+// database returns the state's database, building a pending state's from
+// its parent's by the operator's own Apply: the first creator's database,
+// exactly as an eager build would have made it. The rebuilt relation's memo
+// is seeded with the previewed hash and the derived fragment (the
+// relation.SeedHash and SeedFragment contract: the relation was just built
+// on this goroutine, the run's only one), and the recipe is dropped.
+func (s *dbState) database() *relation.Database {
+	if s.db == nil {
+		s.build()
+	}
+	return s.db
+}
+
+func (s *dbState) build() {
+	// Only ρ^att and π̄ are deferred, and neither reads the λ registry.
+	db, err := s.op.Apply(s.from.database(), nil)
+	if err != nil {
+		// The preview answers only where Apply succeeds.
+		panic(fmt.Sprintf("core: building previewed state %s: %v", s.op, err))
+	}
+	if r, ok := db.Relation(s.hash.Parent().Name()); ok {
+		r.SeedHash(s.hash)
+		r.SeedFragment(s.frag)
+	}
+	s.db = db
+	s.from, s.op, s.hash, s.frag = nil, nil, relation.ChildHash{}, nil
+}
+
 // stateTable maps each state key of one discovery run to the run's
 // canonical *dbState. Lookups happen only when a successor is created — a
 // memoized expansion returns its canonical states without touching the
@@ -82,4 +131,13 @@ func (t stateTable) intern(db *relation.Database, key string) (s *dbState, creat
 	s = &dbState{db: db, key: key}
 	t[key] = s
 	return s, true
+}
+
+// pend creates the pending state of a previewed child whose key the table
+// lacks — the caller's lookup missed — with one map write. Its database is
+// built from from's by op when first read (dbState.database).
+func (t stateTable) pend(from *dbState, op fira.Op, c childPreview) *dbState {
+	s := &dbState{key: string(c.key[:]), from: from, op: op, hash: c.hash}
+	t[s.key] = s
+	return s
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"tupelo/internal/datagen"
@@ -28,7 +29,9 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 // search against recomputation, for every state the search examined: the
 // published h equals a from-scratch estimate, the stored goal verdict
 // equals the nested-loop reference scan (Database.Contains, not the
-// containment index that produced it), the published move list equals a
+// containment index that produced it), every relation's memoized fragment
+// (seeded from a derivation where the state was built on entry) equals a
+// clone's, the published move list equals a
 // fresh expansion of the state's own database with the move memo off, and
 // every state and every move's successor is the table's canonical state for
 // its key, which both the state's database and a Clone of it recompute. It
@@ -94,7 +97,7 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		t.Fatal(err)
 	}
 	canonical := func(s *dbState) bool {
-		got, created := rec.table.intern(s.db, s.key)
+		got, created := rec.table.intern(s.database(), s.key)
 		return !created && got == s
 	}
 	scratch := heuristic.New(opts.Heuristic, tgt, opts.K)
@@ -111,22 +114,29 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if e == nil {
 			t.Fatalf("examined state %x has no published estimate", s.key)
 		}
-		if want := scratch.Estimate(s.db); e.h != want {
+		if want := scratch.Estimate(s.database()); e.h != want {
 			t.Fatalf("state %x: table h = %d, from-scratch estimate = %d", s.key, e.h, want)
 		}
 		want := verdictNotGoal
-		if s.db.Contains(tgt) {
+		if s.database().Contains(tgt) {
 			want = verdictGoal
 		}
 		if got := s.goal; got != want {
 			t.Fatalf("state %x: stored goal verdict = %d, reference scan gives %d", s.key, got, want)
+		}
+		// A state built on entry carries its derived fragment as a seed; a
+		// clone shares no memo and encodes it again.
+		for _, r := range s.database().RelationView() {
+			if got, want := r.TNFFragment(), r.Clone().TNFFragment(); !got.Equal(want) {
+				t.Fatalf("state %x relation %s: memoized fragment %+v, a clone's %+v", s.key, r.Name(), got, want)
+			}
 		}
 		moves := s.moves
 		if moves == nil {
 			continue // examined but never expanded: a goal or a pruned leaf
 		}
 		expanded++
-		wantMoves, err := fresh.Successors(&dbState{db: s.db, key: s.key})
+		wantMoves, err := fresh.Successors(&dbState{db: s.database(), key: s.key})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +161,7 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 	// by a preview where the state was built after one; a clone shares no
 	// memo and recomputes every hash.
 	for key, s := range rec.table {
-		if memo, clone := s.db.Key(), s.db.Clone().Key(); memo != key || clone != key || s.key != key {
+		if memo, clone := s.database().Key(), s.database().Clone().Key(); memo != key || clone != key || s.key != key {
 			t.Fatalf("canonical state %x stored under %x: its database keys to %x, a clone to %x", s.key, key, memo, clone)
 		}
 	}
@@ -219,5 +229,86 @@ func TestMemoStaysOnUnderTracer(t *testing.T) {
 	}
 	if memoHits == 0 {
 		t.Fatal("traced run emitted no EvMemoHit")
+	}
+}
+
+// TestStatesBuiltOnEntry pins the deferral of previewed children: after an
+// IDA*/h1 discovery of MatchingPair(8), whose every successor is a
+// previewed ρ^att or π̄ child with a derivable fragment, a state holds a
+// database only if the search entered it (its goal verdict is set), a
+// built state no longer holds its recipe, and the table holds states the
+// search estimated but never entered, which hold no database.
+func TestStatesBuiltOnEntry(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(8)
+	opts, err := Options{Algorithm: search.IDA, Heuristic: heuristic.H1}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProblem(src, tgt, opts)
+	if _, err := search.RunContext(context.Background(), opts.Algorithm, p, p.h, opts.Limits); err != nil {
+		t.Fatal(err)
+	}
+	pending := 0
+	for _, s := range p.table {
+		if s.db == nil {
+			if s.from == nil || s.op == nil || s.est == nil || s.frag == nil {
+				t.Fatalf("pending state %x lacks its recipe or estimate", s.key)
+			}
+			pending++
+			continue
+		}
+		if s.goal == verdictUntested {
+			t.Fatalf("state %x holds a database but the search never entered it", s.key)
+		}
+		if s.from != nil || s.op != nil || s.frag != nil {
+			t.Fatalf("built state %x still holds its recipe", s.key)
+		}
+	}
+	if pending == 0 {
+		t.Fatalf("all %d states hold a database: no child was left unbuilt", len(p.table))
+	}
+	t.Logf("%d of %d states never built", pending, len(p.table))
+}
+
+// TestBestEffortPartialNeverEntered: when a best-effort abort's
+// lowest-h frontier state is one the search estimated but never entered,
+// Result.PartialState is its database built on demand, equal by
+// fingerprint to replaying the partial expression on the source.
+func TestBestEffortPartialNeverEntered(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(8)
+	unentered := 0
+	// Every budget below the solving run's examined count aborts.
+	for budget := 2; ; budget++ {
+		opts, err := Options{Algorithm: search.IDA, Heuristic: heuristic.H1,
+			Limits: search.Limits{MaxStates: budget, BestEffort: true}}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newProblem(src, tgt, opts)
+		_, serr := search.RunContext(context.Background(), opts.Algorithm, p, p.h, opts.Limits)
+		if serr == nil {
+			break
+		}
+		var e *search.Error
+		if !errors.As(serr, &e) || e.Partial == nil {
+			t.Fatalf("budget %d: err = %v, want an abort with a partial", budget, serr)
+		}
+		if e.Partial.State.(*dbState).db == nil {
+			unentered++
+		}
+		res, ok := bestEffortResult(serr, opts)
+		if !ok {
+			t.Fatalf("budget %d: abort not degraded: %v", budget, serr)
+		}
+		want, err := res.Expr.Eval(src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.PartialState.Fingerprint(); got != want.Fingerprint() {
+			t.Fatalf("budget %d: partial state %q, replaying %s gives %q", budget, got, res.Expr, want.Fingerprint())
+		}
+	}
+	if unentered == 0 {
+		t.Fatal("no budget left an unentered state as the partial")
 	}
 }

@@ -72,7 +72,8 @@ type mappingProblem struct {
 	// point).
 	//
 	// With the memo on, applyAll also keys ρ^att and π̄ children before
-	// building them (childPreview) and builds only those the table lacks.
+	// building them (childPreview): a child the table lacks becomes a
+	// pending state, built when the search first reads its database.
 	table stateTable
 	memo  bool
 
@@ -169,12 +170,13 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 
 // expansionScratch holds the slices one expansion fills and the next
 // reuses: the candidate operators, the positional successor states, the
-// parent/child diff each new state's estimate reads, and the move
-// generators' per-expansion lists.
+// parent/child diff each new state's estimate reads with its fragments,
+// and the move generators' per-expansion lists.
 type expansionScratch struct {
 	ops            []fira.Op
 	states         []*dbState
 	removed, added []*relation.Relation
+	remF, addF     []*relation.Fragment
 	missingRels    []string
 	missingAtts    []string
 	// attEvidence parallels missingAtts: each missing target attribute's
@@ -202,13 +204,13 @@ func (p *mappingProblem) Start() search.State {
 // superset of the target critical instance. The first test of a state runs
 // against the precomputed containment index, equivalent to
 // db.Contains(p.target), and stores the verdict on the state; every revisit
-// reads it.
+// reads it. The first test of a pending state builds its database.
 func (p *mappingProblem) IsGoal(s search.State) bool {
 	ds := s.(*dbState)
 	if ds.goal != verdictUntested {
 		return ds.goal == verdictGoal
 	}
-	goal := p.goalIx.Contains(ds.db)
+	goal := p.goalIx.Contains(ds.database())
 	ds.goal = verdictNotGoal
 	if goal {
 		ds.goal = verdictGoal
@@ -237,6 +239,7 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 			p.tracer.Event(obs.Event{Kind: obs.EvMemoMiss})
 		}
 	}
+	db := parent.database()
 	var agg heuristic.Agg
 	if p.inc != nil {
 		if parent.est != nil {
@@ -246,10 +249,10 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 			// The parent's estimate was computed from scratch (the start
 			// state): seed an aggregate for this expansion so its
 			// successors are deltas.
-			agg = p.inc.Seed(parent.db)
+			agg = p.inc.Seed(db)
 		}
 	}
-	ops := p.candidateOps(parent.db)
+	ops := p.candidateOps(db)
 	states, err := p.applyAll(parent, agg, ops)
 	if err != nil {
 		return nil, err
@@ -335,17 +338,19 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 //
 // With the move memo on, a ρ^att or π̄ candidate is keyed before it is
 // built (preview): a key equal to the parent's is a no-op, a key the table
-// holds is that canonical state, and only a new key builds the child, whose
-// rebuilt relation is seeded with the previewed hash. Every candidate emits
-// one EvOpApply and one apply-latency sample, timed over its preview plus
-// any build.
+// holds is that canonical state, and a new key becomes a pending state with
+// one map write. A pending state whose estimate can come from fragments —
+// an incremental evaluator and a derivable child fragment — stays pending
+// until the search reads its database; any other is built at once through
+// the same accessor. Every candidate emits one EvOpApply and one
+// apply-latency sample, timed over its preview plus any build made here.
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered and
 // returned as a *search.PanicError naming the operator — never propagated,
 // so a poisoned operator or heuristic fails the expansion (and through it
 // the run) instead of killing the process.
 func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira.Op) (states []*dbState, err error) {
-	db := parent.db
+	db := parent.database()
 	timed := p.met != nil || p.tracer != nil
 	i := 0
 	defer func() {
@@ -369,9 +374,10 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 			start = time.Now()
 		}
 		var (
-			ns   *dbState
-			next *relation.Database
-			aerr error
+			ns      *dbState
+			created bool
+			next    *relation.Database
+			aerr    error
 		)
 		pv, keyed := p.preview(ops[i], db)
 		switch {
@@ -381,7 +387,10 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 			// A no-op: the child is the parent.
 		default:
 			if ns = p.table[string(pv.key[:])]; ns == nil {
-				next, aerr = ops[i].Apply(db, p.reg)
+				ns, created = p.table.pend(parent, ops[i], pv), true
+				if agg == nil || !pv.hash.Derivable() {
+					ns.database()
+				}
 			}
 		}
 		var elapsed time.Duration
@@ -389,14 +398,7 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 			elapsed = time.Since(start)
 			p.met.applyLatency(ops[i], elapsed)
 		}
-		created := false
-		switch {
-		case aerr != nil || next == nil || next == db:
-			// Failed, a no-op, or a previewed state the table held (ns).
-		case keyed:
-			pv.seed(next)
-			ns, created = p.table.intern(next, string(pv.key[:]))
-		default:
+		if !keyed && aerr == nil && next != nil && next != db {
 			if key := next.Key(); key != parent.key {
 				ns, created = p.table.intern(next, key)
 			}
@@ -418,11 +420,10 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 
 // childPreview is a candidate's child keyed before it is built: the child
 // database's key and the previewed hash of the relation the operator
-// rebuilds.
+// rebuilds, with what the preview resolved.
 type childPreview struct {
 	key  [16]byte
 	hash relation.ChildHash
-	rel  string
 }
 
 // preview keys op's child from the parent's database when the move memo is
@@ -437,21 +438,10 @@ func (p *mappingProblem) preview(op fira.Op, db *relation.Database) (c childPrev
 	switch o := op.(type) {
 	case fira.RenameAtt:
 		c.key, c.hash, ok = o.ChildKey(db)
-		c.rel = o.Rel
 	case fira.Drop:
 		c.key, c.hash, ok = o.ChildKey(db)
-		c.rel = o.Rel
 	}
 	return c, ok
-}
-
-// seed installs the previewed hash on the relation the operator rebuilt in
-// next, a child just built on this goroutine and seen by no other — the
-// relation.SeedHash contract — so the new state is never hashed twice.
-func (c *childPreview) seed(next *relation.Database) {
-	if r, ok := next.Relation(c.rel); ok {
-		r.SeedHash(c.hash)
-	}
 }
 
 // prewarm estimates a successor as it is created, so the search loop's
@@ -465,7 +455,7 @@ func (c *childPreview) seed(next *relation.Database) {
 func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, ns *dbState, created bool) {
 	p.lookup(!created)
 	if created {
-		p.publish(ns, p.evaluate(parent, agg, ns.db))
+		p.publish(ns, p.evaluate(parent, agg, ns))
 	}
 }
 
@@ -478,7 +468,7 @@ func (p *mappingProblem) h(s search.State) int {
 		return ds.est.h
 	}
 	p.lookup(false)
-	return p.publish(ds, p.evaluate(nil, nil, ds.db))
+	return p.publish(ds, p.evaluate(nil, nil, ds))
 }
 
 // lookup records one estimate lookup in the heuristic.cache counters and,
@@ -494,10 +484,14 @@ func (p *mappingProblem) lookup(hit bool) {
 	}
 }
 
-// evaluate computes db's estimate, by delta-merge from the parent's
-// aggregate when agg is non-nil and from scratch otherwise. It is the
-// fault-injection site for heuristic evaluation and is timed into hEval.
-func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, db *relation.Database) *estimate {
+// evaluate computes s's estimate, by delta-merge from the parent's
+// aggregate when agg is non-nil and from scratch otherwise. A pending
+// state's delta is its previewed relation's fragment leaving and the
+// fragment derived from it entering, kept on the state for its build; a
+// built state's is the fragments of the relations its database replaced.
+// It is the fault-injection site for heuristic evaluation and is timed into
+// hEval, derivation included.
+func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, s *dbState) *estimate {
 	if p.fault != nil {
 		p.fault(faults.SiteHeuristicEval, p.hLabel)
 	}
@@ -506,17 +500,32 @@ func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, 
 		start = time.Now()
 	}
 	e := &estimate{}
-	if agg != nil {
-		sc := &p.scratch
-		sc.removed, sc.added = relation.AppendDiff(sc.removed[:0], sc.added[:0], parent, db)
-		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.removed, Added: sc.added})
-	} else {
-		e.h = p.est.Estimate(db)
+	sc := &p.scratch
+	switch {
+	case agg == nil:
+		e.h = p.est.Estimate(s.database())
+	case s.db == nil:
+		s.frag = s.hash.Fragment()
+		sc.remF = append(sc.remF[:0], s.hash.Parent().TNFFragment())
+		sc.addF = append(sc.addF[:0], s.frag)
+		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.remF, Added: sc.addF})
+	default:
+		sc.removed, sc.added = relation.AppendDiff(sc.removed[:0], sc.added[:0], parent, s.db)
+		sc.remF, sc.addF = appendFragments(sc.remF[:0], sc.removed), appendFragments(sc.addF[:0], sc.added)
+		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.remF, Added: sc.addF})
 	}
 	if p.hEval != nil {
 		p.hEval.Observe(time.Since(start))
 	}
 	return e
+}
+
+// appendFragments appends the TNF fragment of every relation in rels to dst.
+func appendFragments(dst []*relation.Fragment, rels []*relation.Relation) []*relation.Fragment {
+	for _, r := range rels {
+		dst = append(dst, r.TNFFragment())
+	}
+	return dst
 }
 
 // publish installs e as the estimate of a state that has none and returns

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,35 +87,63 @@ func TestHistoryParseRejectsMalformedLine(t *testing.T) {
 	}
 }
 
-// TestRegressionReportVerdicts covers the three verdicts: no comparable
-// prior, improvement, and regression — and that non-comparable configs
-// (different budget) never match.
+// TestRegressionReportVerdicts covers every verdict: no comparable prior,
+// a run inside the range of the last five comparable prior sweeps, one
+// above it and one below it; and that only the last five prior sweeps count
+// and non-comparable entries (different budget or experiment, the run's own
+// line, later lines) never do.
 func TestRegressionReportVerdicts(t *testing.T) {
 	hist := []BenchSummary{
-		historySummary("1", 50000, 1000, 1),
-		historySummary("1", 50000, 3000, 2),
-		historySummary("1", 10000, 9999, 3), // different budget: not comparable
-		historySummary("2", 50000, 8888, 4), // different experiment: not comparable
-		historySummary("1", 50000, 7777, 5), // cur's own line: not prior
-		historySummary("1", 50000, 6666, 6), // later than cur: not prior
+		historySummary("1", 50000, 9000, 1), // sixth-latest prior: outside the window
+		historySummary("1", 50000, 2000, 2),
+		historySummary("1", 50000, 3000, 3),
+		historySummary("1", 10000, 9999, 4), // different budget: not comparable
+		historySummary("2", 50000, 8888, 5), // different experiment: not comparable
+		historySummary("1", 50000, 1000, 6),
+		historySummary("1", 50000, 4000, 7),
+		historySummary("1", 50000, 2500, 8),
+		historySummary("1", 50000, 7777, 9),  // cur's own line: not prior
+		historySummary("1", 50000, 6666, 10), // later than cur: not prior
+	}
+	cur := historySummary("1", 50000, 1500, 9)
+	prior := RecentPriors(hist, cur)
+	var got []float64
+	for _, h := range prior {
+		got = append(got, h.Aggregate.StatesPerSec)
+	}
+	if want := []float64{2000, 3000, 1000, 4000, 2500}; !slices.Equal(got, want) {
+		t.Fatalf("RecentPriors = %v, want %v (oldest first)", got, want)
+	}
+	const window = "the last 5 comparable prior sweeps (median 2500, range 1000–4000, through 2026-08-08)"
+
+	for _, tc := range []struct {
+		sps  float64
+		want string
+	}{
+		{1500, "bench history: ok: 1500 states/sec, -40.0% against the median of " + window},
+		{1000, "bench history: ok: 1000 states/sec, -60.0% against the median of " + window},
+		{5000, "bench history: ok: 5000 states/sec, +100.0% against the median of " + window},
+		{500, "bench history: REGRESSION: 500 states/sec is 50.0% below the range of " + window},
+	} {
+		cur.Aggregate.StatesPerSec = tc.sps
+		if rep := RegressionReport(cur, hist); rep != tc.want {
+			t.Fatalf("%.0f states/sec: verdict\n%q\nwant\n%q", tc.sps, rep, tc.want)
+		}
 	}
 
-	cur := historySummary("1", 50000, 1500, 5)
-	if best := BestPrior(hist, cur); best == nil || best.Aggregate.StatesPerSec != 3000 {
-		t.Fatalf("BestPrior = %+v, want the 3000 entry", best)
-	}
-	if rep := RegressionReport(cur, hist); !strings.Contains(rep, "REGRESSION") || !strings.Contains(rep, "50.0%") {
-		t.Fatalf("regression verdict = %q", rep)
-	}
-
-	cur.Aggregate.StatesPerSec = 4500
-	if rep := RegressionReport(cur, hist); !strings.Contains(rep, "ok:") || !strings.Contains(rep, "50.0%") {
-		t.Fatalf("improvement verdict = %q", rep)
+	// Two prior sweeps: the median is their mean.
+	two := historySummary("1", 50000, 3000, 3)
+	if rep := RegressionReport(two, hist); !strings.Contains(rep, "ok:") || !strings.Contains(rep, "last 2 comparable prior sweeps (median 5500, range 2000–9000") {
+		t.Fatalf("two-prior verdict = %q", rep)
 	}
 
 	cur.Config.Budget = 77777
 	if rep := RegressionReport(cur, hist); !strings.Contains(rep, "no prior entry comparable") {
 		t.Fatalf("no-prior verdict = %q", rep)
+	}
+	first := historySummary("1", 50000, 100, 1)
+	if rep := RegressionReport(first, hist); !strings.Contains(rep, "no prior entry comparable") {
+		t.Fatalf("verdict for the earliest sweep = %q", rep)
 	}
 }
 
@@ -154,8 +183,8 @@ func TestLegacyWorkersHistoryStaysComparable(t *testing.T) {
 	}
 	r := NewBenchReport("1", Config{Budget: 50000, Seed: 2006}, sampleMeasurements())
 	cur := r.Summary()
-	if best := BestPrior(hist, cur); best == nil || best.Aggregate.StatesPerSec != 31087.1 {
-		t.Fatalf("BestPrior = %+v, want the legacy line", best)
+	if prior := RecentPriors(hist, cur); len(prior) != 1 || prior[0].Aggregate.StatesPerSec != 31087.1 {
+		t.Fatalf("RecentPriors = %+v, want the legacy line", prior)
 	}
 	if rep := RegressionReport(cur, hist); strings.Contains(rep, "no prior entry comparable") {
 		t.Fatalf("verdict = %q", rep)
@@ -186,7 +215,7 @@ func TestCommittedReportFindsPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best := BestPrior(hist, r.Summary()); best == nil {
+	if len(RecentPriors(hist, r.Summary())) == 0 {
 		t.Fatalf("no prior for the committed report: %s", RegressionReport(r.Summary(), hist))
 	}
 }

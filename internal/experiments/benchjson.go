@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -310,41 +311,58 @@ func (s BenchSummary) comparable(o BenchSummary) bool {
 	return s.Experiment == o.Experiment && s.Config == o.Config
 }
 
-// BestPrior returns the comparable history entry with the highest states/sec,
-// or nil if none is comparable. Only entries generated strictly before s
-// count as prior: the history normally already holds s's own line (append
-// runs before the check), and a run must not be its own baseline.
-func BestPrior(hist []BenchSummary, s BenchSummary) *BenchSummary {
-	var best *BenchSummary
-	for i := range hist {
-		h := &hist[i]
-		if !s.comparable(*h) || !h.GeneratedAt.Before(s.GeneratedAt) {
-			continue
-		}
-		if best == nil || h.Aggregate.StatesPerSec > best.Aggregate.StatesPerSec {
-			best = h
+// priorWindow is how many comparable prior sweeps the history verdict
+// weighs: single sweeps of one build spread widely on shared machines (six
+// back-to-back exp1 sweeps have read 373k–490k states/s), so a verdict
+// against one sweep, let alone the best of all, mostly reports noise.
+const priorWindow = 5
+
+// RecentPriors returns the last priorWindow comparable history entries
+// generated strictly before s, oldest first, or none if none is comparable.
+// Only entries generated before s count as prior: the history normally
+// already holds s's own line (append runs before the check), and a run must
+// not be its own baseline.
+func RecentPriors(hist []BenchSummary, s BenchSummary) []BenchSummary {
+	var prior []BenchSummary
+	for _, h := range hist {
+		if s.comparable(h) && h.GeneratedAt.Before(s.GeneratedAt) {
+			prior = append(prior, h)
 		}
 	}
-	return best
+	slices.SortStableFunc(prior, func(a, b BenchSummary) int { return a.GeneratedAt.Compare(b.GeneratedAt) })
+	return prior[max(0, len(prior)-priorWindow):]
 }
 
 // RegressionReport renders a one-line verdict comparing the summary's
-// throughput against the best comparable entry in the history: the perf
-// trajectory check behind tupelo-bench -check-bench -bench-history. The
+// throughput with the last comparable sweeps in the history: the perf
+// trajectory check behind tupelo-bench -check-bench -bench-history. It
+// prints their median and min–max range and says REGRESSION only below the
+// range's minimum, the tolerance the spread of single sweeps calls for. The
 // verdict is informational — CI machines vary too much for an exit-code
 // gate — but a regression line in the log is what a reviewer greps for.
 func RegressionReport(s BenchSummary, hist []BenchSummary) string {
-	best := BestPrior(hist, s)
-	if best == nil {
+	prior := RecentPriors(hist, s)
+	if len(prior) == 0 {
 		return fmt.Sprintf("bench history: no prior entry comparable to experiment %q %+v", s.Experiment, s.Config)
 	}
-	delta := 100 * (s.Aggregate.StatesPerSec - best.Aggregate.StatesPerSec) / best.Aggregate.StatesPerSec
-	if delta < 0 {
-		return fmt.Sprintf("bench history: REGRESSION: %.0f states/sec is %.1f%% below best prior %.0f (%s)",
-			s.Aggregate.StatesPerSec, -delta, best.Aggregate.StatesPerSec, best.GeneratedAt.Format("2006-01-02"))
+	rates := make([]float64, len(prior))
+	for i, h := range prior {
+		rates[i] = h.Aggregate.StatesPerSec
 	}
-	return fmt.Sprintf("bench history: ok: %.0f states/sec, %.1f%% above best prior %.0f (%s)",
-		s.Aggregate.StatesPerSec, delta, best.Aggregate.StatesPerSec, best.GeneratedAt.Format("2006-01-02"))
+	slices.Sort(rates)
+	med := rates[len(rates)/2]
+	if len(rates)%2 == 0 {
+		med = (rates[len(rates)/2-1] + med) / 2
+	}
+	lo, hi, cur := rates[0], rates[len(rates)-1], s.Aggregate.StatesPerSec
+	window := fmt.Sprintf("the last %d comparable prior sweeps (median %.0f, range %.0f–%.0f, through %s)",
+		len(prior), med, lo, hi, prior[len(prior)-1].GeneratedAt.Format("2006-01-02"))
+	if cur < lo {
+		return fmt.Sprintf("bench history: REGRESSION: %.0f states/sec is %.1f%% below the range of %s",
+			cur, 100*(lo-cur)/lo, window)
+	}
+	return fmt.Sprintf("bench history: ok: %.0f states/sec, %+.1f%% against the median of %s",
+		cur, 100*(cur-med)/med, window)
 }
 
 // ValidateBenchReport checks that data is a schema-valid BenchReport: the

@@ -110,8 +110,10 @@ func childKeyOps(rel *relation.Relation) []keyedOp {
 // answers, Apply must succeed, the child's Key must equal the previewed key,
 // and the previewed hash must equal both a from-scratch hash of the rebuilt
 // relation (on a Clone, which shares no memo) and the hash of a rebuild
-// seeded with it. When Apply fails, the preview must decline; within the
-// preview limits it must otherwise answer.
+// seeded with it. The fragment derived from the parent's must equal the
+// rebuilt relation's, field by field, except that it declines exactly on a
+// π̄ that collapses rows or leaves no attribute. When Apply fails, the
+// preview must decline; within the preview limits it must otherwise answer.
 func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
 	t.Helper()
 	key, h, ok := op.ChildKey(db)
@@ -144,6 +146,15 @@ func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
 	if got := rebuilt.Clone().Hash(); got != h.Sum() {
 		t.Fatalf("%s: rebuilt relation hashes to %x, previewed %x", op, got, h.Sum())
 	}
+	_, drop := op.(Drop)
+	declines := drop && (rebuilt.Len() < src.Len() || rebuilt.Arity() == 0)
+	derived := h.Fragment()
+	if h.Derivable() != (derived != nil) || (derived == nil) != declines {
+		t.Fatalf("%s: derivable %v, derived %v, want a decline exactly when %v", op, h.Derivable(), derived != nil, declines)
+	}
+	if want := rebuilt.Clone().TNFFragment(); derived != nil && !derived.Equal(want) {
+		t.Fatalf("%s: derived fragment %+v, rebuilt relation's %+v", op, derived, want)
+	}
 	seeded, err := op.Apply(db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +167,8 @@ func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
 }
 
 // TestChildKeyMatchesApply is the differential test of the child-key
-// previews against building the child: every ρ^att and π̄ candidate,
+// previews and the fragments derived from them against building the child:
+// every ρ^att and π̄ candidate,
 // including each failure case, on relations of arity 0, 1, 8, 9, 32 and 33
 // with 0, 1, 2, 32 and 33 rows, in databases of 1, 2, 8 and 9 relations.
 // The vocabulary is small enough that dropping a column collapses rows.
@@ -178,8 +190,9 @@ func TestChildKeyMatchesApply(t *testing.T) {
 	t.Logf("%d candidates checked", checked)
 }
 
-// FuzzChildKey checks the preview against Apply on generated databases:
-// the fuzzer picks the shape, the vocabulary and the candidate.
+// FuzzChildKey checks the preview and the derived fragment against Apply on
+// generated databases: the fuzzer picks the shape, the vocabulary and the
+// candidate.
 func FuzzChildKey(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(8), uint8(1), uint8(2), uint16(0))
 	f.Add(int64(2), uint8(2), uint8(9), uint8(32), uint8(2), uint16(7))

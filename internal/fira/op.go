@@ -104,9 +104,12 @@ func (o RenameAtt) Apply(db *relation.Database, _ *lambda.Registry) (*relation.D
 // ChildKey previews Apply without building the child: it returns the key
 // the child database would have (its Key's bytes) and the previewed hash of
 // the renamed relation, for relation.Relation.SeedHash once the child is
-// built. It declines (ok is false) whenever Apply would fail, and also
-// where the relation and database previews decline (DESIGN.md §8); the
-// caller then applies the operator.
+// built, carrying what the preview resolved, from which
+// relation.ChildHash.Fragment derives the child's fragment. It resolves the
+// relation, the attribute and the new name once each. It declines (ok is
+// false) whenever Apply would fail, and also where the relation and
+// database previews decline (DESIGN.md §8); the caller then applies the
+// operator.
 func (o RenameAtt) ChildKey(db *relation.Database) (key [16]byte, h relation.ChildHash, ok bool) {
 	r, found := db.Relation(o.Rel)
 	if !found {
@@ -115,7 +118,7 @@ func (o RenameAtt) ChildKey(db *relation.Database) (key [16]byte, h relation.Chi
 	if h, ok = r.RenamedHash(o.From, o.To); !ok {
 		return key, h, false
 	}
-	key, ok = db.KeyWith(o.Rel, h)
+	key, ok = db.KeyWith(h)
 	return key, h, ok
 }
 
@@ -154,7 +157,7 @@ func (o Drop) ChildKey(db *relation.Database) (key [16]byte, h relation.ChildHas
 	if h, ok = r.DroppedHash(o.Attr); !ok {
 		return key, h, false
 	}
-	key, ok = db.KeyWith(o.Rel, h)
+	key, ok = db.KeyWith(h)
 	return key, h, ok
 }
 

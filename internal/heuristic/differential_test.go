@@ -123,8 +123,7 @@ func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 					continue // precondition failure — not a successor
 				}
 				steps++
-				removed, added := relation.Diff(cur, next)
-				got, nextAgg := inc.EstimateDelta(agg, Delta{Removed: removed, Added: added})
+				got, nextAgg := inc.EstimateDelta(agg, deltaOf(cur, next))
 				want := e.Estimate(next)
 				if got != want {
 					t.Fatalf("seed %d %s after %s (step %d): incremental %d != scratch %d",
@@ -138,6 +137,20 @@ func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 
 // finishOf runs EstimateDelta with an empty delta, which must be the
 // identity on the aggregate: it re-finishes the parent's sums.
+// deltaOf is the Delta of a copy-on-write parent/child pair: the fragments
+// of the relations relation.Diff reports.
+func deltaOf(parent, child *relation.Database) Delta {
+	removed, added := relation.Diff(parent, child)
+	var d Delta
+	for _, r := range removed {
+		d.Removed = append(d.Removed, r.TNFFragment())
+	}
+	for _, r := range added {
+		d.Added = append(d.Added, r.TNFFragment())
+	}
+	return d
+}
+
 func finishOf(inc IncrementalEvaluator, a Agg) int {
 	v, _ := inc.EstimateDelta(a, Delta{})
 	return v

@@ -30,17 +30,20 @@ type Evaluator interface {
 	Estimate(x *relation.Database) int
 }
 
-// Delta describes how a successor state differs from its parent: the
-// relations removed from the parent and those added in their place. For a
-// FIRA operator application this is one replaced slot (or two collapsing
-// into one for unions, one fanning out for partitions); relation.Diff
-// recovers it from any copy-on-write parent/child pair by pointer
-// comparison. Its slices are borrowed for the call they are passed to:
-// an evaluator reads them and keeps neither slice, so a caller may refill
-// them for its next successor.
+// Delta describes how a successor state differs from its parent: the TNF
+// fragments of the relations removed from the parent and of those added in
+// their place. Every evaluator reads only fragments, so a delta needs no
+// built child: a caller may pass a fragment derived from the parent's
+// (relation.ChildHash.Fragment) for a child it has not built. For a FIRA
+// operator application this is one replaced slot (or two collapsing into
+// one for unions, one fanning out for partitions); relation.Diff recovers
+// the relations from any copy-on-write parent/child pair by pointer
+// comparison. Its slices are borrowed for the call they are passed to: an
+// evaluator reads them and keeps neither slice (only the fragments), so a
+// caller may refill them for its next successor.
 type Delta struct {
-	Removed []*relation.Relation
-	Added   []*relation.Relation
+	Removed []*relation.Fragment
+	Added   []*relation.Fragment
 }
 
 // Agg is an opaque per-state aggregate: the running multiset sums an
@@ -66,8 +69,8 @@ type IncrementalEvaluator interface {
 	Seed(x *relation.Database) Agg
 	// EstimateDelta returns h(child) and the child's aggregate, given the
 	// parent's aggregate and the parent→child delta. d.Removed must be
-	// relations of the parent state (as returned by relation.Diff); parent
-	// is not modified and may be shared concurrently.
+	// fragments of relations of the parent state (as relation.Diff returns
+	// them); parent is not modified and may be shared concurrently.
 	EstimateDelta(parent Agg, d Delta) (int, Agg)
 }
 
@@ -357,10 +360,7 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 	cp := *p
 	a := &cp
-	// Almost every delta replaces one relation, so the fragment lists live
-	// on the stack.
-	var remArr, addArr [4]*relation.Fragment
-	remF, addF := appendFrags(remArr[:0], d.Removed), appendFrags(addArr[:0], d.Added)
+	remF, addF := d.Removed, d.Added
 
 	if need&needVec != 0 {
 		for _, f := range remF {
@@ -415,14 +415,6 @@ func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 	}
 	a.frags = append(a.frags, addF...)
 	return a
-}
-
-// appendFrags appends the TNF fragment of every relation in rels to dst.
-func appendFrags(dst []*relation.Fragment, rels []*relation.Relation) []*relation.Fragment {
-	for _, r := range rels {
-		dst = append(dst, r.TNFFragment())
-	}
-	return dst
 }
 
 func fragAtts(f *relation.Fragment) []relation.SymbolCount { return f.Atts }

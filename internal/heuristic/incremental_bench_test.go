@@ -54,8 +54,7 @@ func BenchmarkIncrementalEstimate(b *testing.B) {
 		b.Fatal("cosine must be incremental")
 	}
 	parent := inc.Seed(x)
-	removed, added := relation.Diff(x, succ)
-	d := Delta{Removed: removed, Added: added}
+	d := deltaOf(x, succ)
 	// Pre-warm the successor fragment so iterations measure the merge, not
 	// the one-time fragment memoization.
 	v0, _ := inc.EstimateDelta(parent, d)

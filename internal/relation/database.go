@@ -257,16 +257,22 @@ func (db *Database) Key() string {
 // stack buffer; KeyWith declines beyond it.
 const keyStackRels = 8
 
-// KeyWith previews the Key of db with its relation named name replaced by a
-// relation of the same name whose hash c previews, without building either:
-// the key bytes stay on the stack. It declines (ok is false) when db has no
-// relation named name or holds more than keyStackRels relations.
-func (db *Database) KeyWith(name string, c ChildHash) (key [16]byte, ok bool) {
-	i, found := db.find(name)
-	if !found || !c.set || len(db.rels) > keyStackRels {
+// KeyWith previews the Key of db with the relation c was previewed from
+// replaced by the child c previews, without building either: the key bytes
+// stay on the stack. The parent's slot is found by pointer, so the
+// relation's name is never compared again. It declines (ok is false) when
+// the parent is not one of db's relations or db holds more than
+// keyStackRels relations.
+func (db *Database) KeyWith(c ChildHash) (key [16]byte, ok bool) {
+	if !c.set || len(db.rels) > keyStackRels {
 		return key, false
 	}
-	return db.keyOf(i, c.sum), true
+	for i, r := range db.rels {
+		if r == c.parent {
+			return db.keyOf(i, c.sum), true
+		}
+	}
+	return key, false
 }
 
 // keyOf computes Key's bytes with relation i's hash taken as h (no

@@ -114,6 +114,16 @@ func countOf(xs []SymbolCount, s Symbol) int {
 	return 0
 }
 
+// Equal reports whether f and g hold the same counters: Rel, Arity,
+// Tuples, RowCount, VecSq and the entries of Atts, Vals and Vec (an empty
+// multiset equals a nil one). A fragment derived from a parent's
+// (ChildHash.Fragment) equals the built child's.
+func (f *Fragment) Equal(g *Fragment) bool {
+	return f.Rel == g.Rel && f.Arity == g.Arity && f.Tuples == g.Tuples &&
+		f.RowCount == g.RowCount && f.VecSq == g.VecSq &&
+		slices.Equal(f.Atts, g.Atts) && slices.Equal(f.Vals, g.Vals) && slices.Equal(f.Vec, g.Vec)
+}
+
 // Dot returns the term-vector dot product Σ f.Vec[k]·g.Vec[k]: one merge
 // walk over the two sorted triple multisets. Fragments of differently
 // named relations share no triple, so their product is 0.
@@ -297,6 +307,126 @@ func (r *Relation) oneRowFragment(f *Fragment) {
 		vals[k] = SymbolCount{v, 1}
 	}
 	f.Vals = vals
+}
+
+// renamed derives the fragment of the relation whose attribute from is
+// renamed to to, a symbol no other attribute carries (or from itself): the
+// from entry of Atts and its block of Vec (the triples are ordered by
+// attribute, then value, so the block is contiguous), relabelled, move to
+// to's place in symbol order. The values, VecSq and the counts are
+// unchanged, and Vals is shared with f. Two allocations besides the header:
+// Atts and Vec.
+func (f *Fragment) renamed(from, to Symbol) *Fragment {
+	g := &Fragment{Rel: f.Rel, Arity: f.Arity, Tuples: f.Tuples, RowCount: f.RowCount,
+		Vals: f.Vals, VecSq: f.VecSq}
+	fi := atIndex(f.Atts, from)
+	g.Atts = make([]SymbolCount, len(f.Atts))
+	g.Atts[moveBlock(g.Atts, f.Atts, fi, fi+1, atIndex(f.Atts, to))].Sym = to
+	lo, hi := attBlock(f.Vec, from)
+	at, _ := attBlock(f.Vec, to)
+	g.Vec = make([]TripleCount, len(f.Vec))
+	k := moveBlock(g.Vec, f.Vec, lo, hi, at)
+	for i := k; i < k+hi-lo; i++ {
+		g.Vec[i].Triple[1] = to
+	}
+	return g
+}
+
+// moveBlock copies src into dst, which has src's length, with the block
+// src[lo:hi] moved to where src[at] stands (at ≤ lo or at ≥ hi), and
+// returns the block's position in dst.
+func moveBlock[T any](dst, src []T, lo, hi, at int) int {
+	if at <= lo {
+		copy(dst, src[:at])
+		copy(dst[at:], src[lo:hi])
+		copy(dst[at+hi-lo:], src[at:lo])
+		copy(dst[hi:], src[hi:])
+		return at
+	}
+	copy(dst, src[:lo])
+	copy(dst[lo:], src[hi:at])
+	k := lo + at - hi
+	copy(dst[k:], src[lo:hi])
+	copy(dst[at:], src[at:])
+	return k
+}
+
+// dropped derives the fragment of the relation with attribute att dropped,
+// when the drop collapses no rows and leaves an attribute: att's Atts entry
+// and its block of Vec go, the block's non-empty values are subtracted from
+// Vals in one merge walk and its squared counts from VecSq, and the arity
+// and row count shrink. Two allocations besides the header: Atts and Vals
+// share one array, and Vec.
+func (f *Fragment) dropped(att Symbol) *Fragment {
+	arity := f.Arity - 1
+	g := &Fragment{Rel: f.Rel, Arity: arity, Tuples: f.Tuples, RowCount: arity * f.Tuples, VecSq: f.VecSq}
+	if f.Tuples == 0 {
+		g.RowCount = arity
+	}
+	buf := make([]SymbolCount, arity+len(f.Vals))
+	fi := atIndex(f.Atts, att)
+	copy(buf, f.Atts[:fi])
+	copy(buf[fi:arity], f.Atts[fi+1:])
+	g.Atts = buf[:arity:arity]
+	lo, hi := attBlock(f.Vec, att)
+	vec := make([]TripleCount, len(f.Vec)-(hi-lo))
+	copy(vec, f.Vec[:lo])
+	copy(vec[lo:], f.Vec[hi:])
+	g.Vec = vec
+	// The block's values ascend like Vals; an empty cell's value is in
+	// no Vals entry, so the walk passes it by.
+	vals := buf[arity:arity]
+	b := lo
+	for _, e := range f.Vals {
+		for b < hi && f.Vec[b].Triple[2] < e.Sym {
+			b++
+		}
+		if b < hi && f.Vec[b].Triple[2] == e.Sym {
+			e.N -= f.Vec[b].N
+			b++
+		}
+		if e.N > 0 {
+			vals = append(vals, e)
+		}
+	}
+	g.Vals = vals
+	for _, e := range f.Vec[lo:hi] {
+		g.VecSq -= int64(e.N) * int64(e.N)
+	}
+	return g
+}
+
+// atIndex returns the position of the first entry of a sorted symbol
+// multiset whose symbol is not below s.
+func atIndex(xs []SymbolCount, s Symbol) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if xs[m].Sym < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// attBlock returns the range [lo, hi) of a fragment's Vec whose triples
+// carry attribute a. A fragment's triples share their relation symbol, so
+// Vec is ordered by attribute, then value, and the range is contiguous.
+func attBlock(vec []TripleCount, a Symbol) (lo, hi int) {
+	lo, hi = 0, len(vec)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vec[m].Triple[1] < a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(vec) && vec[hi].Triple[1] == a; hi++ {
+	}
+	return lo, hi
 }
 
 // runs counts the runs of equal symbols in a sorted slice.

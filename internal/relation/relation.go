@@ -87,27 +87,33 @@ type Relation struct {
 // attribute index — and moves the rest behind the cold pointer, allocated
 // on first use.
 type canonMemo struct {
+	// One sync.Once per family. They are 12 bytes each and kept together,
+	// so no family pays alignment padding between its Once and its value.
+	hashOnce, fragOnce, symColsOnce, indexOnce, orderOnce sync.Once
+
 	// Compact identity: two 64-bit lanes mixed over the per-symbol content
 	// signatures. Content-based, so stable across processes.
-	hashOnce sync.Once
-	hash     [16]byte
+	hash [16]byte
 
 	// TNF fragment (fragment.go).
-	fragOnce sync.Once
-	frag     *Fragment
+	frag *Fragment
 
 	// Distinct symbols per column, first-occurrence order; indexed like
 	// attrs. Input to the move generators' membership scans.
-	symColsOnce sync.Once
-	symCols     [][]Symbol
+	symCols [][]Symbol
 
 	// Attribute name → position, built on first lookup over a wide schema.
 	// Narrow schemas — the common case — resolve attributes by linear scan
 	// and never build the map: search successors are created by the million,
 	// and most are hashed and discarded without a single attribute lookup,
 	// so constructors must not pay for an index eagerly.
-	indexOnce sync.Once
-	index     map[string]int
+	index map[string]int
+
+	// Attribute positions in sorted-name order, the first len(attrs)
+	// entries, built by the first child preview (preview.go): every preview
+	// of the relation derives its child's order from it in one pass instead
+	// of sorting. Previews decline past hashStackMax attributes.
+	order *[hashStackMax]uint8
 
 	// cold holds the forms the search never reads; nil until the first
 	// caller of coldMemo publishes one.
@@ -986,23 +992,40 @@ func (r *Relation) Fingerprint() string {
 func (r *Relation) sortedAttrOrder() []int {
 	_, ords, strs := hashSnapshot()
 	n := len(r.attrSyms)
-	return sortAttrs(make([]int, 0, n), make([]uint64, 0, n), r.attrSyms, -1, ords, strs)
+	return sortAttrs(make([]int, 0, n), make([]uint64, 0, n), r.attrSyms, ords, strs)
 }
 
-// sortAttrs appends to pos the positions of attrSyms, except skip (none when
-// skip is -1), in their strings' order, loading each symbol's order key
-// once into keys, which moves in step with pos. The keys decide unless two
-// tie, and then the strings do: exactly the string order (see ordKey), the
-// rule SymbolOrder applies to cells. Insertion sort: schemas are narrow,
-// and this runs once per relation ever created, so hot callers back pos
-// and keys with stack arrays. Attribute names are unique, so no two
-// positions compare equal.
-func sortAttrs(pos []int, keys []uint64, attrSyms []Symbol, skip int, ords []uint64, strs []string) []int {
-	for k, s := range attrSyms {
-		if k != skip {
-			pos = append(pos, k)
-			keys = append(keys, ords[s])
+// attrOrder returns the attribute positions in sorted-name order, computed
+// once and memoized: the child previews, which run on every expansion of a
+// state, derive each child's order from it in one pass. Only the previews
+// call it, and they decline past hashStackMax attributes, so a position
+// fits a byte.
+func (r *Relation) attrOrder() []uint8 {
+	m := &r.memo
+	m.orderOnce.Do(func() {
+		_, ords, strs := hashSnapshot()
+		var posArr [hashStackMax]int
+		var keyArr [hashStackMax]uint64
+		order := new([hashStackMax]uint8)
+		for k, j := range sortAttrs(posArr[:0], keyArr[:0], r.attrSyms, ords, strs) {
+			order[k] = uint8(j)
 		}
+		m.order = order
+	})
+	return m.order[:len(r.attrSyms)]
+}
+
+// sortAttrs appends to pos the positions of attrSyms in their strings'
+// order, loading each symbol's order key once into keys, which moves in
+// step with pos. The keys decide unless two tie, and then the strings do:
+// exactly the string order (see ordKey), the rule SymbolOrder applies to
+// cells. Insertion sort: schemas are narrow, and this runs once per
+// relation hashed, so hot callers back pos and keys with stack arrays.
+// Attribute names are unique, so no two positions compare equal.
+func sortAttrs(pos []int, keys []uint64, attrSyms []Symbol, ords []uint64, strs []string) []int {
+	for k, s := range attrSyms {
+		pos = append(pos, k)
+		keys = append(keys, ords[s])
 	}
 	for i := 1; i < len(pos); i++ {
 		for j := i; j > 0; j-- {
@@ -1046,27 +1069,28 @@ const hashStackMax = 32
 func (r *Relation) Hash() [16]byte {
 	m := &r.memo
 	m.hashOnce.Do(func() {
-		m.hash = hashCore(r.nameSym, r.attrSyms, r.cols, -1, r.nrows, nil)
+		sigs, ords, strs := hashSnapshot()
+		var posArr [hashStackMax]int
+		var keyArr [hashStackMax]uint64
+		pos, keys := posArr[:0], keyArr[:0]
+		if len(r.attrSyms) > hashStackMax {
+			pos, keys = make([]int, 0, len(r.attrSyms)), make([]uint64, 0, len(r.attrSyms))
+		}
+		pos = sortAttrs(pos, keys, r.attrSyms, ords, strs)
+		m.hash = hashCore(sigs, r.nameSym, r.attrSyms, r.cols, pos, r.nrows, nil)
 	})
 	return m.hash
 }
 
 // hashCore is the relation hash behind Hash and the child-hash previews
-// (preview.go): the digest of a relation named nameSym whose schema is
-// attrSyms without the attribute at position skip (none when skip is -1),
-// whose column k is cols[k], and whose rows are the positions keep of those
+// (preview.go): the digest of a relation named nameSym whose attributes, in
+// sorted-name order, are attrSyms at the positions pos, whose column for
+// position k is cols[k], and whose rows are the positions keep of those
 // columns — all nrows rows when keep is nil. It reads nothing else, so a
-// preview hands it a parent's columns under the child's schema. Up to
-// hashStackMax attributes and rows, every scratch slice lives on the stack.
-func hashCore(nameSym Symbol, attrSyms []Symbol, cols [][]Symbol, skip, nrows int, keep []int) [16]byte {
-	sigs, ords, strs := hashSnapshot()
-	var posArr [hashStackMax]int
-	var keyArr [hashStackMax]uint64
-	pos, keys := posArr[:0], keyArr[:0]
-	if len(attrSyms) > hashStackMax {
-		pos, keys = make([]int, 0, len(attrSyms)), make([]uint64, 0, len(attrSyms))
-	}
-	pos = sortAttrs(pos, keys, attrSyms, skip, ords, strs)
+// preview hands it a parent's columns under the child's schema and order.
+// sigs is the dictionary's signature table (hashSnapshot). Up to
+// hashStackMax rows, the row signatures live on the stack.
+func hashCore(sigs []sigPair, nameSym Symbol, attrSyms []Symbol, cols [][]Symbol, pos []int, nrows int, keep []int) [16]byte {
 	h0 := mix64(uint64(len(pos)+1) * hashK0)
 	h1 := mix64(uint64(len(pos)+2) * hashK1)
 	absorb := func(x uint64) {

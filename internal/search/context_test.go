@@ -90,13 +90,55 @@ func TestDeadlineLimit(t *testing.T) {
 	}
 }
 
-func TestContextDeadline(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	p := lineProblem{n: 100}
-	_, err := RunContext(ctx, RBFS, p, lineHeuristic(p), Limits{})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+// deadlineAfterProblem wraps a problem and, from its k-th expansion on,
+// waits until the context is done: the context's deadline passes while the
+// search is mid-run, after it has expanded k states, however fast or slow
+// the machine runs.
+type deadlineAfterProblem struct {
+	inner Problem
+	ctx   context.Context
+	left  int
+}
+
+func (p *deadlineAfterProblem) Start() State        { return p.inner.Start() }
+func (p *deadlineAfterProblem) IsGoal(s State) bool { return p.inner.IsGoal(s) }
+func (p *deadlineAfterProblem) Successors(s State) ([]Move, error) {
+	if p.left--; p.left <= 0 {
+		<-p.ctx.Done()
+	}
+	return p.inner.Successors(s)
+}
+
+// TestDeadlineExpiresMidSearch: a context deadline that passes after the
+// search has expanded k states aborts every algorithm with
+// context.DeadlineExceeded and the "deadline" cause, reporting at least the
+// k states it examined. TestDeadlineLimit covers a deadline already past
+// at the start.
+func TestDeadlineExpiresMidSearch(t *testing.T) {
+	const k = 5
+	for _, algo := range allAlgorithms() {
+		t.Run(algo.String(), func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			p := &deadlineAfterProblem{inner: lineProblem{n: 500}, ctx: ctx, left: k}
+			// Blind heuristic so no algorithm reaches the goal within k
+			// expansions.
+			_, err := RunContext(ctx, algo, p, func(State) int { return 0 }, Limits{})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			var serr *Error
+			if !errors.As(err, &serr) {
+				t.Fatalf("err = %T, want *search.Error with partial stats", err)
+			}
+			if serr.Cause() != "deadline" {
+				t.Fatalf("Cause() = %q, want \"deadline\"", serr.Cause())
+			}
+			if serr.Stats.Examined < k {
+				t.Fatalf("Examined = %d, want at least the %d states expanded before the deadline", serr.Stats.Examined, k)
+			}
+		})
 	}
 }
 
