@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"tupelo/internal/fira"
-	"tupelo/internal/heuristic"
 	"tupelo/internal/relation"
 	"tupelo/internal/search"
 )
@@ -24,10 +23,11 @@ import (
 //
 // A state created from a ρ^att or π̄ preview is pending: it holds its parent
 // state, the operator and the previewed hash instead of a database, and its
-// estimate was delta-merged from a fragment derived from the parent's.
-// Every reader of the database goes through database(), which builds a
-// pending state on first use — normally its first goal test, when the
-// search enters it (DESIGN.md §8, "Building on entry").
+// estimate was read from the operator's edit of the parent relation's
+// fragment against the parent's aggregate. Every reader of the database
+// goes through database(), which builds a pending state on first use —
+// normally its first goal test, when the search enters it (DESIGN.md §8,
+// "Building on entry").
 //
 // Each discovery run keeps one canonical dbState per key in its stateTable
 // and hands the search only canonical states, so the search's identity,
@@ -37,7 +37,10 @@ import (
 // relentlessly — on the paper's exp1 workload 96% of expansions are of a
 // state already expanded — and each revisit reads these fields instead of
 // recomputing. A run's states are read and written only by the run's own
-// goroutine (DESIGN.md §10), so the fields are plain.
+// goroutine (DESIGN.md §10), so the fields are plain. The aggregate the
+// estimates of a state's successors read lives only for the state's
+// expansion (mappingProblem.Successors), so a state keeps none; the struct
+// is 128 B, a size class of its own.
 type dbState struct {
 	// db is the state's database; nil while the state is pending. Read it
 	// through database().
@@ -45,17 +48,16 @@ type dbState struct {
 	key string
 
 	// A pending state's recipe, cleared by its build: the operator that
-	// creates it from from's database, the previewed hash of the relation
-	// the operator rebuilds, and that relation's fragment as derived for
-	// the state's estimate (nil if none was derived).
+	// creates it from from's database, and the previewed hash of the
+	// relation the operator rebuilds.
 	from *dbState
 	op   fira.Op
 	hash relation.ChildHash
-	frag *relation.Fragment
 
-	// est is the state's heuristic estimate; nil until the state's creator
-	// (or, for the start state, the search's first lookup) sets it.
-	est *estimate
+	// h is the state's heuristic estimate, valid once estimated is set:
+	// by the state's creator or, for the start state, the search's first
+	// lookup.
+	h int
 	// moves is the state's finished move list, set by its first expansion
 	// (never nil after it); nil before that, and always nil under a
 	// FaultHook, whose injected faults must fire on every expansion.
@@ -64,7 +66,8 @@ type dbState struct {
 	// goal test (mappingProblem.IsGoal), then verdictNotGoal or verdictGoal.
 	// The goal test has no fault site, so the verdict stays on under a
 	// FaultHook.
-	goal verdict
+	goal      verdict
+	estimated bool
 }
 
 // verdict is a state's stored goal-test outcome.
@@ -77,22 +80,17 @@ const (
 	verdictGoal
 )
 
-// estimate is a state's heuristic value and, when the run's evaluator is
-// incremental and the value was delta-merged from the parent, the state's
-// aggregate: its successors derive their estimates by delta-merging against
-// it. The aggregate is nil for estimates computed from scratch; expanding
-// such a state seeds one for that expansion.
-type estimate struct {
-	h   int
-	agg heuristic.Agg
-}
-
 // database returns the state's database, building a pending state's from
 // its parent's by the operator's own Apply: the first creator's database,
 // exactly as an eager build would have made it. The rebuilt relation's memo
-// is seeded with the previewed hash and the derived fragment (the
-// relation.SeedHash and SeedFragment contract: the relation was just built
-// on this goroutine, the run's only one), and the recipe is dropped.
+// is seeded with the previewed hash (the relation.SeedHash contract: the
+// relation was just built on this goroutine, the run's only one), and the
+// recipe is dropped. A state estimated before its build was estimated from
+// its edit, so no fragment of the rebuilt relation exists yet: the build
+// derives it from the parent's (ChildHash.Fragment) and seeds it
+// (SeedFragment, the same contract), and the state's own expansion never
+// encodes it. A state built at its creation, before its estimate (hL, h0,
+// a π̄ that collapses rows), derives nothing.
 func (s *dbState) database() *relation.Database {
 	if s.db == nil {
 		s.build()
@@ -109,10 +107,12 @@ func (s *dbState) build() {
 	}
 	if r, ok := db.Relation(s.hash.Parent().Name()); ok {
 		r.SeedHash(s.hash)
-		r.SeedFragment(s.frag)
+		if s.estimated {
+			r.SeedFragment(s.hash.Fragment())
+		}
 	}
 	s.db = db
-	s.from, s.op, s.hash, s.frag = nil, nil, relation.ChildHash{}, nil
+	s.from, s.op, s.hash = nil, nil, relation.ChildHash{}
 }
 
 // stateTable maps each state key of one discovery run to the run's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"tupelo/internal/datagen"
 	"tupelo/internal/faults"
@@ -26,18 +27,20 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 }
 
 // TestMemoTableMatchesScratch checks the facts the state table hands the
-// search against recomputation, for every state the search examined: the
-// published h equals a from-scratch estimate, the stored goal verdict
-// equals the nested-loop reference scan (Database.Contains, not the
-// containment index that produced it), every relation's memoized fragment
-// (seeded from a derivation where the state was built on entry) equals a
-// clone's, the published move list equals a
-// fresh expansion of the state's own database with the move memo off, and
-// every state and every move's successor is the table's canonical state for
-// its key, which both the state's database and a Clone of it recompute. It
-// covers the tree searches and A*, and every paper heuristic under IDA* and
-// RBFS on matching6: incremental (delta-merged) estimates must equal
-// from-scratch ones at every examined state, not only in the end counts.
+// search against recomputation. For every state in the table, entered or
+// not, the published h equals a from-scratch estimate, and the state is
+// the table's canonical state for its key, which both the state's database
+// and a Clone of it recompute. For every state the search examined, the
+// stored goal verdict equals the nested-loop reference scan
+// (Database.Contains, not the containment index that produced it), every
+// relation's memoized fragment (derived and seeded where the state was
+// built on entry) equals a clone's, the published move list equals a fresh
+// expansion of the state's own database with the move memo off, and every
+// move's successor is the table's canonical state. It covers the tree
+// searches and A*, and every paper heuristic under IDA* and RBFS on
+// matching6: incremental estimates — from a previewed child's edit or a
+// built child's delta — must equal from-scratch ones at every state, not
+// only in the end counts.
 //
 // The fresh expansion runs under a FaultHook, which turns the child-key
 // preview off along with the memo, so every comparison is also a
@@ -110,13 +113,6 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		if !canonical(s) {
 			t.Fatalf("examined state %x is not the table's state for its key", s.key)
 		}
-		e := s.est
-		if e == nil {
-			t.Fatalf("examined state %x has no published estimate", s.key)
-		}
-		if want := scratch.Estimate(s.database()); e.h != want {
-			t.Fatalf("state %x: table h = %d, from-scratch estimate = %d", s.key, e.h, want)
-		}
 		want := verdictNotGoal
 		if s.database().Contains(tgt) {
 			want = verdictGoal
@@ -157,14 +153,28 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 	if expanded == 0 {
 		t.Fatal("no examined state was expanded")
 	}
-	// A state's own database reads its relations' memoized hashes, seeded
-	// by a preview where the state was built after one; a clone shares no
-	// memo and recomputes every hash.
+	// Every state the table holds was estimated by its creator (the start
+	// state by the search's first lookup), a pending one from its edit, and
+	// is checked here against a from-scratch estimate, built if it is
+	// still pending. A state's own database reads its relations' memoized
+	// hashes, seeded by a preview where the state was built after one; a
+	// clone shares no memo and recomputes every hash.
+	unentered := 0
 	for key, s := range rec.table {
+		if s.goal == verdictUntested {
+			unentered++
+		}
+		if !s.estimated {
+			t.Fatalf("state %x has no published estimate", s.key)
+		}
+		if want := scratch.Estimate(s.database()); s.h != want {
+			t.Fatalf("state %x: table h = %d, from-scratch estimate = %d", s.key, s.h, want)
+		}
 		if memo, clone := s.database().Key(), s.database().Clone().Key(); memo != key || clone != key || s.key != key {
 			t.Fatalf("canonical state %x stored under %x: its database keys to %x, a clone to %x", s.key, key, memo, clone)
 		}
 	}
+	t.Logf("%d table states, %d never entered", len(rec.table), unentered)
 }
 
 // TestMemoCountersAndSampling: with metrics only (no Tracer) the successor
@@ -234,10 +244,12 @@ func TestMemoStaysOnUnderTracer(t *testing.T) {
 
 // TestStatesBuiltOnEntry pins the deferral of previewed children: after an
 // IDA*/h1 discovery of MatchingPair(8), whose every successor is a
-// previewed ρ^att or π̄ child with a derivable fragment, a state holds a
-// database only if the search entered it (its goal verdict is set), a
-// built state no longer holds its recipe, and the table holds states the
-// search estimated but never entered, which hold no database.
+// previewed, Derivable ρ^att or π̄ child, a state holds a database only if
+// the search entered it (its goal verdict is set), and the table holds
+// states the search estimated but never entered, which hold their recipe
+// and h, and neither a database nor a fragment (dbState has no field for
+// one). A built state no longer holds its recipe, and the relation its
+// build rebuilt holds the fragment the build derived, equal to a clone's.
 func TestStatesBuiltOnEntry(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(8)
 	opts, err := Options{Algorithm: search.IDA, Heuristic: heuristic.H1}.normalize()
@@ -251,7 +263,7 @@ func TestStatesBuiltOnEntry(t *testing.T) {
 	pending := 0
 	for _, s := range p.table {
 		if s.db == nil {
-			if s.from == nil || s.op == nil || s.est == nil || s.frag == nil {
+			if s.from == nil || s.op == nil || !s.estimated {
 				t.Fatalf("pending state %x lacks its recipe or estimate", s.key)
 			}
 			pending++
@@ -260,14 +272,31 @@ func TestStatesBuiltOnEntry(t *testing.T) {
 		if s.goal == verdictUntested {
 			t.Fatalf("state %x holds a database but the search never entered it", s.key)
 		}
-		if s.from != nil || s.op != nil || s.frag != nil {
+		if s.from != nil || s.op != nil {
 			t.Fatalf("built state %x still holds its recipe", s.key)
+		}
+		for _, r := range s.db.RelationView() {
+			if got, want := r.TNFFragment(), r.Clone().TNFFragment(); !got.Equal(want) {
+				t.Fatalf("built state %x relation %s: fragment %+v, a clone's %+v", s.key, r.Name(), got, want)
+			}
 		}
 	}
 	if pending == 0 {
 		t.Fatalf("all %d states hold a database: no child was left unbuilt", len(p.table))
 	}
 	t.Logf("%d of %d states never built", pending, len(p.table))
+}
+
+// TestStateHeaderSizes pins the per-state headers to their size classes: a
+// canonical state is 128 B and keeps no aggregate, and a TNF fragment's
+// header, with hL's decoded strings behind one pointer, fits 128 B.
+func TestStateHeaderSizes(t *testing.T) {
+	if got := unsafe.Sizeof(dbState{}); got != 128 {
+		t.Errorf("dbState is %d B, want 128", got)
+	}
+	if got := unsafe.Sizeof(relation.Fragment{}); got > 128 {
+		t.Errorf("relation.Fragment is %d B, want at most 128", got)
+	}
 }
 
 // TestBestEffortPartialNeverEntered: when a best-effort abort's

@@ -73,7 +73,8 @@ type mappingProblem struct {
 	//
 	// With the memo on, applyAll also keys ρ^att and π̄ children before
 	// building them (childPreview): a child the table lacks becomes a
-	// pending state, built when the search first reads its database.
+	// pending state, estimated from its edit and built when the search
+	// first reads its database.
 	table stateTable
 	memo  bool
 
@@ -84,9 +85,10 @@ type mappingProblem struct {
 
 	// Expansion machinery. est estimates every state an expansion
 	// creates, so the search loop's h() calls are field reads. inc is est's
-	// incremental capability view when it has one: successors are then
-	// estimated by delta-merging the replaced relation's fragment against
-	// the parent's aggregate instead of re-encoding the state.
+	// incremental capability view when it has one: each expansion then
+	// seeds the parent's aggregate, and its new successors are estimated
+	// from what their operators change — a previewed child's edit, a built
+	// child's replaced fragments — against it instead of re-encoding.
 	est heuristic.Evaluator
 	inc heuristic.IncrementalEvaluator
 
@@ -170,8 +172,8 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 
 // expansionScratch holds the slices one expansion fills and the next
 // reuses: the candidate operators, the positional successor states, the
-// parent/child diff each new state's estimate reads with its fragments,
-// and the move generators' per-expansion lists.
+// parent/child diff each new built state's estimate reads with its
+// fragments, and the move generators' per-expansion lists.
 type expansionScratch struct {
 	ops            []fira.Op
 	states         []*dbState
@@ -223,7 +225,10 @@ func (p *mappingProblem) IsGoal(s search.State) bool {
 // instance, giving the branching factor proportional to |s| + |t| that the
 // paper reports. Moves that fail to apply or that do not change the state
 // are dropped. A state's moves are computed once and then read from the
-// state.
+// state. With an incremental evaluator the expansion seeds the state's
+// aggregate, which its new successors' estimates read and which is dropped
+// when the expansion returns; the seed is timed into the expansion, not
+// into heuristic.eval.seconds.
 func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	parent := s.(*dbState)
 	if p.memo {
@@ -242,15 +247,7 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	db := parent.database()
 	var agg heuristic.Agg
 	if p.inc != nil {
-		if parent.est != nil {
-			agg = parent.est.agg
-		}
-		if agg == nil {
-			// The parent's estimate was computed from scratch (the start
-			// state): seed an aggregate for this expansion so its
-			// successors are deltas.
-			agg = p.inc.Seed(db)
-		}
+		agg = p.inc.Seed(db)
 	}
 	ops := p.candidateOps(db)
 	states, err := p.applyAll(parent, agg, ops)
@@ -333,16 +330,16 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 // coalesces) is a no-op without hashing; any other result is a no-op when
 // its key equals the parent's. Every other result is interned in the run's
 // state table, and the call that creates a state also estimates it
-// (prewarm); agg is the parent's aggregate for delta-merged estimates, nil
-// without an incremental evaluator.
+// (prewarm); agg is the parent's aggregate, nil without an incremental
+// evaluator.
 //
 // With the move memo on, a ρ^att or π̄ candidate is keyed before it is
 // built (preview): a key equal to the parent's is a no-op, a key the table
 // holds is that canonical state, and a new key becomes a pending state with
-// one map write. A pending state whose estimate can come from fragments —
-// an incremental evaluator and a derivable child fragment — stays pending
-// until the search reads its database; any other is built at once through
-// the same accessor. Every candidate emits one EvOpApply and one
+// one map write. A pending state whose estimate can come from its edit —
+// an incremental evaluator and a Derivable child — stays pending until the
+// search reads its database; any other is built at once through the same
+// accessor. Every candidate emits one EvOpApply and one
 // apply-latency sample, timed over its preview plus any build made here.
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered and
@@ -448,10 +445,8 @@ func (p *mappingProblem) preview(op fira.Op, db *relation.Database) (c childPrev
 // subsequent h() call is a field read. The lookup counts as an estimate hit
 // when the state was already in the table — its creator estimated it, or is
 // doing so — and as a miss when this call created it and so computes the
-// estimate. With an incremental evaluator the miss delta-merges the replaced
-// relations' fragments against the parent's aggregate, and the estimate
-// keeps the child's aggregate so the child's own expansion starts
-// incremental too.
+// estimate, from what the operator changed when the evaluator is
+// incremental.
 func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, ns *dbState, created bool) {
 	p.lookup(!created)
 	if created {
@@ -463,9 +458,9 @@ func (p *mappingProblem) prewarm(parent *relation.Database, agg heuristic.Agg, n
 // lookup misses only for the start state, which it evaluates from scratch.
 func (p *mappingProblem) h(s search.State) int {
 	ds := s.(*dbState)
-	if ds.est != nil {
+	if ds.estimated {
 		p.lookup(true)
-		return ds.est.h
+		return ds.h
 	}
 	p.lookup(false)
 	return p.publish(ds, p.evaluate(nil, nil, ds))
@@ -484,14 +479,13 @@ func (p *mappingProblem) lookup(hit bool) {
 	}
 }
 
-// evaluate computes s's estimate, by delta-merge from the parent's
-// aggregate when agg is non-nil and from scratch otherwise. A pending
-// state's delta is its previewed relation's fragment leaving and the
-// fragment derived from it entering, kept on the state for its build; a
-// built state's is the fragments of the relations its database replaced.
-// It is the fault-injection site for heuristic evaluation and is timed into
-// hEval, derivation included.
-func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, s *dbState) *estimate {
+// evaluate computes s's estimate: from the parent's aggregate when agg is
+// non-nil, and from scratch otherwise. A pending state is estimated from
+// its edit of the previewed relation's fragment (EstimateEdit); a built
+// state from the fragments of the relations its database replaced
+// (EstimateDelta). It is the fault-injection site for heuristic evaluation
+// and is timed into hEval.
+func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, s *dbState) int {
 	if p.fault != nil {
 		p.fault(faults.SiteHeuristicEval, p.hLabel)
 	}
@@ -499,25 +493,22 @@ func (p *mappingProblem) evaluate(parent *relation.Database, agg heuristic.Agg, 
 	if p.hEval != nil {
 		start = time.Now()
 	}
-	e := &estimate{}
+	var h int
 	sc := &p.scratch
 	switch {
 	case agg == nil:
-		e.h = p.est.Estimate(s.database())
+		h = p.est.Estimate(s.database())
 	case s.db == nil:
-		s.frag = s.hash.Fragment()
-		sc.remF = append(sc.remF[:0], s.hash.Parent().TNFFragment())
-		sc.addF = append(sc.addF[:0], s.frag)
-		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.remF, Added: sc.addF})
+		h = p.inc.EstimateEdit(agg, s.hash.Edit())
 	default:
 		sc.removed, sc.added = relation.AppendDiff(sc.removed[:0], sc.added[:0], parent, s.db)
 		sc.remF, sc.addF = appendFragments(sc.remF[:0], sc.removed), appendFragments(sc.addF[:0], sc.added)
-		e.h, e.agg = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.remF, Added: sc.addF})
+		h = p.inc.EstimateDelta(agg, heuristic.Delta{Removed: sc.remF, Added: sc.addF})
 	}
 	if p.hEval != nil {
 		p.hEval.Observe(time.Since(start))
 	}
-	return e
+	return h
 }
 
 // appendFragments appends the TNF fragment of every relation in rels to dst.
@@ -528,12 +519,12 @@ func appendFragments(dst []*relation.Fragment, rels []*relation.Relation) []*rel
 	return dst
 }
 
-// publish installs e as the estimate of a state that has none and returns
-// the state's h.
-func (p *mappingProblem) publish(s *dbState, e *estimate) int {
-	s.est = e
+// publish installs h as the estimate of a state that has none and returns
+// it.
+func (p *mappingProblem) publish(s *dbState, h int) int {
+	s.h, s.estimated = h, true
 	p.met.entry()
-	return e.h
+	return h
 }
 
 // missingFrom appends to dst the members of wantSorted that have reports

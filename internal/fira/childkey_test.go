@@ -3,8 +3,10 @@ package fira
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tupelo/internal/heuristic"
 	"tupelo/internal/relation"
 )
 
@@ -106,15 +108,78 @@ func childKeyOps(rel *relation.Relation) []keyedOp {
 	return ops
 }
 
+// childKeyTarget is a target for estimating db's children that shares
+// their names and values: each relation of db under its own name, with its
+// own rows, and two more attributes, Fresh and Attribute99 (the candidates'
+// fresh rename targets), whose cells alternate between v0 and v1. A rename
+// then moves dot-product mass between triples the target holds, a drop
+// removes values and attributes the target wants, and the target is wider
+// than db, so the hybrid heuristic's attribute deficit is its largest.
+func childKeyTarget(tb testing.TB, db *relation.Database) *relation.Database {
+	tb.Helper()
+	var rels []*relation.Relation
+	for _, r := range db.RelationView() {
+		attrs := append(r.Attrs(), "Fresh", "Attribute99")
+		cols := make([][]relation.Symbol, 0, len(attrs))
+		for j := range r.Arity() {
+			cols = append(cols, slices.Clone(r.Column(j)))
+		}
+		rows := r.Len()
+		if r.Arity() == 0 {
+			rows = 1 // a zero-arity relation's lone row gains the new cells
+		}
+		for k := range 2 {
+			col := make([]relation.Symbol, rows)
+			for i := range col {
+				col[i] = relation.Intern(fmt.Sprintf("v%d", (i+k)%2))
+			}
+			cols = append(cols, col)
+		}
+		t, err := relation.NewFromColumns(r.Name(), attrs, cols, rows)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rels = append(rels, t)
+	}
+	tgt, err := relation.NewDatabase(rels...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tgt
+}
+
+// childKeyEstimator is one incremental heuristic against childKeyTarget,
+// with the aggregate it seeds for the parent database.
+type childKeyEstimator struct {
+	inc    heuristic.IncrementalEvaluator
+	parent heuristic.Agg
+}
+
+// childKeyEstimators seeds every incremental heuristic kind for db.
+func childKeyEstimators(tb testing.TB, db *relation.Database) []childKeyEstimator {
+	tb.Helper()
+	tgt := childKeyTarget(tb, db)
+	var out []childKeyEstimator
+	for _, kind := range append(heuristic.Kinds(), heuristic.ExtendedKinds()...) {
+		if inc, ok := heuristic.AsIncremental(heuristic.New(kind, tgt, 7)); ok {
+			out = append(out, childKeyEstimator{inc, inc.Seed(db)})
+		}
+	}
+	return out
+}
+
 // checkChildKey compares op's preview with Apply on db. When the preview
 // answers, Apply must succeed, the child's Key must equal the previewed key,
 // and the previewed hash must equal both a from-scratch hash of the rebuilt
 // relation (on a Clone, which shares no memo) and the hash of a rebuild
 // seeded with it. The fragment derived from the parent's must equal the
 // rebuilt relation's, field by field, except that it declines exactly on a
-// π̄ that collapses rows or leaves no attribute. When Apply fails, the
-// preview must decline; within the preview limits it must otherwise answer.
-func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
+// π̄ that collapses rows or leaves no attribute; where it derives, the
+// estimate of every estimator from the child's edit against the parent's
+// aggregate must equal a from-scratch estimate of the built child. When
+// Apply fails, the preview must decline; within the preview limits it must
+// otherwise answer.
+func checkChildKey(t *testing.T, db *relation.Database, op keyedOp, ests []childKeyEstimator) {
 	t.Helper()
 	key, h, ok := op.ChildKey(db)
 	next, err := op.Apply(db, nil)
@@ -155,6 +220,13 @@ func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
 	if want := rebuilt.Clone().TNFFragment(); derived != nil && !derived.Equal(want) {
 		t.Fatalf("%s: derived fragment %+v, rebuilt relation's %+v", op, derived, want)
 	}
+	if derived != nil {
+		for _, e := range ests {
+			if got, want := e.inc.EstimateEdit(e.parent, h.Edit()), e.inc.Estimate(next); got != want {
+				t.Fatalf("%s: %s estimate from the edit %d, of the built child %d", op, e.inc.Name(), got, want)
+			}
+		}
+	}
 	seeded, err := op.Apply(db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +239,12 @@ func checkChildKey(t *testing.T, db *relation.Database, op keyedOp) {
 }
 
 // TestChildKeyMatchesApply is the differential test of the child-key
-// previews and the fragments derived from them against building the child:
-// every ρ^att and π̄ candidate,
-// including each failure case, on relations of arity 0, 1, 8, 9, 32 and 33
-// with 0, 1, 2, 32 and 33 rows, in databases of 1, 2, 8 and 9 relations.
-// The vocabulary is small enough that dropping a column collapses rows.
+// previews, and of the fragments and estimates derived from them, against
+// building the child: every ρ^att and π̄ candidate, including each failure
+// case, on relations of arity 0, 1, 8, 9, 32 and 33 with 0, 1, 2, 32 and 33
+// rows, in databases of 1, 2, 8 and 9 relations, with every incremental
+// heuristic. The vocabulary is small enough that dropping a column
+// collapses rows.
 func TestChildKeyMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(2006))
 	checked := 0
@@ -180,8 +253,9 @@ func TestChildKeyMatchesApply(t *testing.T) {
 			for _, rows := range []int{0, 1, 2, 32, 33} {
 				db := childKeyDB(t, rng, nrels, arity, rows, 2)
 				rel, _ := db.Relation("R0")
+				ests := childKeyEstimators(t, db)
 				for _, op := range childKeyOps(rel) {
-					checkChildKey(t, db, op)
+					checkChildKey(t, db, op, ests)
 					checked++
 				}
 			}
@@ -190,9 +264,9 @@ func TestChildKeyMatchesApply(t *testing.T) {
 	t.Logf("%d candidates checked", checked)
 }
 
-// FuzzChildKey checks the preview and the derived fragment against Apply on
-// generated databases: the fuzzer picks the shape, the vocabulary and the
-// candidate.
+// FuzzChildKey checks the preview, the derived fragment and the edit
+// estimates against Apply on generated databases: the fuzzer picks the
+// shape, the vocabulary and the candidate.
 func FuzzChildKey(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(8), uint8(1), uint8(2), uint16(0))
 	f.Add(int64(2), uint8(2), uint8(9), uint8(32), uint8(2), uint16(7))
@@ -204,7 +278,7 @@ func FuzzChildKey(f *testing.F) {
 		db := childKeyDB(t, rng, 1+int(nrels)%10, int(arity)%35, int(rows)%35, 1+int(vocab)%4)
 		rel, _ := db.Relation("R0")
 		ops := childKeyOps(rel)
-		checkChildKey(t, db, ops[int(pick)%len(ops)])
+		checkChildKey(t, db, ops[int(pick)%len(ops)], childKeyEstimators(t, db))
 	})
 }
 

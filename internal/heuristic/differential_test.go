@@ -88,12 +88,12 @@ func randChainOp(rng *rand.Rand, db *relation.Database) fira.Op {
 
 // TestDifferentialIncrementalEqualsScratch is the differential property test
 // behind the incremental API: for every heuristic kind, walking a random
-// operator chain and estimating each state by delta-merging against the
+// operator chain and estimating each state by delta-merging against its
 // parent's aggregate must give exactly the estimate a from-scratch
 // Estimate() computes — not approximately, bit-identically, because search
-// order depends on ties. The aggregate is chained (each state's aggregate
-// feeds the next delta), so drift anywhere in the multiset bookkeeping
-// compounds and surfaces.
+// order depends on ties. Each step seeds the parent's aggregate, as an
+// expansion does, and a ρ^att or π̄ step whose preview is Derivable is also
+// estimated from its edit (EstimateEdit).
 func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,8 +111,7 @@ func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 				continue
 			}
 			cur := db
-			agg := inc.Seed(cur)
-			if got, want := e.Estimate(cur), finishOf(inc, agg); got != want {
+			if got, want := e.Estimate(cur), finishOf(inc, inc.Seed(cur)); got != want {
 				t.Fatalf("seed %d %s: Seed/Estimate disagree at start: %d vs %d", seed, kind, want, got)
 			}
 			steps := 0
@@ -123,20 +122,43 @@ func TestDifferentialIncrementalEqualsScratch(t *testing.T) {
 					continue // precondition failure — not a successor
 				}
 				steps++
-				got, nextAgg := inc.EstimateDelta(agg, deltaOf(cur, next))
+				agg := inc.Seed(cur)
 				want := e.Estimate(next)
-				if got != want {
+				if got := inc.EstimateDelta(agg, deltaOf(cur, next)); got != want {
 					t.Fatalf("seed %d %s after %s (step %d): incremental %d != scratch %d",
 						seed, kind, op, steps, got, want)
 				}
-				cur, agg = next, nextAgg
+				if ed, ok := editOf(cur, op); ok {
+					if got := inc.EstimateEdit(agg, ed); got != want {
+						t.Fatalf("seed %d %s after %s (step %d): edit estimate %d != scratch %d",
+							seed, kind, op, steps, got, want)
+					}
+				}
+				cur = next
 			}
 		}
 	}
 }
 
-// finishOf runs EstimateDelta with an empty delta, which must be the
-// identity on the aggregate: it re-finishes the parent's sums.
+// editOf previews a ρ^att or π̄ op on db and returns its edit when the
+// preview answers and the child is Derivable.
+func editOf(db *relation.Database, op fira.Op) (relation.Edit, bool) {
+	var (
+		c  relation.ChildHash
+		ok bool
+	)
+	switch o := op.(type) {
+	case fira.RenameAtt:
+		_, c, ok = o.ChildKey(db)
+	case fira.Drop:
+		_, c, ok = o.ChildKey(db)
+	}
+	if !ok || !c.Derivable() {
+		return relation.Edit{}, false
+	}
+	return c.Edit(), true
+}
+
 // deltaOf is the Delta of a copy-on-write parent/child pair: the fragments
 // of the relations relation.Diff reports.
 func deltaOf(parent, child *relation.Database) Delta {
@@ -151,29 +173,40 @@ func deltaOf(parent, child *relation.Database) Delta {
 	return d
 }
 
+// finishOf runs EstimateDelta with an empty delta, which must re-finish
+// the aggregate's own sums.
 func finishOf(inc IncrementalEvaluator, a Agg) int {
-	v, _ := inc.EstimateDelta(a, Delta{})
-	return v
+	return inc.EstimateDelta(a, Delta{})
 }
 
-// TestDifferentialDeltaIdentity pins the empty-delta identity for every
-// kind: merging no fragments must not change the estimate.
+// TestDifferentialDeltaIdentity pins the empty-delta and identity-rename
+// estimates for every kind: merging no fragments, or renaming an attribute
+// to itself, must give the state's own estimate, and no estimate may change
+// the aggregate it reads.
 func TestDifferentialDeltaIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tgt := diffRandDB(rng)
 	x := diffRandDB(rng)
+	r := x.RelationView()[0]
+	a := r.AttrView()[0]
+	same, ok := r.RenamedHash(a, a)
+	if !ok {
+		t.Fatalf("RenamedHash(%s, %s) declined", a, a)
+	}
 	for _, kind := range allKinds() {
 		e := New(kind, tgt, 5)
 		inc, ok := AsIncremental(e)
 		if !ok {
 			continue
 		}
+		want := e.Estimate(x)
 		agg := inc.Seed(x)
-		v1, a1 := inc.EstimateDelta(agg, Delta{})
-		v2, _ := inc.EstimateDelta(a1, Delta{})
-		if v1 != e.Estimate(x) || v1 != v2 {
-			t.Fatalf("%s: empty delta changed the estimate: %d, %d, scratch %d",
-				kind, v1, v2, e.Estimate(x))
+		v1 := inc.EstimateDelta(agg, Delta{})
+		v2 := inc.EstimateEdit(agg, same.Edit())
+		v3 := inc.EstimateDelta(agg, Delta{})
+		if v1 != want || v2 != want || v3 != want {
+			t.Fatalf("%s: empty delta %d, identity rename %d, empty delta again %d; scratch %d",
+				kind, v1, v2, v3, want)
 		}
 	}
 }

@@ -30,48 +30,53 @@ type Evaluator interface {
 	Estimate(x *relation.Database) int
 }
 
-// Delta describes how a successor state differs from its parent: the TNF
-// fragments of the relations removed from the parent and of those added in
-// their place. Every evaluator reads only fragments, so a delta needs no
-// built child: a caller may pass a fragment derived from the parent's
-// (relation.ChildHash.Fragment) for a child it has not built. For a FIRA
-// operator application this is one replaced slot (or two collapsing into
-// one for unions, one fanning out for partitions); relation.Diff recovers
-// the relations from any copy-on-write parent/child pair by pointer
-// comparison. Its slices are borrowed for the call they are passed to: an
-// evaluator reads them and keeps neither slice (only the fragments), so a
-// caller may refill them for its next successor.
+// Delta describes how a built successor state differs from its parent: the
+// TNF fragments of the relations removed from the parent and of those added
+// in their place. For a FIRA operator application this is one replaced slot
+// (or two collapsing into one for unions, one fanning out for partitions);
+// relation.Diff recovers the relations from any copy-on-write parent/child
+// pair by pointer comparison. A child that is not built yet is estimated
+// from its relation.Edit instead (EstimateEdit). Its slices are borrowed for
+// the call they are passed to: an evaluator reads them and keeps nothing,
+// so a caller may refill them for its next successor.
 type Delta struct {
 	Removed []*relation.Fragment
 	Added   []*relation.Fragment
 }
 
 // Agg is an opaque per-state aggregate: the running multiset sums an
-// incremental evaluator maintains so a successor's estimate is a
-// delta-merge rather than a re-encoding. Aggregates are immutable once
-// returned, so a parent's aggregate is shared by every child derived from
-// it.
+// incremental evaluator keeps over a state's fragments, so each successor's
+// estimate is arithmetic on the sums its operator changes rather than a
+// re-encoding. An aggregate is seeded for the state being expanded and read
+// by the estimates of its successors; no estimate modifies it.
 type Agg interface{ isAgg() }
 
 // IncrementalEvaluator is the capability interface an Evaluator implements
-// when it can evaluate a successor by delta-merging the replaced relations'
-// TNF fragments against the parent's aggregate. The capability is optional,
-// detected by AsIncremental, and callers fall back to Estimate when it is
-// absent.
+// when it can estimate a successor from the parent's aggregate and what
+// the successor changes: the replaced relations' TNF fragments
+// (EstimateDelta) or, for a previewed ρ^att or π̄ child, an edit of one
+// relation's fragment (EstimateEdit). The capability is optional, detected
+// by AsIncremental, and callers fall back to Estimate when it is absent.
 //
-// For every evaluator in this package the incremental path is exactly
-// arithmetic on the same integer multiset counters Estimate computes from
-// scratch, so EstimateDelta(Seed(parent), Diff(parent, child)) is
-// bit-identical to Estimate(child) — the differential tests pin this.
+// For every evaluator in this package both paths are exactly arithmetic on
+// the same integer multiset counters Estimate computes from scratch, so
+// EstimateDelta(Seed(parent), Diff(parent, child)) and
+// EstimateEdit(Seed(parent), edit) are bit-identical to Estimate(child) —
+// the differential tests pin this. Neither allocates.
 type IncrementalEvaluator interface {
 	Evaluator
 	// Seed builds the aggregate for a state from scratch.
 	Seed(x *relation.Database) Agg
-	// EstimateDelta returns h(child) and the child's aggregate, given the
-	// parent's aggregate and the parent→child delta. d.Removed must be
-	// fragments of relations of the parent state (as relation.Diff returns
-	// them); parent is not modified and may be shared concurrently.
-	EstimateDelta(parent Agg, d Delta) (int, Agg)
+	// EstimateDelta returns h(child), given the parent's aggregate and the
+	// parent→child delta. d.Removed must be fragments of relations of the
+	// parent state (as relation.Diff returns them); parent is not modified
+	// and may be shared concurrently.
+	EstimateDelta(parent Agg, d Delta) int
+	// EstimateEdit returns h(child) for a child that is e applied to the
+	// parent: e.Frag must be the fragment of a relation of the parent
+	// state, and the child Derivable (relation.ChildHash.Edit). parent is
+	// not modified and may be shared concurrently.
+	EstimateEdit(parent Agg, e relation.Edit) int
 }
 
 // AsIncremental reports whether the evaluator supports incremental
@@ -202,10 +207,12 @@ const (
 // plus the running sums. All counters are integers (multiset
 // multiplicities and integer-valued dot products/norms), exact in int and
 // int64, which is what makes removal exact and the incremental estimates
-// bit-identical to from-scratch ones.
+// bit-identical to from-scratch ones. A successor's estimate works on a
+// stack copy of the parent's sums and reads the parent's summed token
+// counts (attCount, valCount) through the parent's frags.
 type agg struct {
-	// frags is a flat slice, so deriving a child is one copy of its
-	// pointers; every consumer sums over it, so its order is irrelevant.
+	// frags is a flat slice; every consumer sums over it, so its order is
+	// irrelevant.
 	frags []*relation.Fragment
 
 	// needSets: h1 = target tokens missing from x; h2 = cross-category
@@ -262,7 +269,7 @@ func fragDot(f *relation.Fragment, tv *targetView) int64 {
 // kinds is finish(seedAgg(x)), so seeding is also the reference
 // implementation the delta path must agree with.
 func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
-	rels := x.Relations()
+	rels := x.RelationView()
 	a := &agg{frags: make([]*relation.Fragment, len(rels))}
 	for i, r := range rels {
 		a.frags[i] = r.TNFFragment()
@@ -346,7 +353,7 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 	return a
 }
 
-// deltaAgg derives the child aggregate from the parent's by subtracting the
+// deltaAgg derives the child's sums from the parent's by subtracting the
 // removed fragments' counters and adding the new ones. Exactness rests on
 // three facts: (1) all counters are integer multiset multiplicities, so
 // subtraction undoes addition with no residue; (2) Vec triple keys embed the
@@ -356,10 +363,11 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 // (3) ATT/VALUE tokens do overlap across relations, so membership changes
 // are detected by comparing the parent's summed count with the summed count
 // after the net per-token delta (a membership flip adjusts h1/h2/Jaccard by
-// the same ±1 the from-scratch recount would see).
-func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
-	cp := *p
-	a := &cp
+// the same ±1 the from-scratch recount would see). The sums are returned by
+// value for the caller's finish, so the call allocates nothing for a
+// single-replacement delta.
+func deltaAgg(p *agg, d Delta, tv *targetView, need needs) agg {
+	a := *p
 	remF, addF := d.Removed, d.Added
 
 	if need&needVec != 0 {
@@ -407,13 +415,73 @@ func deltaAgg(p *agg, d Delta, tv *targetView, need needs) *agg {
 			a.tuples += f.Tuples
 		}
 	}
-	a.frags = make([]*relation.Fragment, 0, len(p.frags)-len(remF)+len(addF))
-	for _, f := range p.frags {
-		if !containsName(remF, f.Rel) {
-			a.frags = append(a.frags, f)
+	return a
+}
+
+// emptySym is the interned empty string: the value of an empty cell and of
+// a schema-only TNF row, which no VALUE multiset counts.
+var emptySym = relation.Intern("")
+
+// editAgg derives the child's sums from the parent's for a Derivable ρ^att
+// or π̄ child stated as an edit of one relation's fragment f, without the
+// child's fragment. Let c_A be f's ATT count of the edited attribute A, and
+// t(R,a,v) the target's count of triple (R,a,v). A rename A→B moves c_A
+// from A to B in the ATT multiset and relabels A's Vec block: dot changes by
+// c·(t(R,B,v) − t(R,A,v)) for each block entry (R,A,v,c), and VALUE, REL,
+// the shape and normSq do not change. A drop of A removes c_A from A in the
+// ATT multiset and each non-empty block value's count c from VALUE (a value
+// appears at most once in a block), Σc² from normSq, Σc·t(R,A,v) from dot,
+// and one attribute from the shape. Each changed token's membership flip is
+// judged against the parent's summed count, as forEachFlip does. The edit
+// lists exactly the multiset changes Fragment's derivation makes, so the
+// sums equal deltaAgg's for the derived fragment, bit for bit.
+func editAgg(p *agg, e relation.Edit, tv *targetView, need needs) agg {
+	a := *p
+	if !e.Drop && e.To == e.Att {
+		return a
+	}
+	block := e.Block()
+	if need&needVec != 0 {
+		t := tv.frags[e.Frag.Rel] // nil: no target triple embeds R
+		for _, x := range block {
+			c := int64(x.N)
+			if e.Drop {
+				a.normSq -= c * c
+			}
+			if t == nil {
+				continue
+			}
+			a.dot -= c * int64(t.VecCount(x.Triple))
+			if !e.Drop {
+				x.Triple[1] = e.To
+				a.dot += c * int64(t.VecCount(x.Triple))
+			}
 		}
 	}
-	a.frags = append(a.frags, addF...)
+	if need&(needSets|needJac) != 0 {
+		cA := e.Frag.AttCount(e.Att)
+		if dir := flipDir(p.attCount(e.Att), -cA); dir != 0 {
+			a.flipAtt(e.Att, dir, tv, need)
+		}
+		if !e.Drop {
+			if dir := flipDir(p.attCount(e.To), cA); dir != 0 {
+				a.flipAtt(e.To, dir, tv, need)
+			}
+		} else {
+			for _, x := range block {
+				v := x.Triple[2]
+				if v == emptySym {
+					continue
+				}
+				if dir := flipDir(p.valCount(v), -int(x.N)); dir != 0 {
+					a.flipVal(v, dir, tv, need)
+				}
+			}
+		}
+	}
+	if need&needShape != 0 && e.Drop {
+		a.attrs--
+	}
 	return a
 }
 
@@ -441,13 +509,8 @@ func forEachFlip(remF, addF []*relation.Fragment, get func(*relation.Fragment) [
 		if delta == 0 {
 			return
 		}
-		old := pcount(s)
-		if now := old + delta; (old == 0) != (now == 0) {
-			if now == 0 {
-				flip(s, -1)
-			} else {
-				flip(s, +1)
-			}
+		if dir := flipDir(pcount(s), delta); dir != 0 {
+			flip(s, dir)
 		}
 	}
 	if len(remF) == 1 && len(addF) == 1 {
@@ -486,6 +549,18 @@ func forEachFlip(remF, addF []*relation.Fragment, get func(*relation.Fragment) [
 		}
 		judge(s, delta)
 	}
+}
+
+// flipDir returns how a token's set membership changes when its summed
+// count moves from old by delta: +1 entering, −1 leaving, 0 neither.
+func flipDir(old, delta int) int {
+	switch now := old + delta; {
+	case old == 0 && now != 0:
+		return +1
+	case old != 0 && now == 0:
+		return -1
+	}
+	return 0
 }
 
 // flipRel applies the counter adjustments for the REL-projection membership
@@ -582,9 +657,14 @@ func (e *setEvaluator) Estimate(x *relation.Database) int {
 
 func (e *setEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needSets) }
 
-func (e *setEvaluator) EstimateDelta(parent Agg, d Delta) (int, Agg) {
+func (e *setEvaluator) EstimateDelta(parent Agg, d Delta) int {
 	a := deltaAgg(parent.(*agg), d, e.tv, needSets)
-	return e.finish(a), a
+	return e.finish(&a)
+}
+
+func (e *setEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
+	a := editAgg(parent.(*agg), ed, e.tv, needSets)
+	return e.finish(&a)
 }
 
 // vecEvaluator serves the term-vector heuristics hE, h|E| and hcos. The
@@ -640,9 +720,14 @@ func (e *vecEvaluator) Estimate(x *relation.Database) int {
 
 func (e *vecEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needVec) }
 
-func (e *vecEvaluator) EstimateDelta(parent Agg, d Delta) (int, Agg) {
+func (e *vecEvaluator) EstimateDelta(parent Agg, d Delta) int {
 	a := deltaAgg(parent.(*agg), d, e.tv, needVec)
-	return e.finish(a), a
+	return e.finish(&a)
+}
+
+func (e *vecEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
+	a := editAgg(parent.(*agg), ed, e.tv, needVec)
+	return e.finish(&a)
 }
 
 // levEvaluator is hL, the normalized Levenshtein distance of canonical
@@ -687,9 +772,14 @@ func (e *jaccardEvaluator) Estimate(x *relation.Database) int {
 
 func (e *jaccardEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needJac) }
 
-func (e *jaccardEvaluator) EstimateDelta(parent Agg, d Delta) (int, Agg) {
+func (e *jaccardEvaluator) EstimateDelta(parent Agg, d Delta) int {
 	a := deltaAgg(parent.(*agg), d, e.tv, needJac)
-	return e.finish(a), a
+	return e.finish(&a)
+}
+
+func (e *jaccardEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
+	a := editAgg(parent.(*agg), ed, e.tv, needJac)
+	return e.finish(&a)
 }
 
 // hybridEvaluator is the extended content+structure heuristic: h1 + h2 +
@@ -718,7 +808,12 @@ func (e *hybridEvaluator) Seed(x *relation.Database) Agg {
 	return seedAgg(x, e.tv, needSets|needShape)
 }
 
-func (e *hybridEvaluator) EstimateDelta(parent Agg, d Delta) (int, Agg) {
+func (e *hybridEvaluator) EstimateDelta(parent Agg, d Delta) int {
 	a := deltaAgg(parent.(*agg), d, e.tv, needSets|needShape)
-	return e.finish(a), a
+	return e.finish(&a)
+}
+
+func (e *hybridEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
+	a := editAgg(parent.(*agg), ed, e.tv, needSets|needShape)
+	return e.finish(&a)
 }

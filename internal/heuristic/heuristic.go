@@ -17,8 +17,9 @@
 //
 // Heuristics are exposed through the Evaluator interface (see evaluator.go);
 // most kinds additionally implement IncrementalEvaluator and can evaluate a
-// successor by delta-merging the replaced relation's fragment against the
-// parent's aggregate instead of re-encoding the whole state.
+// successor from the parent's aggregate and what the successor changes —
+// the replaced relation's fragment, or a previewed child's edit of it —
+// instead of re-encoding the whole state.
 //
 // The scaling constants k that the paper found optimal per (algorithm,
 // heuristic) pair live in scale.go.

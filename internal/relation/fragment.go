@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 )
 
 // Triple is an interned (REL, ATT, VALUE) TNF triple — one dimension of the
@@ -60,7 +60,8 @@ type TripleCount struct {
 // asked.
 //
 // A Fragment is immutable after construction and shared freely (always by
-// pointer: the lazy Parts memo embeds a sync.Once).
+// pointer: the lazy Parts memo is an atomic pointer, which go vet's
+// copylocks check guards against a copy).
 type Fragment struct {
 	// Rel is the interned relation name; its multiplicity in the REL
 	// projection is RowCount.
@@ -84,11 +85,12 @@ type Fragment struct {
 	// disjoint across relations, so norms add per fragment).
 	VecSq int64
 
-	// Lazily decoded Parts (see the Parts method). Only the
-	// string-canonical Levenshtein path reads them; every other consumer
-	// stays in symbol space, so the strings are never built for it.
-	partsOnce sync.Once
-	parts     []string
+	// parts holds the lazily decoded Parts (see the Parts method); nil
+	// until the first caller publishes them. Only the string-canonical
+	// Levenshtein path reads them; every other consumer stays in symbol
+	// space, so the strings are never built for it, and the header keeps
+	// one pointer for them (120 B, the 128-B size class).
+	parts atomic.Pointer[[]string]
 }
 
 // AttCount returns the multiplicity of s in the ATT projection.
@@ -96,6 +98,23 @@ func (f *Fragment) AttCount(s Symbol) int { return countOf(f.Atts, s) }
 
 // ValCount returns the multiplicity of s in the VALUE projection.
 func (f *Fragment) ValCount(s Symbol) int { return countOf(f.Vals, s) }
+
+// VecCount returns the multiplicity of triple t in the term vector.
+func (f *Fragment) VecCount(t Triple) int {
+	lo, hi := 0, len(f.Vec)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f.Vec[m].Triple.Compare(t) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(f.Vec) && f.Vec[lo].Triple == t {
+		return int(f.Vec[lo].N)
+	}
+	return 0
+}
 
 // countOf binary-searches a sorted symbol multiset for s's multiplicity.
 func countOf(xs []SymbolCount, s Symbol) int {
@@ -153,23 +172,26 @@ func (f *Fragment) Dot(g *Fragment) int64 {
 // sorted order yields tnf.Table.CanonicalString. The rendering is
 // reconstructed from Vec — each triple with count c contributes c copies of
 // its concatenation, the same multiset the per-cell construction produced —
-// decoded lazily exactly once and memoized, so searches that never consult
-// the string-edit-distance heuristic never pay for a single Part string.
-// The returned slice is shared: callers must treat it as read-only.
+// decoded lazily and memoized, so searches that never consult the
+// string-edit-distance heuristic never pay for a single Part string.
+// Racing first callers may each decode the strings, but all return the one
+// slice that won the publication. The returned slice is shared: callers
+// must treat it as read-only.
 func (f *Fragment) Parts() []string {
-	f.partsOnce.Do(func() {
-		strs := strsSnapshot()
-		out := make([]string, 0, f.RowCount)
-		for _, e := range f.Vec {
-			s := strs[e.Triple[0]] + strs[e.Triple[1]] + strs[e.Triple[2]]
-			for c := e.N; c > 0; c-- {
-				out = append(out, s)
-			}
+	if p := f.parts.Load(); p != nil {
+		return *p
+	}
+	strs := strsSnapshot()
+	out := make([]string, 0, f.RowCount)
+	for _, e := range f.Vec {
+		s := strs[e.Triple[0]] + strs[e.Triple[1]] + strs[e.Triple[2]]
+		for c := e.N; c > 0; c-- {
+			out = append(out, s)
 		}
-		sort.Strings(out)
-		f.parts = out
-	})
-	return f.parts
+	}
+	sort.Strings(out)
+	f.parts.CompareAndSwap(nil, &out)
+	return *f.parts.Load()
 }
 
 // TNFFragment returns the relation's TNF fragment, computed lazily exactly

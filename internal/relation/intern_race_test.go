@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -81,6 +82,36 @@ func TestFragmentMemoConcurrent(t *testing.T) {
 		// 2 tuples × arity 2 = 4 TNF cell-rows.
 		if f.Tuples != 2 || f.RowCount != 4 || len(f.Vec) == 0 || f.VecSq == 0 {
 			t.Fatalf("trial %d: fragment incompletely published: %+v", trial, f)
+		}
+	}
+}
+
+// TestFragmentPartsConcurrent races the first Parts calls on a fragment, as
+// concurrent hL discoveries over one shared input do. Every goroutine must
+// get the one published slice (racing decoders agree on the winner), and
+// it must hold the fragment's rows in sorted order.
+func TestFragmentPartsConcurrent(t *testing.T) {
+	for trial := 0; trial < 30; trial++ {
+		f := MustNew("Shared", []string{"A", "B"},
+			Tuple{"x", "y"}, Tuple{"z", "w"}, Tuple{"x", ""}).TNFFragment()
+		parts := make([][]string, 16)
+		var wg sync.WaitGroup
+		for g := range parts {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				parts[g] = f.Parts()
+			}(g)
+		}
+		wg.Wait()
+		for g := 1; g < len(parts); g++ {
+			if &parts[g][0] != &parts[0][0] {
+				t.Fatalf("trial %d: goroutine %d got a different Parts slice", trial, g)
+			}
+		}
+		want := []string{"SharedAx", "SharedAx", "SharedAz", "SharedB", "SharedBw", "SharedBy"}
+		if !slices.Equal(parts[0], want) {
+			t.Fatalf("trial %d: Parts = %q, want %q", trial, parts[0], want)
 		}
 	}
 }

@@ -5,21 +5,22 @@ package relation
 // together with what the preview resolved on the way. A search applies the
 // same few renames and drops to the same states over and over; keying each
 // candidate child first lets it skip building the ones it already holds, and
-// deriving a new child's TNF fragment from its parent's lets it estimate the
-// child without building it either (DESIGN.md §8, "Keying before building"
-// and "Building on entry"). Every preview runs the hash core Hash runs, over
-// the parent's columns under the child's schema (one attribute substituted,
-// or one skipped) in the child's attribute order, so the previewed value is
-// the child's hash bit for bit. The child's order comes from the parent's
-// memoized order (attrOrder) in one pass: a drop skips the dropped position,
-// and a rename moves the renamed position to where its new name sorts.
+// stating a new child as an edit of its parent's TNF fragment lets it
+// estimate the child without building it either (DESIGN.md §8, "Keying
+// before building" and "Building on entry"). Every preview runs the hash
+// core Hash runs, over the parent's columns under the child's schema (one
+// attribute substituted, or one skipped) in the child's attribute order, so
+// the previewed value is the child's hash bit for bit. The child's order
+// comes from the parent's memoized order (attrOrder) in one pass: a drop
+// skips the dropped position, and a rename moves the renamed position to
+// where its new name sorts.
 
 // ChildHash is a relation hash previewed before the relation is built, and
 // what the preview resolved to compute it: the parent relation, the renamed
 // or dropped attribute, a rename's new attribute and whether a drop
 // collapses rows. Only RenamedHash and DroppedHash make one, so SeedHash
-// installs nothing but a value the hash core computed, and Fragment derives
-// from nothing but a preview's resolution.
+// installs nothing but a value the hash core computed, and Fragment and
+// Edit derive from nothing but a preview's resolution.
 type ChildHash struct {
 	sum [16]byte
 	set bool
@@ -123,9 +124,9 @@ func (r *Relation) DroppedHash(a string) (c ChildHash, ok bool) {
 	return c, true
 }
 
-// Derivable reports whether Fragment derives the child's TNF fragment: for
-// every ρ^att child, and for a π̄ child that collapses no rows and keeps an
-// attribute.
+// Derivable reports whether Fragment derives the child's TNF fragment, and
+// Edit describes it: for every ρ^att child, and for a π̄ child that
+// collapses no rows and keeps an attribute.
 func (c ChildHash) Derivable() bool {
 	return c.set && (!c.drop || !c.collapses && len(c.parent.attrs) > 1)
 }
@@ -143,6 +144,39 @@ func (c ChildHash) Fragment() *Fragment {
 		return pf.dropped(c.att)
 	}
 	return pf.renamed(c.att, c.to)
+}
+
+// Edit is a previewed ρ^att or π̄ child stated as an edit of its parent
+// relation's TNF fragment: the token counts the operator changes, which an
+// estimate reads against the parent's sums instead of deriving the child's
+// fragment. A rename moves attribute Att's ATT count and its Vec block
+// (Block) to To; a drop removes them, with the block's non-empty values and
+// one attribute of arity. The edit lists exactly the multiset changes that
+// Fragment's derivation makes.
+type Edit struct {
+	// Frag is the parent relation's fragment.
+	Frag *Fragment
+	// Att is the renamed or dropped attribute; To is a rename's new one
+	// (Att itself for a rename of an attribute to its own name).
+	Att, To Symbol
+	// Drop marks a π̄ edit.
+	Drop bool
+}
+
+// Block returns the entries of the parent fragment's Vec whose attribute
+// is Att, in value order: the triples the edit relabels or removes. It
+// shares the fragment's array.
+func (e Edit) Block() []TripleCount {
+	lo, hi := attBlock(e.Frag.Vec, e.Att)
+	return e.Frag.Vec[lo:hi]
+}
+
+// Edit returns the previewed child as an edit of its parent relation's
+// fragment. It describes the child's fragment only when the child is
+// Derivable; a π̄ that collapses rows or leaves no attribute changes more
+// than the edit lists.
+func (c ChildHash) Edit() Edit {
+	return Edit{Frag: c.parent.TNFFragment(), Att: c.att, To: c.to, Drop: c.drop}
 }
 
 // SeedHash installs a previewed hash as r's memoized Hash, so a child built
