@@ -72,8 +72,7 @@ func usage() {
                   [-best-effort]
                   [-portfolio default|SPEC,SPEC,...] [-retries N]
                   [-simplify] [-pretty] [-stats]
-                  [-trace] [-trace-json FILE] [-trace-sample N]
-                  [-report FILE] [-flight FILE]
+                  [-trace-json FILE] [-report FILE] [-flight FILE]
                   [-metrics] [-metrics-addr HOST:PORT] [-pprof-addr HOST:PORT]
                   (a portfolio SPEC is algo/heuristic or algo/heuristic/K,
                    e.g. -portfolio rbfs/cosine,ida/h1,rbfs/levenshtein/15)
@@ -146,9 +145,7 @@ func cmdDiscover(args []string) error {
 	simplify := fs.Bool("simplify", false, "simplify the discovered expression")
 	pretty := fs.Bool("pretty", false, "also print paper-style notation")
 	stats := fs.Bool("stats", false, "print search statistics to stderr")
-	trace := fs.Bool("trace", false, "print a search transcript (goal tests, expansions, portfolio members) to stderr")
-	traceJSON := fs.String("trace-json", "", "write the full structured event stream as JSON Lines to FILE")
-	sampleN := fs.Int("trace-sample", 0, "forward only every Nth high-frequency trace event (0 or 1 = all)")
+	traceJSON := fs.String("trace-json", "", "write the full structured event stream as JSON Lines to FILE (/dev/stderr for a live transcript)")
 	reportPath := fs.String("report", "", "write a tupelo-report/v1 run report (JSON, with the performance profile) to FILE, even on an aborted run (render with tupelo-trace summary or chrome)")
 	flightPath := fs.String("flight", "", "arm the flight recorder; its rings are dumped as tupelo-flight/v2 JSONL to FILE only when the run dies abnormally (panic, memory abort, deadline)")
 	metrics := fs.Bool("metrics", false, "print a metrics snapshot (Prometheus text format) to stderr after the run")
@@ -194,9 +191,6 @@ func cmdDiscover(args []string) error {
 		Correspondences: append(append([]tupelo.Correspondence(nil), src.Corrs...), tgt.Corrs...),
 	}
 	var tracers []tupelo.Tracer
-	if *trace {
-		tracers = append(tracers, tupelo.NewWriterTracer(os.Stderr))
-	}
 	// Each requested artifact is finished after the run, even an aborted
 	// one; one that fails to write is reported and fails the command once
 	// the mapping is printed.
@@ -215,27 +209,13 @@ func cmdDiscover(args []string) error {
 		tracers = append(tracers, jt)
 		artifacts = append(artifacts, artifact{"trace-json", func() error { return cmp.Or(jt.Err(), f.Close()) }})
 	}
-	switch len(tracers) {
-	case 1:
-		opts.Tracer = tracers[0]
-	default:
-		if len(tracers) > 1 {
-			opts.Tracer = tupelo.MultiTracer(tracers...)
-		}
-	}
-	if *sampleN > 1 && opts.Tracer != nil {
-		opts.Tracer = tupelo.SampleTracer(opts.Tracer, *sampleN)
-	}
-	// The report builder rides outside the sampling wrapper: its tables
-	// must count every event, not every Nth.
 	var reportBuilder *tupelo.ReportBuilder
 	if *reportPath != "" {
 		reportBuilder = tupelo.NewReportBuilder()
-		if opts.Tracer != nil {
-			opts.Tracer = tupelo.MultiTracer(opts.Tracer, reportBuilder)
-		} else {
-			opts.Tracer = reportBuilder
-		}
+		tracers = append(tracers, reportBuilder)
+	}
+	if len(tracers) > 0 {
+		opts.Tracer = tupelo.MultiTracer(tracers...)
 	}
 	if *flightPath != "" {
 		f, ferr := os.Create(*flightPath)

@@ -237,31 +237,6 @@ func TestDiscoverOptionValidation(t *testing.T) {
 	}
 }
 
-func TestDisablePruningStillWorks(t *testing.T) {
-	src := relation.MustDatabase(
-		relation.MustNew("R", []string{"A1"}, relation.Tuple{"a1"}),
-	)
-	tgt := relation.MustDatabase(
-		relation.MustNew("R", []string{"B1"}, relation.Tuple{"a1"}),
-	)
-	base, err := Discover(src, tgt, Options{Algorithm: search.RBFS, Heuristic: heuristic.H1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noPrune, err := Discover(src, tgt, Options{
-		Algorithm: search.RBFS, Heuristic: heuristic.H1, DisablePruning: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(noPrune.Expr, src, tgt, nil); err != nil {
-		t.Fatal(err)
-	}
-	if noPrune.Stats.Generated < base.Stats.Generated {
-		t.Fatalf("pruning off generated %d < pruning on %d", noPrune.Stats.Generated, base.Stats.Generated)
-	}
-}
-
 func TestResultApply(t *testing.T) {
 	src := relation.MustDatabase(
 		relation.MustNew("Emp", []string{"nm"}, relation.Tuple{"ann"}),

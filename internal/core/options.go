@@ -42,17 +42,12 @@ type Options struct {
 	// Correspondences are the user-indicated complex semantic mappings
 	// (§4); each enables λ moves during search.
 	Correspondences []lambda.Correspondence
-	// DisablePruning turns off the paper's "obviously inapplicable"
-	// enhancements (§2.3) for ablation studies.
-	DisablePruning bool
 	// Tracer, when non-nil, receives a structured event stream of the
 	// search: run start/finish, every expansion with its candidate moves,
 	// every goal test, cache hits and misses, and — under
 	// DiscoverPortfolio — member start/win/lose/cancel. Implementations
 	// must be safe for concurrent use (portfolio members emit from their
-	// own goroutines); obs.NewWriterTracer adapts an
-	// io.Writer into the transcript format of the former TraceWriter
-	// field.
+	// own goroutines); obs.NewJSONTracer writes the stream as JSON Lines.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives counters, gauges, and timers for the
 	// run: per-algorithm examined/generated counts, heuristic cache
@@ -71,9 +66,10 @@ type Options struct {
 	// FaultHook, when non-nil, is called at the fault-injection sites of
 	// the discovery hot path: heuristic evaluation (every estimate actually
 	// computed, at state creation or on a search-loop miss, labelled with
-	// the run's cache label) and candidate-operator application (labelled
-	// with the operator's textual form). Setting it turns off the move
-	// memo, so every expansion reaches the operator sites. It exists solely
+	// the run's cache label) and candidate-operator application (each
+	// candidate of a state's first expansion, labelled with the operator's
+	// textual form; later expansions read the state's memoized moves). A
+	// hook that returns changes nothing the search does. It exists solely
 	// for the deterministic fault-injection test harness (internal/faults)
 	// — the hook runs inline on the search goroutine and must not be set
 	// in production.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,90 @@ func TestHeuristicPanicContained(t *testing.T) {
 	}
 	if trace.Count(obs.EvPanic) == 0 {
 		t.Fatal("no EvPanic event emitted")
+	}
+}
+
+// TestFaultHookKeepsPath: a fault hook that returns changes nothing the
+// search does. One IDA*/cosine discovery of MatchingPair(6) runs with a
+// no-op hook and without one: the memo, operator, estimate and search
+// counters agree, and the hooked run leaves previewed children pending.
+// Its hits are what the hook documents: one SiteOpApply per candidate of a
+// state's first expansion (core.ops.proposed) and one SiteHeuristicEval
+// per estimate computed (heuristic.cache.entries). Cosine, not h1: IDA*/h1
+// walks this pair without revisiting a state, so no expansion would be
+// answered from the memo.
+func TestFaultHookKeepsPath(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(6)
+	run := func(hook func(faults.Site, string)) (obs.Snapshot, int) {
+		reg := obs.NewRegistry()
+		opts, err := Options{Algorithm: search.IDA, Heuristic: heuristic.Cosine, Metrics: reg, FaultHook: hook}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newProblem(src, tgt, opts)
+		ctx := obs.NewContext(context.Background(), obs.Obs{Metrics: reg})
+		if _, err := search.RunContext(ctx, opts.Algorithm, p, p.h, opts.Limits); err != nil {
+			t.Fatal(err)
+		}
+		pending := 0
+		for _, s := range p.table {
+			if s.db == nil {
+				pending++
+			}
+		}
+		return reg.Snapshot(), pending
+	}
+	hits := map[faults.Site]int64{}
+	hooked, pending := run(func(site faults.Site, _ string) { hits[site]++ })
+	plain, _ := run(nil)
+
+	// Both runs register the same instruments; heuristic.cache.entries is
+	// a gauge.
+	flat := func(snap obs.Snapshot) map[string]int64 {
+		m := make(map[string]int64, len(snap.Counters)+len(snap.Gauges))
+		for name, v := range snap.Counters {
+			m[name] = v
+		}
+		for name, v := range snap.Gauges {
+			m[name] = v
+		}
+		return m
+	}
+	got, want := flat(hooked), flat(plain)
+	if len(got) != len(want) {
+		t.Fatalf("the hooked run registered %d counters and gauges, the plain run %d", len(got), len(want))
+	}
+	var names []string
+	for name := range want {
+		for _, family := range []string{"core.succmemo.", "core.ops.proposed", "core.ops.applied", "heuristic.cache.", "search.examined", "search.generated"} {
+			if strings.HasPrefix(name, family) {
+				names = append(names, name)
+				break
+			}
+		}
+	}
+	sort.Strings(names)
+	var proposed, entries int64
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s = %d with a no-op fault hook, %d without", name, got[name], want[name])
+		}
+		switch {
+		case strings.HasPrefix(name, "core.ops.proposed"):
+			proposed += got[name]
+		case strings.HasPrefix(name, "heuristic.cache.entries"):
+			entries += got[name]
+		}
+	}
+	if plain.Counters["core.succmemo.hits"] == 0 {
+		t.Fatal("no memo hits: IDA* deepening should revisit expanded states")
+	}
+	if pending == 0 {
+		t.Error("the hooked run built every child: no state is pending")
+	}
+	if hits[faults.SiteOpApply] != proposed || hits[faults.SiteHeuristicEval] != entries {
+		t.Errorf("hook hits: %d op-apply for %d proposed candidates, %d heuristic-eval for %d estimates",
+			hits[faults.SiteOpApply], proposed, hits[faults.SiteHeuristicEval], entries)
 	}
 }
 

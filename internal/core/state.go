@@ -59,13 +59,10 @@ type dbState struct {
 	// lookup.
 	h int
 	// moves is the state's finished move list, set by its first expansion
-	// (never nil after it); nil before that, and always nil under a
-	// FaultHook, whose injected faults must fire on every expansion.
+	// (never nil after it) and nil before that.
 	moves []search.Move
 	// goal is the state's goal verdict: verdictUntested until its first
 	// goal test (mappingProblem.IsGoal), then verdictNotGoal or verdictGoal.
-	// The goal test has no fault site, so the verdict stays on under a
-	// FaultHook.
 	goal      verdict
 	estimated bool
 }

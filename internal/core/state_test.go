@@ -7,7 +7,7 @@ import (
 	"unsafe"
 
 	"tupelo/internal/datagen"
-	"tupelo/internal/faults"
+	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/obs"
 	"tupelo/internal/relation"
@@ -34,18 +34,18 @@ func (r *examineRecorder) IsGoal(s search.State) bool {
 // stored goal verdict equals the nested-loop reference scan
 // (Database.Contains, not the containment index that produced it), every
 // relation's memoized fragment (derived and seeded where the state was
-// built on entry) equals a clone's, the published move list equals a fresh
-// expansion of the state's own database with the move memo off, and every
-// move's successor is the table's canonical state. It covers the tree
-// searches and A*, and every paper heuristic under IDA* and RBFS on
-// matching6: incremental estimates — from a previewed child's edit or a
-// built child's delta — must equal from-scratch ones at every state, not
-// only in the end counts.
+// built on entry) equals a clone's, the published move list equals the
+// state's candidates built one by one (builtChildren), and every move's
+// successor is the table's canonical state. It covers the tree searches
+// and A*, and every paper heuristic under IDA* and RBFS on matching6:
+// incremental estimates — from a previewed child's edit or a built child's
+// delta — must equal from-scratch ones at every state, not only in the end
+// counts.
 //
-// The fresh expansion runs under a FaultHook, which turns the child-key
-// preview off along with the memo, so every comparison is also a
-// differential test of previewed ρ^att and π̄ children against built ones:
-// matching12 is wider than the attribute scan (attrScanMax), and the
+// The reference builds every candidate with its own Apply and keys it with
+// Database.Key, with no preview and no state table, so every comparison is
+// also a differential test of previewed ρ^att and π̄ children against built
+// ones: matching12 is wider than the attribute scan (attrScanMax), and the
 // Inventory task's λ operators and twelve-column relation exercise the
 // wide-schema lookups on both sides.
 func TestMemoTableMatchesScratch(t *testing.T) {
@@ -104,10 +104,7 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 		return !created && got == s
 	}
 	scratch := heuristic.New(opts.Heuristic, tgt, opts.K)
-	// A no-op fault hook turns the move memo off: every expansion computes.
-	freshOpts := opts
-	freshOpts.FaultHook = func(faults.Site, string) {}
-	fresh := newProblem(src, tgt, freshOpts)
+	fresh := newProblem(src, tgt, opts)
 	expanded := 0
 	for s := range rec.examined {
 		if !canonical(s) {
@@ -132,18 +129,21 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 			continue // examined but never expanded: a goal or a pruned leaf
 		}
 		expanded++
-		wantMoves, err := fresh.Successors(&dbState{db: s.database(), key: s.key})
-		if err != nil {
-			t.Fatal(err)
+		ops := fresh.candidateOps(s.database())
+		var wantOps []fira.Op
+		var wantKeys []string
+		for i, key := range builtChildren(t, s.database(), s.key, ops, opts.Registry) {
+			if key != "" {
+				wantOps, wantKeys = append(wantOps, ops[i]), append(wantKeys, key)
+			}
 		}
-		if len(moves) != len(wantMoves) {
-			t.Fatalf("state %x: table lists %d moves, fresh expansion %d", s.key, len(moves), len(wantMoves))
+		if len(moves) != len(wantOps) {
+			t.Fatalf("state %x: table lists %d moves, the built candidates %d", s.key, len(moves), len(wantOps))
 		}
 		for i, m := range moves {
-			got, want := m.To.(*dbState).key, wantMoves[i].To.(*dbState).key
-			if m.Op.String() != wantMoves[i].Op.String() || got != want {
-				t.Fatalf("state %x move %d: table %s → %x, fresh %s → %x",
-					s.key, i, m.Op, got, wantMoves[i].Op, want)
+			if got := m.To.(*dbState).key; m.Op.String() != wantOps[i].String() || got != wantKeys[i] {
+				t.Fatalf("state %x move %d: table %s → %x, built %s → %x",
+					s.key, i, m.Op, got, wantOps[i], wantKeys[i])
 			}
 			if !canonical(m.To.(*dbState)) {
 				t.Fatalf("state %x move %d (%s): successor is not the table's state for its key", s.key, i, m.Op)
@@ -177,11 +177,10 @@ func checkTableAgainstScratch(t *testing.T, src, tgt *relation.Database, opts Op
 	t.Logf("%d table states, %d never entered", len(rec.table), unentered)
 }
 
-// TestMemoCountersAndSampling: with metrics only (no Tracer) the successor
-// memo stays on, and the hit/miss counters expose how many expansions the
-// per-op apply metrics actually sampled. The
-// state table's estimate lookups report under heuristic.cache.*: on a
-// run every miss evaluates once and stores its estimate once.
+// TestMemoCountersAndSampling: the successor memo's hit/miss counters
+// expose how many expansions the per-op apply metrics actually sampled. The
+// state table's estimate lookups report under heuristic.cache.*: on a run
+// every miss evaluates once and stores its estimate once.
 func TestMemoCountersAndSampling(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
 	reg := obs.NewRegistry()
@@ -217,8 +216,8 @@ func TestMemoCountersAndSampling(t *testing.T) {
 	}
 }
 
-// TestMemoStaysOnUnderTracer: the undercount fix keeps the memo enabled for
-// traced runs (only FaultHook disables it) and emits memo events instead.
+// TestMemoStaysOnUnderTracer: a traced run keeps the move memo and emits
+// its memo events.
 func TestMemoStaysOnUnderTracer(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(6)
 	col := obs.NewCollector()

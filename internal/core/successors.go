@@ -23,7 +23,6 @@ type mappingProblem struct {
 	target *relation.Database
 	reg    *lambda.Registry
 	corrs  []lambda.Correspondence
-	prune  bool // apply the paper's "obviously inapplicable" rules
 
 	// Target-side token sets, computed once. tAttrsSorted is the sorted
 	// enumeration of tAttrs, shared by move generators that need the target
@@ -58,25 +57,23 @@ type mappingProblem struct {
 
 	// table holds the run's canonical state for every key: the start state
 	// and every successor are interned here, and the search sees nothing
-	// else. memo enables reading and storing each state's move list
-	// (dbState.moves); it is off only under a FaultHook, whose injected
-	// faults must fire on every expansion to stay deterministic.
+	// else. Each state's move list is computed by its first expansion and
+	// read from the state (dbState.moves) on every later one.
 	//
 	// Sampling semantics: because memoized expansions bypass the operator
 	// pipeline, the per-operator apply metrics (core.op.apply.seconds and
-	// friends) and the EvOpApply trace stream observe only memo misses — in
-	// effect the first expansion of each distinct state. The
-	// core.succmemo.hits/.misses counters and the EvMemoHit/EvMemoMiss
-	// events carry the denominator, so consumers can reconstruct totals (a
-	// profile's "operator table samples misses only" line makes the same
-	// point).
+	// friends), the EvOpApply trace stream and the fault hook's SiteOpApply
+	// hits observe only memo misses — the first expansion of each distinct
+	// state. The core.succmemo.hits/.misses counters and the
+	// EvMemoHit/EvMemoMiss events carry the denominator, so consumers can
+	// reconstruct totals (a profile's "operator table samples misses only"
+	// line makes the same point).
 	//
-	// With the memo on, applyAll also keys ρ^att and π̄ children before
-	// building them (childPreview): a child the table lacks becomes a
-	// pending state, estimated from its edit and built when the search
-	// first reads its database.
+	// applyAll keys ρ^att and π̄ children before building them
+	// (childPreview): a child the table lacks becomes a pending state,
+	// estimated from its edit and built when the search first reads its
+	// database.
 	table stateTable
-	memo  bool
 
 	// scratch is the run's expansion scratch, reused by every expansion: a
 	// run expands its states on one goroutine (DESIGN.md §10), and nothing
@@ -104,8 +101,10 @@ type mappingProblem struct {
 	// hEval, when non-nil, times heuristic evaluations.
 	hEval *obs.Histogram
 	// fault, when non-nil, is the test-only fault-injection hook
-	// (Options.FaultHook); hLabel is the label it receives at heuristic
-	// evaluations, and the label of the estimate lookup metrics and events.
+	// (Options.FaultHook), called at the sites of the one expansion path; a
+	// hook that returns changes nothing the search does. hLabel is the label
+	// it receives at heuristic evaluations, and the label of the estimate
+	// lookup metrics and events.
 	fault  func(faults.Site, string)
 	hLabel string
 }
@@ -117,7 +116,6 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		target:       target,
 		reg:          opts.Registry,
 		corrs:        opts.Correspondences,
-		prune:        !opts.DisablePruning,
 		table:        make(stateTable),
 		tRels:        target.RelationNames(),
 		tAttrs:       target.AttrNames(),
@@ -129,13 +127,6 @@ func newProblem(source, target *relation.Database, opts Options) *mappingProblem
 		fault:        opts.FaultHook,
 		hLabel:       hLabel,
 		goalIx:       relation.NewContainmentIndex(target),
-		// The memo stays on under a Tracer: a traced run that re-applied
-		// every operator on every revisit was two orders of magnitude slower
-		// than the run it claimed to describe, and silently out-sampled the
-		// metrics-only configuration. The miss-only sampling this creates
-		// for per-op apply events is documented on table and surfaced
-		// through EvMemoHit/EvMemoMiss.
-		memo: opts.FaultHook == nil,
 	}
 	p.tAttrsSorted = sortedKeys(p.tAttrs)
 	p.tRelsSorted = sortedKeys(p.tRels)
@@ -231,18 +222,16 @@ func (p *mappingProblem) IsGoal(s search.State) bool {
 // into heuristic.eval.seconds.
 func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 	parent := s.(*dbState)
-	if p.memo {
-		if parent.moves != nil {
-			p.met.memo(true)
-			if p.tracer != nil {
-				p.tracer.Event(obs.Event{Kind: obs.EvMemoHit})
-			}
-			return parent.moves, nil
-		}
-		p.met.memo(false)
+	if parent.moves != nil {
+		p.met.memo(true)
 		if p.tracer != nil {
-			p.tracer.Event(obs.Event{Kind: obs.EvMemoMiss})
+			p.tracer.Event(obs.Event{Kind: obs.EvMemoHit})
 		}
+		return parent.moves, nil
+	}
+	p.met.memo(false)
+	if p.tracer != nil {
+		p.tracer.Event(obs.Event{Kind: obs.EvMemoMiss})
 	}
 	db := parent.database()
 	var agg heuristic.Agg
@@ -265,9 +254,7 @@ func (p *mappingProblem) Successors(s search.State) ([]search.Move, error) {
 		moves = append(moves, search.Move{Op: ops[i], To: ns, Cost: 1})
 		p.met.count(ops[i], true)
 	}
-	if p.memo {
-		parent.moves = moves
-	}
+	parent.moves = moves
 	return moves, nil
 }
 
@@ -333,14 +320,15 @@ func (p *mappingProblem) candidateOps(db *relation.Database) []fira.Op {
 // (prewarm); agg is the parent's aggregate, nil without an incremental
 // evaluator.
 //
-// With the move memo on, a ρ^att or π̄ candidate is keyed before it is
-// built (preview): a key equal to the parent's is a no-op, a key the table
-// holds is that canonical state, and a new key becomes a pending state with
-// one map write. A pending state whose estimate can come from its edit —
-// an incremental evaluator and a Derivable child — stays pending until the
+// A ρ^att or π̄ candidate is keyed before it is built (preview): a key
+// equal to the parent's is a no-op, a key the table holds is that
+// canonical state, and a new key becomes a pending state with one map
+// write. A pending state whose estimate can come from its edit — an
+// incremental evaluator and a Derivable child — stays pending until the
 // search reads its database; any other is built at once through the same
-// accessor. Every candidate emits one EvOpApply and one
-// apply-latency sample, timed over its preview plus any build made here.
+// accessor. Every candidate takes one SiteOpApply fault-hook hit and emits
+// one EvOpApply and one apply-latency sample, timed over its preview plus
+// any build made here.
 //
 // A panic inside an operator apply or a heuristic pre-warm is recovered and
 // returned as a *search.PanicError naming the operator — never propagated,
@@ -376,7 +364,7 @@ func (p *mappingProblem) applyAll(parent *dbState, agg heuristic.Agg, ops []fira
 			next    *relation.Database
 			aerr    error
 		)
-		pv, keyed := p.preview(ops[i], db)
+		pv, keyed := preview(ops[i], db)
 		switch {
 		case !keyed:
 			next, aerr = ops[i].Apply(db, p.reg)
@@ -423,15 +411,10 @@ type childPreview struct {
 	hash relation.ChildHash
 }
 
-// preview keys op's child from the parent's database when the move memo is
-// on and op is a ρ^att or π̄; ok is false otherwise, and when the
-// operator's preview declines (fira's ChildKey methods), in which case the
-// caller builds the child. The memo is off only under a FaultHook, so a
-// fault-injected run builds every candidate.
-func (p *mappingProblem) preview(op fira.Op, db *relation.Database) (c childPreview, ok bool) {
-	if !p.memo {
-		return c, false
-	}
+// preview keys op's child from the parent's database when op is a ρ^att or
+// π̄; ok is false otherwise, and when the operator's preview declines
+// (fira's ChildKey methods), in which case the caller builds the child.
+func preview(op fira.Op, db *relation.Database) (c childPreview, ok bool) {
 	switch o := op.(type) {
 	case fira.RenameAtt:
 		c.key, c.hash, ok = o.ChildKey(db)
@@ -563,11 +546,11 @@ func (p *mappingProblem) renameRelMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		return ops
 	}
 	for _, r := range x.rels {
-		if p.prune && p.tRels[r.Name()] {
+		if p.tRels[r.Name()] {
 			continue // already a target relation name; renaming it away hurts
 		}
 		for _, to := range missing {
-			if p.prune && !p.relRenameEvidence(r, to) {
+			if !p.relRenameEvidence(r, to) {
 				continue
 			}
 			ops = append(ops, fira.RenameRel{From: r.Name(), To: to})
@@ -608,19 +591,17 @@ func (p *mappingProblem) renameAttMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		return ops
 	}
 	evidence := sc.attEvidence[:0]
-	if p.prune {
-		for _, to := range missing {
-			evidence = append(evidence, p.tAttrValSyms[to])
-		}
-		sc.attEvidence = evidence
+	for _, to := range missing {
+		evidence = append(evidence, p.tAttrValSyms[to])
 	}
+	sc.attEvidence = evidence
 	for _, r := range x.rels {
 		for j, a := range r.AttrView() {
-			if p.prune && p.tAttrs[a] {
+			if p.tAttrs[a] {
 				continue // a is already a target attribute name
 			}
 			for k, to := range missing {
-				if p.prune && !renameEvidence(r, j, evidence[k]) {
+				if !renameEvidence(r, j, evidence[k]) {
 					continue
 				}
 				ops = append(ops, fira.RenameAtt{Rel: r.Name(), From: a, To: to})
@@ -660,7 +641,7 @@ func (p *mappingProblem) dropMoves(ops []fira.Op, x *expCtx) []fira.Op {
 			continue
 		}
 		for _, a := range r.AttrView() {
-			if p.prune && p.tAttrs[a] {
+			if p.tAttrs[a] {
 				continue // target needs this attribute
 			}
 			ops = append(ops, fira.Drop{Rel: r.Name(), Attr: a})
@@ -676,14 +657,14 @@ func (p *mappingProblem) promoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		attrs := r.AttrView()
 		for nj, nameAttr := range attrs {
-			if p.prune && !p.columnFeedsTargetAttrs(r, nj) {
+			if !p.columnFeedsTargetAttrs(r, nj) {
 				continue
 			}
 			for vj, valAttr := range attrs {
 				if vj == nj {
 					continue
 				}
-				if p.prune && !p.columnFeedsTargetValues(r, vj) {
+				if !p.columnFeedsTargetValues(r, vj) {
 					continue
 				}
 				ops = append(ops, fira.Promote{Rel: r.Name(), NameAttr: nameAttr, ValueAttr: valAttr})
@@ -724,17 +705,15 @@ func (p *mappingProblem) demoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		if r.HasAttr(fira.DemoteRelCol) || r.HasAttr(fira.DemoteAttCol) {
 			continue
 		}
-		if p.prune {
-			useful := p.tVals[r.Name()]
-			for _, a := range r.AttrView() {
-				if p.tVals[a] {
-					useful = true
-					break
-				}
+		useful := p.tVals[r.Name()]
+		for _, a := range r.AttrView() {
+			if p.tVals[a] {
+				useful = true
+				break
 			}
-			if !useful {
-				continue
-			}
+		}
+		if !useful {
+			continue
 		}
 		ops = append(ops, fira.Demote{Rel: r.Name()})
 	}
@@ -782,17 +761,15 @@ func (p *mappingProblem) derefMoves(ops []fira.Op, x *expCtx) []fira.Op {
 func (p *mappingProblem) partitionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
 		for j, a := range r.AttrView() {
-			if p.prune {
-				useful := false
-				for _, s := range r.DistinctSymbols(j) {
-					if p.tRelSymSet[s] {
-						useful = true
-						break
-					}
+			useful := false
+			for _, s := range r.DistinctSymbols(j) {
+				if p.tRelSymSet[s] {
+					useful = true
+					break
 				}
-				if !useful {
-					continue
-				}
+			}
+			if !useful {
+				continue
 			}
 			ops = append(ops, fira.Partition{Rel: r.Name(), Attr: a})
 		}
@@ -812,7 +789,7 @@ func (p *mappingProblem) productMoves(ops []fira.Op, x *expCtx) []fira.Op {
 			if !attrDisjoint(l, r) {
 				continue
 			}
-			if p.prune && !p.targetSpans(l, r) {
+			if !p.targetSpans(l, r) {
 				continue
 			}
 			ops = append(ops, fira.Product{Left: l.Name(), Right: r.Name()})
@@ -853,9 +830,9 @@ func (p *mappingProblem) targetSpans(l, r *relation.Relation) bool {
 // unionMoves proposes ∪ (outer union, the L extension inverse to ℘) when
 // the state has more relations than the target needs: two relations whose
 // names the target does not use, with identical attribute sets, collapse
-// into one. Without pruning, any ordered pair of relations qualifies.
+// into one.
 func (p *mappingProblem) unionMoves(ops []fira.Op, x *expCtx) []fira.Op {
-	if p.prune && x.db.Len() <= p.target.Len() {
+	if x.db.Len() <= p.target.Len() {
 		return ops
 	}
 	rels := x.rels
@@ -864,13 +841,11 @@ func (p *mappingProblem) unionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 			if i == j {
 				continue
 			}
-			if p.prune {
-				if p.tRels[l.Name()] || p.tRels[r.Name()] {
-					continue // the target still wants these relations
-				}
-				if !sameAttrSet(l, r) {
-					continue
-				}
+			if p.tRels[l.Name()] || p.tRels[r.Name()] {
+				continue // the target still wants these relations
+			}
+			if !sameAttrSet(l, r) {
+				continue
 			}
 			ops = append(ops, fira.Union{Left: l.Name(), Right: r.Name()})
 		}
@@ -894,7 +869,7 @@ func sameAttrSet(l, r *relation.Relation) bool {
 // the only situation in which merging changes anything.
 func (p *mappingProblem) mergeMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, r := range x.rels {
-		if p.prune && !r.HasEmptyCell() {
+		if !r.HasEmptyCell() {
 			continue
 		}
 		for _, a := range r.AttrView() {
@@ -916,7 +891,7 @@ func (p *mappingProblem) applyMoves(ops []fira.Op, x *expCtx) []fira.Op {
 			if r.HasAttr(c.Out) {
 				continue
 			}
-			if p.prune && !p.tAttrs[c.Out] {
+			if !p.tAttrs[c.Out] {
 				continue
 			}
 			ok := true

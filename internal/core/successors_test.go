@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tupelo/internal/datagen"
-	"tupelo/internal/faults"
 	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/lambda"
@@ -58,18 +57,6 @@ func TestRenameEvidencePruning(t *testing.T) {
 	}
 	if hasLabel(labels, "rename_att[R,A1->B2]") || hasLabel(labels, "rename_att[R,A2->B1]") {
 		t.Fatalf("cross renames should be pruned by value evidence: %v", labels)
-	}
-	// Without pruning, all four renames are candidates.
-	opts := DefaultOptions()
-	opts.DisablePruning = true
-	labels = successorLabels(t, src, tgt, opts)
-	for _, want := range []string{
-		"rename_att[R,A1->B1]", "rename_att[R,A1->B2]",
-		"rename_att[R,A2->B1]", "rename_att[R,A2->B2]",
-	} {
-		if !hasLabel(labels, want) {
-			t.Fatalf("pruning disabled but %s missing: %v", want, labels)
-		}
 	}
 }
 
@@ -247,8 +234,28 @@ func TestExpansionAllocations(t *testing.T) {
 	}
 }
 
+// builtChildren is the reference for an expansion's successors, made
+// without previews or a state table: each candidate is applied to db by its
+// own Apply and its child keyed by Database.Key. keys[i] is "" where ops[i]
+// yields no successor: it fails, returns db unchanged, or its child keys to
+// parentKey.
+func builtChildren(t *testing.T, db *relation.Database, parentKey string, ops []fira.Op, reg *lambda.Registry) (keys []string) {
+	t.Helper()
+	keys = make([]string, len(ops))
+	for i, op := range ops {
+		next, err := op.Apply(db, reg)
+		if err != nil || next == db {
+			continue
+		}
+		if k := next.Key(); k != parentKey {
+			keys[i] = k
+		}
+	}
+	return keys
+}
+
 // TestPreviewedCandidates pins applyAll's three preview outcomes against
-// the built path (memo off under a FaultHook): a previewed child whose key
+// children the operators build (builtChildren): a previewed child whose key
 // is the parent's is a no-op, a previewed child the table already holds is
 // that canonical state, and a new one is built and interned under its
 // previewed key.
@@ -260,36 +267,33 @@ func TestPreviewedCandidates(t *testing.T) {
 		fira.RenameAtt{Rel: "S", From: "A1", To: "B1"}, // duplicate of the previous
 		fira.Drop{Rel: "S", Attr: "A2"},
 	}
-	for _, memo := range []bool{true, false} {
-		opts := Options{}
-		if !memo {
-			opts.FaultHook = func(faults.Site, string) {}
-		}
-		opts, err := opts.normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := newProblem(src, tgt, opts)
-		parent := p.Start().(*dbState)
-		states, err := p.applyAll(parent, nil, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if states[0] != nil {
-			t.Errorf("memo=%v: identity rename yielded a successor", memo)
-		}
-		if states[1] == nil || states[2] != states[1] {
-			t.Errorf("memo=%v: duplicate renames yielded %p and %p, want one canonical state", memo, states[1], states[2])
-		}
-		for i, op := range ops[1:] {
-			ns := states[i+1]
-			want, err := op.Apply(src, nil)
-			if err != nil {
-				t.Fatal(err)
+	opts, err := Options{}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProblem(src, tgt, opts)
+	parent := p.Start().(*dbState)
+	states, err := p.applyAll(parent, nil, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if states[0] != nil {
+		t.Error("identity rename yielded a successor")
+	}
+	if states[1] == nil || states[2] != states[1] {
+		t.Errorf("duplicate renames yielded %p and %p, want one canonical state", states[1], states[2])
+	}
+	want := builtChildren(t, src, parent.key, ops, nil)
+	for i, ns := range states {
+		got := ""
+		if ns != nil {
+			got = ns.key
+			if ns.database().Clone().Key() != ns.key {
+				t.Errorf("%s: successor's database does not key to its state", ops[i])
 			}
-			if ns == nil || ns.key != want.Key() || ns.database().Clone().Key() != ns.key {
-				t.Errorf("memo=%v: %s: successor key does not match the built child", memo, op)
-			}
+		}
+		if got != want[i] {
+			t.Errorf("%s: successor key %x, the built child's %x", ops[i], got, want[i])
 		}
 	}
 }

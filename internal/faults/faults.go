@@ -2,11 +2,15 @@
 // discovery resilience layer. Tests arm an Injector with faults — panics,
 // delays, forced cancellations — and wire it into the hot path of a
 // discovery run through the test-only core.Options.FaultHook, which fires at
-// two sites: heuristic evaluation and candidate-operator application. The
-// resilience test suite uses it to prove, under the race detector, that a
-// panic injected anywhere in a portfolio loses its race instead of killing
-// the process, and that best-effort degradation survives forced aborts at
-// arbitrary points.
+// two sites of the one production expansion path; a hook that returns
+// changes nothing the search does. A SiteHeuristicEval hit is one estimate
+// computed: one per state a run creates, the start state included. A
+// SiteOpApply hit is one candidate operator of a state's first expansion; a
+// later expansion of the state reads its memoized moves and takes no hit.
+// The resilience test suite uses it to prove, under the race detector, that
+// a panic injected anywhere in a portfolio loses its race instead of
+// killing the process, and that best-effort degradation survives forced
+// aborts at arbitrary points.
 //
 // Determinism: a counted fault fires on the After-th hit matching its site
 // and label filter, counted per fault. The matching-hit count at which a
@@ -30,13 +34,15 @@ import (
 type Site int
 
 const (
-	// SiteHeuristicEval fires on heuristic evaluations — search-loop cache
-	// misses and successor pre-warms. The label is the run's cache label
+	// SiteHeuristicEval fires on heuristic evaluations: one per state a run
+	// creates, at its creation (the start state at the search's first
+	// lookup). The label is the run's cache label
 	// ("cosine/k=1000"), which is unique per (heuristic, k), so a fault can
 	// target a single portfolio member.
 	SiteHeuristicEval Site = iota
-	// SiteOpApply fires on candidate-operator applications during successor
-	// expansion. The label is the operator's textual form.
+	// SiteOpApply fires on each candidate operator of a state's first
+	// expansion, before its preview or build. The label is the operator's
+	// textual form.
 	SiteOpApply
 	// SiteRepoWrite fires inside the mapping repository's commit path, after
 	// the entry's bytes have been partially written to the temp file but

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -107,65 +106,5 @@ func TestJSONTracerConcurrentWriters(t *testing.T) {
 	}
 	if lines != goroutines*perG {
 		t.Fatalf("got %d lines, want %d (events lost or torn)", lines, goroutines*perG)
-	}
-}
-
-// TestSampleProperty is a property test over random event streams: for any
-// stream and any rate n, the sampled tracer (1) always forwards every
-// structural event (run and member kinds), (2) forwards exactly
-// ceil(k/n) of the k events of each high-frequency kind, and (3) preserves
-// relative order.
-func TestSampleProperty(t *testing.T) {
-	kinds := []EventKind{
-		EvRunStart, EvRunFinish, EvGoalTest, EvExpand, EvMove,
-		EvCacheHit, EvCacheMiss, EvMemberStart, EvMemberWin,
-		EvMemberLose, EvMemberCancel, EvOpApply, EvMemoHit, EvMemoMiss,
-		EvPanic,
-	}
-	// The high-frequency kinds: one event per examined state, expansion,
-	// move, operator application, heuristic lookup or memo lookup.
-	sampled := map[EventKind]bool{
-		EvGoalTest: true, EvExpand: true, EvMove: true, EvOpApply: true,
-		EvCacheHit: true, EvCacheMiss: true, EvMemoHit: true, EvMemoMiss: true,
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(16)
-		streamLen := rng.Intn(2000)
-		sink := NewCollector()
-		tr := Sample(sink, n)
-
-		sent := make(map[EventKind]int)
-		var stream []Event
-		for i := 0; i < streamLen; i++ {
-			e := Event{Kind: kinds[rng.Intn(len(kinds))], Seq: i}
-			stream = append(stream, e)
-			sent[e.Kind]++
-			tr.Event(e)
-		}
-
-		got := sink.Events()
-		// (3) relative order: Seq must be strictly increasing.
-		for i := 1; i < len(got); i++ {
-			if got[i].Seq <= got[i-1].Seq {
-				t.Fatalf("seed %d: order broken at %d: %d after %d", seed, i, got[i].Seq, got[i-1].Seq)
-			}
-		}
-		gotByKind := make(map[EventKind]int)
-		for _, e := range got {
-			gotByKind[e.Kind]++
-		}
-		for _, k := range kinds {
-			want := sent[k]
-			if sampled[k] {
-				// (2) one in n, first one always through: ceil(k/n).
-				want = (sent[k] + n - 1) / n
-			}
-			// (1) is the else branch: structural kinds pass 1:1.
-			if gotByKind[k] != want {
-				t.Fatalf("seed %d n=%d: kind %s forwarded %d of %d, want %d",
-					seed, n, k, gotByKind[k], sent[k], want)
-			}
-		}
 	}
 }

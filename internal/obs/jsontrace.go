@@ -26,11 +26,10 @@ type EventRecord struct {
 	AtNS      int64  `json:"at_ns,omitempty"`
 }
 
-// JSONTracer writes the full event stream — including the cache and
-// operator-apply events that transcripts omit — as one EventRecord per
-// line, so traces are machine-parseable without writing a custom Tracer.
-// A mutex serializes writes; a JSONTracer is safe for concurrent use. The
-// first write error stops the stream and is kept for Err.
+// JSONTracer writes the full event stream, one EventRecord per line: the
+// transcript format of tupelo discover -trace-json, which tupelo-trace
+// reads. A mutex serializes writes; a JSONTracer is safe for concurrent
+// use. The first write error stops the stream and is kept for Err.
 type JSONTracer struct {
 	mu  sync.Mutex
 	enc *json.Encoder

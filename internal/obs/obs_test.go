@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -174,29 +173,6 @@ func TestName(t *testing.T) {
 		if got := Name("m", "op", "x", "k", v); got != want {
 			t.Errorf("Name(op, %q) = %s, want %s", v, got, want)
 		}
-	}
-}
-
-func TestWriterTracerTranscript(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewWriterTracer(&buf)
-	tr.Event(Event{Kind: EvGoalTest, Seq: 1})
-	tr.Event(Event{Kind: EvExpand, N: 3})
-	tr.Event(Event{Kind: EvMove, Label: "rename_att[Emp,nm->Name]"})
-	tr.Event(Event{Kind: EvGoalTest, Seq: 2, Goal: true})
-	tr.Event(Event{Kind: EvCacheHit, Label: "cosine"}) // omitted from text
-	tr.Event(Event{Kind: EvMemberLose, Label: "IDA/h1", Err: errors.New("boom")})
-	out := buf.String()
-	for _, want := range []string{
-		"examine 1\n", "expand: 3 moves", "  move rename_att[Emp,nm->Name]",
-		"examine 2: GOAL", "member IDA/h1: lost: boom",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("transcript missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "cache") {
-		t.Fatalf("cache events must not clutter the text transcript:\n%s", out)
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -48,28 +47,26 @@ const (
 	// expansion; Label is the operator, Goal reports whether it yielded a
 	// state-changing successor (a move, counted in core.ops.applied; false
 	// when the operator failed or left the state unchanged), Elapsed the
-	// apply duration. Like the cache events it is high-frequency and
-	// omitted from transcripts.
+	// apply duration. Like the cache events it is high-frequency.
 	EvOpApply
 	// EvPanic is a panic recovered inside search-owned code — a portfolio
 	// member, a successor expansion, or the discovery call itself; Label is
 	// the recovering site's identity and Err the
-	// *search.PanicError carrying the captured stack. Structural (at most a
-	// handful per run), so it is never down-sampled.
+	// *search.PanicError carrying the captured stack. Structural: at most a
+	// handful per run.
 	EvPanic
 	// EvMemoHit is a successor-memo hit: an expansion answered from the
 	// memoized move list without re-applying any operator. High-frequency
-	// (one per memoized expansion) and omitted from transcripts; it exists
-	// so a report can tell "operators are cheap" apart from "operators were
-	// never run" — per-operator apply metrics sample only memo misses.
+	// (one per memoized expansion); it exists so a report can tell
+	// "operators are cheap" apart from "operators were never run" —
+	// per-operator apply metrics sample only memo misses.
 	EvMemoHit
 	// EvMemoMiss is a successor-memo miss: the expansion ran the operator
-	// pipeline and its result was considered for memoization. Same
-	// transcript treatment as EvMemoHit.
+	// pipeline and memoized its move list.
 	EvMemoMiss
 )
 
-// String names the kind for transcripts and debugging.
+// String names the kind: the "kind" field of an EventRecord.
 func (k EventKind) String() string {
 	switch k {
 	case EvRunStart:
@@ -146,72 +143,8 @@ func (nopTracer) Event(Event) {}
 // Nop is the no-op Tracer: the default wherever no tracer is configured.
 var Nop Tracer = nopTracer{}
 
-// WriterTracer renders events as a human-readable transcript, one line per
-// event, in the format of the original Options.TraceWriter transcripts
-// ("examine N", "expand: N moves", "  move OP"). High-frequency cache
-// events are omitted to keep transcripts readable; use a Collector or a
-// custom Tracer for the full stream. A mutex serializes writes, so a
-// WriterTracer is safe for concurrent use (portfolio transcripts
-// interleave at line granularity).
-type WriterTracer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewWriterTracer returns a Tracer writing the transcript to w. It is the
-// compatibility adapter for the removed Options.TraceWriter field.
-func NewWriterTracer(w io.Writer) *WriterTracer {
-	return &WriterTracer{w: w}
-}
-
-// Event implements Tracer.
-func (t *WriterTracer) Event(e Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch e.Kind {
-	case EvGoalTest:
-		if e.Goal {
-			fmt.Fprintf(t.w, "examine %d: GOAL\n", e.Seq)
-		} else {
-			fmt.Fprintf(t.w, "examine %d\n", e.Seq)
-		}
-	case EvExpand:
-		if e.Err != nil {
-			fmt.Fprintf(t.w, "expand: error: %v\n", e.Err)
-		} else {
-			fmt.Fprintf(t.w, "expand: %d moves\n", e.N)
-		}
-	case EvMove:
-		fmt.Fprintf(t.w, "  move %s\n", e.Label)
-	case EvRunStart:
-		fmt.Fprintf(t.w, "run %s: start\n", e.Label)
-	case EvRunFinish:
-		switch {
-		case e.Goal:
-			fmt.Fprintf(t.w, "run %s: solved after %d states (%s)\n", e.Label, e.N, e.Elapsed)
-		default:
-			fmt.Fprintf(t.w, "run %s: failed after %d states: %v\n", e.Label, e.N, e.Err)
-		}
-	case EvMemberStart:
-		fmt.Fprintf(t.w, "member %s: start\n", e.Label)
-	case EvMemberWin:
-		fmt.Fprintf(t.w, "member %s: WIN after %d states (%s)\n", e.Label, e.N, e.Elapsed)
-	case EvMemberLose:
-		fmt.Fprintf(t.w, "member %s: lost: %v\n", e.Label, e.Err)
-	case EvMemberCancel:
-		fmt.Fprintf(t.w, "member %s: cancelled (%s)\n", e.Label, e.Elapsed)
-	case EvPanic:
-		fmt.Fprintf(t.w, "panic in %s: %v\n", e.Label, e.Err)
-	case EvCacheHit, EvCacheMiss, EvOpApply, EvMemoHit, EvMemoMiss:
-		// Omitted: one line per heuristic evaluation, operator apply, or
-		// memoized expansion would drown the transcript. Counters,
-		// histograms and the ReportBuilder carry the aggregate; Collector
-		// or JSONTracer carry the stream.
-	}
-}
-
 // Collector is a race-safe Tracer that records every event in order of
-// arrival, for tests and programmatic consumers of the event stream.
+// arrival: the in-memory fake that tests attach to read the event stream.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event

@@ -242,8 +242,6 @@ type (
 	TraceEvent = obs.Event
 	// TraceEventKind classifies a TraceEvent.
 	TraceEventKind = obs.EventKind
-	// TraceCollector is a Tracer that records the event stream in memory.
-	TraceCollector = obs.Collector
 	// JSONTracer is a Tracer writing one JSON object per event; Err
 	// reports the first write error.
 	JSONTracer = obs.JSONTracer
@@ -292,15 +290,6 @@ const (
 // NewMetrics returns an empty metrics registry for Options.Metrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// NewWriterTracer returns a Tracer rendering events as a human-readable
-// transcript on w — the adapter for code that previously set the
-// Options.TraceWriter field.
-func NewWriterTracer(w io.Writer) Tracer { return obs.NewWriterTracer(w) }
-
-// NewTraceCollector returns a Tracer that records the event stream in
-// memory for programmatic inspection.
-func NewTraceCollector() *TraceCollector { return obs.NewCollector() }
-
 // MultiTracer fans trace events out to several tracers.
 func MultiTracer(tracers ...Tracer) Tracer { return obs.MultiTracer(tracers...) }
 
@@ -308,11 +297,6 @@ func MultiTracer(tracers ...Tracer) Tracer { return obs.MultiTracer(tracers...) 
 // (JSON Lines), for machine-readable transcripts (tupelo discover
 // -trace-json).
 func NewJSONTracer(w io.Writer) *JSONTracer { return obs.NewJSONTracer(w) }
-
-// SampleTracer forwards every n-th high-frequency event (goal tests,
-// expansions, moves, operator applies, cache and memo traffic) to t, passing
-// structural run/portfolio events through unchanged. n <= 1 returns t.
-func SampleTracer(t Tracer, n int) Tracer { return obs.Sample(t, n) }
 
 // NewFlightRecorder returns a flight recorder whose rings hold up to
 // ringSize records each (<= 0 selects the default of 4096); a ring starts
