@@ -105,6 +105,9 @@ func TestDiscoverArtifacts(t *testing.T) {
 		if rep.Solved || rep.AbortCause != "limit" {
 			t.Fatalf("report says solved=%v abort_cause=%q, want an unsolved run aborted by its limit", rep.Solved, rep.AbortCause)
 		}
+		if rep.Examined != 1 {
+			t.Fatalf("report says %d states examined, want the budget's 1", rep.Examined)
+		}
 	})
 
 	t.Run("unwritable-trace", func(t *testing.T) {

@@ -12,9 +12,8 @@ import (
 	"tupelo/internal/search"
 )
 
-// TestDerefCandidateCount pins the candidate set of the → generator after
-// replacing the confusing sortedMissing(p.tAttrs, empty-map) enumeration:
-// one Deref per (pointer column, target attribute the relation lacks), in
+// TestDerefCandidateCount pins the candidate set of the → generator: one
+// Deref per (pointer column, target attribute the relation lacks), in
 // sorted target-attribute order.
 func TestDerefCandidateCount(t *testing.T) {
 	src := relation.MustDatabase(

@@ -148,17 +148,9 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		timer *obs.Timer
 	}
 	buildMember := func(cfg PortfolioConfig) (member, error) {
-		o := base
-		o.Algorithm = cfg.Algorithm
-		o.Heuristic = cfg.Heuristic
-		o.K = cfg.K
-		// Racing members are CPU-bound peers: the cooperative yield in the
-		// search loop keeps one member from starving the others on fewer
-		// cores than members. Solitary (non-portfolio) runs never pay it.
-		o.Limits.Cooperative = true
-		o, err := o.normalize()
+		o, err := memberOptions(base, cfg)
 		if err != nil {
-			return member{}, fmt.Errorf("core: portfolio member %s: %w", cfg, err)
+			return member{}, err
 		}
 		rcfg := PortfolioConfig{Algorithm: o.Algorithm, Heuristic: o.Heuristic, K: o.K}
 		return member{cfg: rcfg, label: rcfg.String(), opts: o}, nil
@@ -376,6 +368,22 @@ func DiscoverPortfolio(ctx context.Context, source, target *relation.Database, p
 		return nil, bestErr
 	}
 	return &PortfolioResult{Result: winner, Winner: winnerCfg, Runs: runs}, nil
+}
+
+// memberOptions is a member's normalized configuration: the base options
+// under cfg's (algorithm, heuristic, k), cooperative. Racing members are
+// CPU-bound peers: the cooperative yield in the search loop keeps one
+// member from starving the others on fewer cores than members. Solitary
+// (non-portfolio) runs never pay it.
+func memberOptions(base Options, cfg PortfolioConfig) (Options, error) {
+	o := base
+	o.Algorithm, o.Heuristic, o.K = cfg.Algorithm, cfg.Heuristic, cfg.K
+	o.Limits.Cooperative = true
+	o, err := o.normalize()
+	if err != nil {
+		return Options{}, fmt.Errorf("core: portfolio member %s: %w", cfg, err)
+	}
+	return o, nil
 }
 
 const (

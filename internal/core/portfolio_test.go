@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tupelo/internal/datagen"
+	"tupelo/internal/faults"
 	"tupelo/internal/heuristic"
 	"tupelo/internal/search"
 )
@@ -13,15 +16,32 @@ import (
 // TestPortfolioWinnerAndCancelledLosers races one capable configuration
 // against a hopeless one: blind IDA on an 8-attribute matching instance
 // cannot finish before RBFS/cosine does, so the winner is deterministic and
-// the loser must be observed cancelled with partial stats. Stable under
-// -count=10 -race.
+// the loser must be observed cancelled with partial stats. A cancelled run
+// counts only the states it goal-tested, so the winner's estimates wait
+// until the loser has estimated a successor, that is, goal-tested its start
+// state. Stable under -count=10 -race.
 func TestPortfolioWinnerAndCancelledLosers(t *testing.T) {
 	src, tgt := datagen.MustMatchingPair(8)
+	var loserEvals atomic.Int32
+	loserExpanded := make(chan struct{})
+	hook := func(site faults.Site, label string) {
+		if site != faults.SiteHeuristicEval {
+			return
+		}
+		if strings.HasPrefix(label, heuristic.H0.String()+"/") {
+			if loserEvals.Add(1) == 2 {
+				close(loserExpanded)
+			}
+			return
+		}
+		<-loserExpanded
+	}
 	res, err := DiscoverPortfolio(context.Background(), src, tgt, PortfolioOptions{
 		Configs: []PortfolioConfig{
 			{Algorithm: search.RBFS, Heuristic: heuristic.Cosine},
 			{Algorithm: search.IDA, Heuristic: heuristic.H0},
 		},
+		Options: Options{FaultHook: hook},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -296,6 +296,9 @@ func TestStateHeaderSizes(t *testing.T) {
 	if got := unsafe.Sizeof(relation.Fragment{}); got > 128 {
 		t.Errorf("relation.Fragment is %d B, want at most 128", got)
 	}
+	if got := unsafe.Sizeof(relation.Database{}); got != 32 {
+		t.Errorf("relation.Database is %d B, want 32", got)
+	}
 }
 
 // TestBestEffortPartialNeverEntered: when a best-effort abort's

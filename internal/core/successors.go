@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"tupelo/internal/faults"
@@ -24,36 +23,15 @@ type mappingProblem struct {
 	reg    *lambda.Registry
 	corrs  []lambda.Correspondence
 
-	// Target-side token sets, computed once. tAttrsSorted is the sorted
-	// enumeration of tAttrs, shared by move generators that need the target
-	// attributes in a deterministic order (previously each derefMoves call
-	// rebuilt and re-sorted it from scratch).
-	tAttrs       map[string]bool
-	tAttrsSorted []string
-	tRels        map[string]bool
-	tRelsSorted  []string
-	tVals        map[string]bool
-	// Symbol-space mirrors of the target token sets, keyed by interned
-	// symbol instead of string. Move generators probe these against raw
-	// column symbols — interning is canonical, so symbol equality is string
-	// equality — which keeps the per-expansion pruning scans free of
-	// per-cell decoding.
-	tAttrSymSet map[relation.Symbol]bool
-	tRelSymSet  map[relation.Symbol]bool
-	tValSymSet  map[relation.Symbol]bool
-	// tAttrValSyms maps each target attribute to the set of value symbols
-	// the target holds under it (across relations); tRelValSyms likewise per
-	// relation. They power the value-evidence pruning of rename candidates.
-	tAttrValSyms map[string]map[relation.Symbol]bool
-	tRelValSyms  map[string]map[relation.Symbol]bool
-
-	// goalIx is the precomputed containment index over the target critical
-	// instance: the goal test runs once per distinct examined state (IsGoal
-	// stores the verdict on the state), and the indexed form replaces
-	// Database.Contains's nested-loop tuple scan with hash lookups. It
-	// answers exactly what Database.Contains answers (the scan is kept as
-	// the reference implementation, cross-checked by tests).
-	goalIx *relation.ContainmentIndex
+	// tix is the target's index, built once per target and shared by every
+	// problem over it (a race's members, the heuristics): the sorted names
+	// that fix move order, the roles and rename evidence the move
+	// generators probe by symbol against raw column symbols (interning is
+	// canonical, so symbol equality is string equality), and the
+	// containment index behind the goal test. Its Contains answers exactly
+	// what Database.Contains answers; the nested-loop scan is kept as the
+	// reference implementation, cross-checked by tests.
+	tix *relation.TargetIndex
 
 	// table holds the run's canonical state for every key: the start state
 	// and every successor are interned here, and the search sees nothing
@@ -112,52 +90,22 @@ type mappingProblem struct {
 func newProblem(source, target *relation.Database, opts Options) *mappingProblem {
 	hLabel := cacheLabel(opts)
 	p := &mappingProblem{
-		source:       source,
-		target:       target,
-		reg:          opts.Registry,
-		corrs:        opts.Correspondences,
-		table:        make(stateTable),
-		tRels:        target.RelationNames(),
-		tAttrs:       target.AttrNames(),
-		tVals:        target.ValueSet(),
-		tAttrValSyms: make(map[string]map[relation.Symbol]bool),
-		tRelValSyms:  make(map[string]map[relation.Symbol]bool),
-		met:          newOpMetrics(opts.Metrics, hLabel),
-		tracer:       opts.Tracer,
-		fault:        opts.FaultHook,
-		hLabel:       hLabel,
-		goalIx:       relation.NewContainmentIndex(target),
+		source: source,
+		target: target,
+		tix:    target.TargetIndex(),
+		reg:    opts.Registry,
+		corrs:  opts.Correspondences,
+		table:  make(stateTable),
+		met:    newOpMetrics(opts.Metrics, hLabel),
+		tracer: opts.Tracer,
+		fault:  opts.FaultHook,
+		hLabel: hLabel,
 	}
-	p.tAttrsSorted = sortedKeys(p.tAttrs)
-	p.tRelsSorted = sortedKeys(p.tRels)
 	p.est = heuristic.New(opts.Heuristic, target, opts.K)
 	if opts.Metrics != nil {
 		p.hEval = opts.Metrics.Histogram(obs.Name("heuristic.eval.seconds", "heuristic", hLabel))
 	}
 	p.inc, _ = heuristic.AsIncremental(p.est)
-	// The target's token sets double as symbol sets: every name and value in
-	// them is (re-)interned here, once, so state columns can be probed by
-	// symbol. Any string a state can ever hold under these sets is already
-	// interned — FIRA operators move existing strings around, they never
-	// synthesize new ones.
-	p.tAttrSymSet = internSet(p.tAttrs)
-	p.tRelSymSet = internSet(p.tRels)
-	p.tValSymSet = internSet(p.tVals)
-	for _, r := range target.RelationView() {
-		rv := make(map[relation.Symbol]bool)
-		for j, a := range r.AttrView() {
-			av := p.tAttrValSyms[a]
-			if av == nil {
-				av = make(map[relation.Symbol]bool)
-				p.tAttrValSyms[a] = av
-			}
-			for _, s := range r.DistinctSymbols(j) {
-				av[s] = true
-				rv[s] = true
-			}
-		}
-		p.tRelValSyms[r.Name()] = rv
-	}
 	return p
 }
 
@@ -173,17 +121,8 @@ type expansionScratch struct {
 	missingRels    []string
 	missingAtts    []string
 	// attEvidence parallels missingAtts: each missing target attribute's
-	// value symbols (tAttrValSyms), resolved once per expansion.
+	// value symbols (TargetIndex.AttrValues), resolved once per expansion.
 	attEvidence []map[relation.Symbol]bool
-}
-
-// internSet interns every member of a string set into a symbol set.
-func internSet(set map[string]bool) map[relation.Symbol]bool {
-	out := make(map[relation.Symbol]bool, len(set))
-	for k := range set {
-		out[relation.Intern(k)] = true
-	}
-	return out
 }
 
 // Start implements search.Problem: the canonical state of the source
@@ -203,7 +142,7 @@ func (p *mappingProblem) IsGoal(s search.State) bool {
 	if ds.goal != verdictUntested {
 		return ds.goal == verdictGoal
 	}
-	goal := p.goalIx.Contains(ds.database())
+	goal := p.tix.Contains(ds.database())
 	ds.goal = verdictNotGoal
 	if goal {
 		ds.goal = verdictGoal
@@ -523,30 +462,17 @@ func missingFrom(dst, wantSorted []string, have func(string) bool) []string {
 	return dst
 }
 
-// sortedKeys returns the keys of the set in sorted order. Move generators
-// that enumerate a full token set use this (precomputed once per problem)
-// instead of the sortedMissing(set, empty) idiom, which rebuilt the slice on
-// every call.
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // renameRelMoves proposes ρ^rel: rename a state relation that the target
 // does not know to a target relation name the state is missing.
 func (p *mappingProblem) renameRelMoves(ops []fira.Op, x *expCtx) []fira.Op {
-	missing := missingFrom(p.scratch.missingRels[:0], p.tRelsSorted, x.hasRel)
+	missing := missingFrom(p.scratch.missingRels[:0], p.tix.SortedRels(), x.hasRel)
 	p.scratch.missingRels = missing
 	if len(missing) == 0 {
 		// Obviously inapplicable: every target relation name is present.
 		return ops
 	}
 	for _, r := range x.rels {
-		if p.tRels[r.Name()] {
+		if p.tix.Has(r.NameSymbol(), relation.RoleRel) {
 			continue // already a target relation name; renaming it away hurts
 		}
 		for _, to := range missing {
@@ -563,7 +489,7 @@ func (p *mappingProblem) renameRelMoves(ops []fira.Op, x *expCtx) []fira.Op {
 // rename R→N is supported when R shares at least one data value with the
 // target relation N, or either side is empty of values.
 func (p *mappingProblem) relRenameEvidence(r *relation.Relation, to string) bool {
-	tv := p.tRelValSyms[to]
+	tv := p.tix.RelValues(to)
 	if len(tv) == 0 || r.Len() == 0 {
 		return true
 	}
@@ -583,7 +509,7 @@ func (p *mappingProblem) relRenameEvidence(r *relation.Relation, to string) bool
 // expansion, not once per (column, missing attribute) pair.
 func (p *mappingProblem) renameAttMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	sc := &p.scratch
-	missing := missingFrom(sc.missingAtts[:0], p.tAttrsSorted, x.hasAttr)
+	missing := missingFrom(sc.missingAtts[:0], p.tix.SortedAttrs(), x.hasAttr)
 	sc.missingAtts = missing
 	if len(missing) == 0 {
 		// The paper's §2.3 example rule: all target attribute names are
@@ -592,12 +518,13 @@ func (p *mappingProblem) renameAttMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	}
 	evidence := sc.attEvidence[:0]
 	for _, to := range missing {
-		evidence = append(evidence, p.tAttrValSyms[to])
+		evidence = append(evidence, p.tix.AttrValues(to))
 	}
 	sc.attEvidence = evidence
 	for _, r := range x.rels {
+		syms := r.AttrSymbols()
 		for j, a := range r.AttrView() {
-			if p.tAttrs[a] {
+			if p.tix.Has(syms[j], relation.RoleAtt) {
 				continue // a is already a target attribute name
 			}
 			for k, to := range missing {
@@ -640,8 +567,9 @@ func (p *mappingProblem) dropMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		if r.Arity() <= 1 {
 			continue
 		}
-		for _, a := range r.AttrView() {
-			if p.tAttrs[a] {
+		syms := r.AttrSymbols()
+		for j, a := range r.AttrView() {
+			if p.tix.Has(syms[j], relation.RoleAtt) {
 				continue // target needs this attribute
 			}
 			ops = append(ops, fira.Drop{Rel: r.Name(), Attr: a})
@@ -679,7 +607,7 @@ func (p *mappingProblem) promoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 // create a useful column).
 func (p *mappingProblem) columnFeedsTargetAttrs(r *relation.Relation, j int) bool {
 	for _, s := range r.DistinctSymbols(j) {
-		if p.tAttrSymSet[s] && !r.HasAttrSymbol(s) {
+		if p.tix.Has(s, relation.RoleAtt) && !r.HasAttrSymbol(s) {
 			return true
 		}
 	}
@@ -687,10 +615,10 @@ func (p *mappingProblem) columnFeedsTargetAttrs(r *relation.Relation, j int) boo
 }
 
 // columnFeedsTargetValues reports whether some value of the column occurs
-// among the target's data values.
+// among the target's cell values, the empty one included.
 func (p *mappingProblem) columnFeedsTargetValues(r *relation.Relation, j int) bool {
 	for _, s := range r.DistinctSymbols(j) {
-		if p.tValSymSet[s] {
+		if p.tix.HoldsValue(s) {
 			return true
 		}
 	}
@@ -705,9 +633,9 @@ func (p *mappingProblem) demoteMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		if r.HasAttr(fira.DemoteRelCol) || r.HasAttr(fira.DemoteAttCol) {
 			continue
 		}
-		useful := p.tVals[r.Name()]
-		for _, a := range r.AttrView() {
-			if p.tVals[a] {
+		useful := p.tix.Has(r.NameSymbol(), relation.RoleVal)
+		for _, a := range r.AttrSymbols() {
+			if p.tix.Has(a, relation.RoleVal) {
 				useful = true
 				break
 			}
@@ -740,12 +668,8 @@ func (p *mappingProblem) derefMoves(ops []fira.Op, x *expCtx) []fira.Op {
 				continue
 			}
 			// Every target attribute the relation lacks is a candidate
-			// output column. The former sortedMissing(p.tAttrs, empty-map)
-			// call here enumerated the same full set, but rebuilt and
-			// re-sorted it per (relation, pointer column) pair, and read as
-			// if it filtered against the relation — which only the HasAttr
-			// check below actually does.
-			for _, out := range p.tAttrsSorted {
+			// output column.
+			for _, out := range p.tix.SortedAttrs() {
 				if r.HasAttr(out) {
 					continue
 				}
@@ -763,7 +687,7 @@ func (p *mappingProblem) partitionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 		for j, a := range r.AttrView() {
 			useful := false
 			for _, s := range r.DistinctSymbols(j) {
-				if p.tRelSymSet[s] {
+				if p.tix.Has(s, relation.RoleRel) {
 					useful = true
 					break
 				}
@@ -841,7 +765,7 @@ func (p *mappingProblem) unionMoves(ops []fira.Op, x *expCtx) []fira.Op {
 			if i == j {
 				continue
 			}
-			if p.tRels[l.Name()] || p.tRels[r.Name()] {
+			if p.tix.Has(l.NameSymbol(), relation.RoleRel) || p.tix.Has(r.NameSymbol(), relation.RoleRel) {
 				continue // the target still wants these relations
 			}
 			if !sameAttrSet(l, r) {
@@ -884,14 +808,14 @@ func (p *mappingProblem) mergeMoves(ops []fira.Op, x *expCtx) []fira.Op {
 // the output attribute, and the output attribute is one the target wants.
 func (p *mappingProblem) applyMoves(ops []fira.Op, x *expCtx) []fira.Op {
 	for _, c := range p.corrs {
+		if p.tix.AttrValues(c.Out) == nil {
+			continue // no target relation has the output attribute
+		}
 		for _, r := range x.rels {
 			if c.Rel != "" && c.Rel != r.Name() {
 				continue
 			}
 			if r.HasAttr(c.Out) {
-				continue
-			}
-			if !p.tAttrs[c.Out] {
 				continue
 			}
 			ok := true

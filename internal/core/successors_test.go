@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tupelo/internal/critio"
 	"tupelo/internal/datagen"
 	"tupelo/internal/fira"
 	"tupelo/internal/heuristic"
@@ -294,6 +295,84 @@ func TestPreviewedCandidates(t *testing.T) {
 		}
 		if got != want[i] {
 			t.Errorf("%s: successor key %x, the built child's %x", ops[i], got, want[i])
+		}
+	}
+}
+
+// memberProblems builds the problems a race over (src, tgt) runs: one per
+// default portfolio member, configured as DiscoverPortfolio configures it.
+func memberProblems(tb testing.TB, src, tgt *relation.Database) []*mappingProblem {
+	tb.Helper()
+	var out []*mappingProblem
+	for _, cfg := range DefaultPortfolio() {
+		opts, err := memberOptions(Options{}, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, newProblem(src, tgt, opts))
+	}
+	return out
+}
+
+// BenchmarkNewProblem measures a served job's setup before its race: the
+// BAMM pair parsed from text, as the server receives it, and the default
+// portfolio's four member problems built over it.
+func BenchmarkNewProblem(b *testing.B) {
+	d := datagen.BAMM(2006)[0]
+	srcText := critio.WriteString(&critio.Instance{DB: d.Fixed})
+	tgtText := critio.WriteString(&critio.Instance{DB: d.Targets[0]})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src, err := critio.ReadString(srcText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tgt, err := critio.ReadString(tgtText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		memberProblems(b, src.DB, tgt.DB)
+	}
+}
+
+// TestProblemsShareTargetIndex: every problem over one target, each member
+// of a race among them, reads the target's one index.
+func TestProblemsShareTargetIndex(t *testing.T) {
+	src, tgt := datagen.MustMatchingPair(4)
+	ix := tgt.TargetIndex()
+	for i, p := range memberProblems(t, src, tgt) {
+		if p.tix != ix {
+			t.Errorf("member %d holds index %p, the target's is %p", i, p.tix, ix)
+		}
+	}
+}
+
+// TestPromoteFeedsEmptyTargetCell: a target's empty cell is one of its
+// values, so a column whose only value the target holds is an empty cell
+// feeds a promotion, though the empty value is in no VALUE projection. A
+// target without an empty cell gives the same column none.
+func TestPromoteFeedsEmptyTargetCell(t *testing.T) {
+	src := relation.MustDatabase(relation.MustNew("R", []string{"n", "v", "w"},
+		relation.Tuple{"a", "", "q"}, relation.Tuple{"b", "z", "q"}))
+	for _, tc := range []struct {
+		cell string
+		want []string
+	}{
+		{"", []string{"promote[R,n,v]"}},
+		{"c", nil},
+	} {
+		tgt := relation.MustDatabase(relation.MustNew("T", []string{"a", "b"},
+			relation.Tuple{"x", tc.cell}))
+		opts, err := Options{}.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, op := range newProblem(src, tgt, opts).promoteMoves(nil, newExpCtx(src)) {
+			got = append(got, op.String())
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("target cell %q: promote candidates %v, want %v", tc.cell, got, tc.want)
 		}
 	}
 }

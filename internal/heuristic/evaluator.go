@@ -3,6 +3,7 @@ package heuristic
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -100,62 +101,52 @@ func New(kind Kind, target *relation.Database, k float64) Evaluator {
 		k = 1
 	}
 	b := base{kind: kind, k: k, tv: newTargetView(target)}
+	var need needs
 	switch kind {
 	case H1, H2, H3:
-		return &setEvaluator{b}
+		need = needSets
+	case Euclid, EuclidNorm, Cosine:
+		need = needVec
+	case Jaccard:
+		need = needJac
+	case Hybrid:
+		need = needSets | needShape
 	case Levenshtein:
 		return &levEvaluator{base: b, pat: newEditPattern(canonicalString(target))}
-	case Euclid, EuclidNorm, Cosine:
-		return &vecEvaluator{b}
-	case Hybrid:
-		return &hybridEvaluator{b}
-	case Jaccard:
-		return &jaccardEvaluator{b}
 	default:
 		// H0 and any unknown kind: constant zero, as before the redesign.
 		return &zeroEvaluator{b}
 	}
+	return &aggEvaluator{base: b, need: need}
 }
 
-// targetView is the target critical instance seen through its interned TNF
-// fragments: the projection sets, term vector and shape the evaluators
-// compare states against. Built once per New and shared, read-only, by
-// every evaluation. hL's canonical string lives on its own evaluator, the
-// only reader, as an edit pattern.
+// targetView is the target critical instance as the evaluators compare
+// states with it: its index (relation.TargetIndex), shared with every other
+// reader of the same target, holds the token roles and the fragments by
+// relation name, whose disjoint union is the term vector; the view adds the
+// totals derived from them. hL's canonical string lives on its own
+// evaluator, the only reader, as an edit pattern.
 type targetView struct {
-	rel, att, val map[relation.Symbol]bool
-	tTotal        int // |rel| + |att| + |val|, the Jaccard target mass
-	// frags holds the target's fragments by relation name: the term vector
-	// is their disjoint union, keyed by the name each triple embeds.
-	frags  map[relation.Symbol]*relation.Fragment
+	ix     *relation.TargetIndex
+	tTotal int // Σ roles over tokens, the Jaccard target mass
 	normSq int64
 	norm   float64
 	shape  shape
 }
 
 func newTargetView(target *relation.Database) *targetView {
-	tv := &targetView{
-		rel:   make(map[relation.Symbol]bool),
-		att:   make(map[relation.Symbol]bool),
-		val:   make(map[relation.Symbol]bool),
-		frags: make(map[relation.Symbol]*relation.Fragment),
+	tv := &targetView{ix: target.TargetIndex(), shape: shape{rels: target.Len()}}
+	for _, role := range tv.ix.Roles() {
+		tv.tTotal += popcount(role)
 	}
-	for _, r := range target.Relations() {
+	for _, r := range target.RelationView() {
 		f := r.TNFFragment()
-		tv.rel[f.Rel] = true
-		tv.frags[f.Rel] = f
-		for _, e := range f.Atts {
-			tv.att[e.Sym] = true
-		}
-		for _, e := range f.Vals {
-			tv.val[e.Sym] = true
-		}
 		// Triple keys are disjoint across relations, so norms add.
 		tv.normSq += f.VecSq
+		tv.shape.attrs += f.Arity
+		tv.shape.tuples += f.Tuples
 	}
-	tv.tTotal = len(tv.rel) + len(tv.att) + len(tv.val)
 	tv.norm = math.Sqrt(float64(tv.normSq))
-	tv.shape = shapeOf(target)
 	return tv
 }
 
@@ -228,14 +219,26 @@ type agg struct {
 
 func (*agg) isAgg() {}
 
-// hasRel reports whether the state has a relation named s; relation names
-// are unique, so presence in frags is membership in the REL projection.
-func (a *agg) hasRel(s relation.Symbol) bool { return containsName(a.frags, s) }
+// roles returns the projections of the state that hold s. Relation names
+// are unique, so presence in frags is membership in the REL projection;
+// attribute and value tokens overlap across relations, so their membership
+// is a sum over fragments — O(|relations|), with |relations| small by the
+// paper's construction (critical instances).
+func (a *agg) roles(s relation.Symbol) relation.Role {
+	var x relation.Role
+	if containsName(a.frags, s) {
+		x |= relation.RoleRel
+	}
+	if a.attCount(s) > 0 {
+		x |= relation.RoleAtt
+	}
+	if a.valCount(s) > 0 {
+		x |= relation.RoleVal
+	}
+	return x
+}
 
 // attCount sums the ATT-projection multiplicity of s over the fragments.
-// Attribute and value tokens overlap across relations, so membership is a
-// sum over fragments — O(|relations|), with |relations| small by the
-// paper's construction (critical instances).
 func (a *agg) attCount(s relation.Symbol) int {
 	n := 0
 	for _, f := range a.frags {
@@ -257,8 +260,8 @@ func (a *agg) valCount(s relation.Symbol) int {
 // the state·target dot product. Triple keys embed the relation name, so
 // only the target fragment of the same name can share a key with f.
 func fragDot(f *relation.Fragment, tv *targetView) int64 {
-	t, ok := tv.frags[f.Rel]
-	if !ok {
+	t := tv.ix.Fragment(f.Rel)
+	if t == nil {
 		return 0
 	}
 	return f.Dot(t)
@@ -280,67 +283,37 @@ func seedAgg(x *relation.Database, tv *targetView, need needs) *agg {
 			a.dot += fragDot(f, tv)
 		}
 	}
-	if need&needSets != 0 {
-		for s := range tv.rel {
-			if !a.hasRel(s) {
-				a.h1++
+	if need&(needSets|needJac) != 0 {
+		// One walk of the target's tokens: with t the roles a token holds in
+		// the target and x those it holds in the state, h1 counts t's roles x
+		// lacks, h2 each role of t against every other role of x, and the
+		// Jaccard intersection the roles both hold.
+		for s, t := range tv.ix.Roles() {
+			x := a.roles(s)
+			if need&needSets != 0 {
+				a.h1 += popcount(t &^ x)
+				a.h2 += popcount(t)*popcount(x) - popcount(t&x)
 			}
-			if a.attCount(s) > 0 {
-				a.h2++
-			}
-			if a.valCount(s) > 0 {
-				a.h2++
-			}
-		}
-		for s := range tv.att {
-			if a.attCount(s) == 0 {
-				a.h1++
-			}
-			if a.hasRel(s) {
-				a.h2++
-			}
-			if a.valCount(s) > 0 {
-				a.h2++
-			}
-		}
-		for s := range tv.val {
-			if a.valCount(s) == 0 {
-				a.h1++
-			}
-			if a.hasRel(s) {
-				a.h2++
-			}
-			if a.attCount(s) > 0 {
-				a.h2++
+			if need&needJac != 0 {
+				a.interJ += popcount(t & x)
 			}
 		}
 	}
 	if need&needJac != 0 {
+		// The state's distinct tokens per projection; relation names are
+		// unique.
 		a.distinctJ += len(a.frags)
+		distinct := make(map[relation.Symbol]relation.Role)
 		for _, f := range a.frags {
-			if tv.rel[f.Rel] {
-				a.interJ++
+			for _, e := range f.Atts {
+				distinct[e.Sym] |= relation.RoleAtt
+			}
+			for _, e := range f.Vals {
+				distinct[e.Sym] |= relation.RoleVal
 			}
 		}
-		for _, category := range []struct {
-			get func(*relation.Fragment) []relation.SymbolCount
-			t   map[relation.Symbol]bool
-		}{
-			{fragAtts, tv.att},
-			{fragVals, tv.val},
-		} {
-			distinct := make(map[relation.Symbol]bool)
-			for _, f := range a.frags {
-				for _, e := range category.get(f) {
-					distinct[e.Sym] = true
-				}
-			}
-			a.distinctJ += len(distinct)
-			for s := range distinct {
-				if category.t[s] {
-					a.interJ++
-				}
-			}
+		for _, x := range distinct {
+			a.distinctJ += popcount(x)
 		}
 	}
 	if need&needShape != 0 {
@@ -385,22 +358,22 @@ func deltaAgg(p *agg, d Delta, tv *targetView, need needs) agg {
 		// are exactly the names not shared between removed and added.
 		for _, f := range remF {
 			if !containsName(addF, f.Rel) {
-				a.flipRel(f.Rel, -1, tv, need)
+				a.flip(f.Rel, relation.RoleRel, -1, tv, need)
 			}
 		}
 		for _, f := range addF {
 			if !containsName(remF, f.Rel) {
-				a.flipRel(f.Rel, +1, tv, need)
+				a.flip(f.Rel, relation.RoleRel, +1, tv, need)
 			}
 		}
 		// ATT and VALUE categories: only tokens of changed fragments can
 		// flip; their membership before/after is judged against the
 		// parent's summed counts plus the net delta.
 		forEachFlip(remF, addF, fragAtts, p.attCount, func(s relation.Symbol, dir int) {
-			a.flipAtt(s, dir, tv, need)
+			a.flip(s, relation.RoleAtt, dir, tv, need)
 		})
 		forEachFlip(remF, addF, fragVals, p.valCount, func(s relation.Symbol, dir int) {
-			a.flipVal(s, dir, tv, need)
+			a.flip(s, relation.RoleVal, dir, tv, need)
 		})
 	}
 	if need&needShape != 0 {
@@ -442,7 +415,7 @@ func editAgg(p *agg, e relation.Edit, tv *targetView, need needs) agg {
 	}
 	block := e.Block()
 	if need&needVec != 0 {
-		t := tv.frags[e.Frag.Rel] // nil: no target triple embeds R
+		t := tv.ix.Fragment(e.Frag.Rel) // nil: no target triple embeds R
 		for _, x := range block {
 			c := int64(x.N)
 			if e.Drop {
@@ -461,11 +434,11 @@ func editAgg(p *agg, e relation.Edit, tv *targetView, need needs) agg {
 	if need&(needSets|needJac) != 0 {
 		cA := e.Frag.AttCount(e.Att)
 		if dir := flipDir(p.attCount(e.Att), -cA); dir != 0 {
-			a.flipAtt(e.Att, dir, tv, need)
+			a.flip(e.Att, relation.RoleAtt, dir, tv, need)
 		}
 		if !e.Drop {
 			if dir := flipDir(p.attCount(e.To), cA); dir != 0 {
-				a.flipAtt(e.To, dir, tv, need)
+				a.flip(e.To, relation.RoleAtt, dir, tv, need)
 			}
 		} else {
 			for _, x := range block {
@@ -474,7 +447,7 @@ func editAgg(p *agg, e relation.Edit, tv *targetView, need needs) agg {
 					continue
 				}
 				if dir := flipDir(p.valCount(v), -int(x.N)); dir != 0 {
-					a.flipVal(v, dir, tv, need)
+					a.flip(v, relation.RoleVal, dir, tv, need)
 				}
 			}
 		}
@@ -563,69 +536,29 @@ func flipDir(old, delta int) int {
 	return 0
 }
 
-// flipRel applies the counter adjustments for the REL-projection membership
-// of s changing by dir (+1 entering, −1 leaving). flipAtt and flipVal are
-// its ATT/VALUE analogues; the target-side sets consulted differ per the
-// definitions of h1 (same-category misses) and h2 (cross-category hits).
-func (a *agg) flipRel(s relation.Symbol, dir int, tv *targetView, need needs) {
+// flip applies the counter adjustments for s entering (dir +1) or leaving
+// (dir −1) the state's projection c, one of the three roles, per the
+// definitions of h1 (the target's tokens missing from the same projection)
+// and h2 (the target's tokens present in another): with t the roles s holds
+// in the target, h1 moves when t holds c, and h2 once for every other role
+// of t.
+func (a *agg) flip(s relation.Symbol, c relation.Role, dir int, tv *targetView, need needs) {
+	t := tv.ix.Roles()[s]
+	in := 0
+	if t&c != 0 {
+		in = dir
+	}
 	if need&needSets != 0 {
-		if tv.rel[s] {
-			a.h1 -= dir
-		}
-		if tv.att[s] {
-			a.h2 += dir
-		}
-		if tv.val[s] {
-			a.h2 += dir
-		}
+		a.h1 -= in
+		a.h2 += dir * popcount(t&^c)
 	}
 	if need&needJac != 0 {
 		a.distinctJ += dir
-		if tv.rel[s] {
-			a.interJ += dir
-		}
+		a.interJ += in
 	}
 }
 
-func (a *agg) flipAtt(s relation.Symbol, dir int, tv *targetView, need needs) {
-	if need&needSets != 0 {
-		if tv.att[s] {
-			a.h1 -= dir
-		}
-		if tv.rel[s] {
-			a.h2 += dir
-		}
-		if tv.val[s] {
-			a.h2 += dir
-		}
-	}
-	if need&needJac != 0 {
-		a.distinctJ += dir
-		if tv.att[s] {
-			a.interJ += dir
-		}
-	}
-}
-
-func (a *agg) flipVal(s relation.Symbol, dir int, tv *targetView, need needs) {
-	if need&needSets != 0 {
-		if tv.val[s] {
-			a.h1 -= dir
-		}
-		if tv.rel[s] {
-			a.h2 += dir
-		}
-		if tv.att[s] {
-			a.h2 += dir
-		}
-	}
-	if need&needJac != 0 {
-		a.distinctJ += dir
-		if tv.val[s] {
-			a.interJ += dir
-		}
-	}
-}
+func popcount(r relation.Role) int { return bits.OnesCount8(uint8(r)) }
 
 // zeroEvaluator is h0: constant zero, the paper's blind-search baseline.
 // Also the fallback for unknown kinds, matching the old estimator.
@@ -633,49 +566,28 @@ type zeroEvaluator struct{ base }
 
 func (e *zeroEvaluator) Estimate(*relation.Database) int { return 0 }
 
-// setEvaluator serves H1, H2 and H3, the projection set-difference
-// heuristics of §3.
-type setEvaluator struct{ base }
+// aggEvaluator serves every kind estimated from an aggregate: H1, H2 and
+// H3, the projection set-difference heuristics of §3; hE, h|E| and hcos,
+// the term-vector heuristics; the extended Jaccard and hybrid kinds. need
+// selects the sums its kind's finish reads.
+type aggEvaluator struct {
+	base
+	need needs
+}
 
-func (e *setEvaluator) finish(a *agg) int {
+// finish turns the sums into the kind's estimate. The term-vector kinds
+// work from the integer sums dot, |x|² and |t|²: the squared distance is
+// |x|² − 2·x·t + |t|² and the cosine x·t/(|x||t|), so both paths — seeded
+// and delta-merged — go through identical float operations on identical
+// integers, keeping estimates bit-identical.
+func (e *aggEvaluator) finish(a *agg) int {
 	switch e.kind {
 	case H1:
 		return a.h1
 	case H2:
 		return a.h2
-	default: // H3 = max(h1, h2)
-		if a.h1 > a.h2 {
-			return a.h1
-		}
-		return a.h2
-	}
-}
-
-func (e *setEvaluator) Estimate(x *relation.Database) int {
-	return e.finish(seedAgg(x, e.tv, needSets))
-}
-
-func (e *setEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needSets) }
-
-func (e *setEvaluator) EstimateDelta(parent Agg, d Delta) int {
-	a := deltaAgg(parent.(*agg), d, e.tv, needSets)
-	return e.finish(&a)
-}
-
-func (e *setEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
-	a := editAgg(parent.(*agg), ed, e.tv, needSets)
-	return e.finish(&a)
-}
-
-// vecEvaluator serves the term-vector heuristics hE, h|E| and hcos. The
-// finish functions work from the integer sums dot, |x|² and |t|²: the
-// squared distance is |x|² − 2·x·t + |t|² and the cosine x·t/(|x||t|), so
-// both paths — seeded and delta-merged — go through identical float
-// operations on identical integers, keeping estimates bit-identical.
-type vecEvaluator struct{ base }
-
-func (e *vecEvaluator) finish(a *agg) int {
-	switch e.kind {
+	case H3:
+		return max(a.h1, a.h2)
 	case Euclid:
 		distSq := a.normSq - 2*a.dot + e.tv.normSq
 		if distSq < 0 {
@@ -697,7 +609,7 @@ func (e *vecEvaluator) finish(a *agg) int {
 			cos = 0
 		}
 		return int(math.Round(e.k * (1 - cos)))
-	default: // EuclidNorm: |x/|x| − t/|t||² = 2 − 2·cos for non-zero vectors.
+	case EuclidNorm: // |x/|x| − t/|t||² = 2 − 2·cos for non-zero vectors.
 		if a.normSq == 0 || e.tv.normSq == 0 {
 			if a.normSq == 0 && e.tv.normSq == 0 {
 				return 0
@@ -711,22 +623,34 @@ func (e *vecEvaluator) finish(a *agg) int {
 			cos = 1
 		}
 		return int(math.Round(e.k * math.Sqrt(2-2*cos)))
+	case Jaccard:
+		union := a.distinctJ + e.tv.tTotal - a.interJ
+		if union == 0 {
+			return 0
+		}
+		d := 1 - float64(a.interJ)/float64(union)
+		return int(math.Round(e.k * d))
+	default: // Hybrid: h1 + h2 + the shape deficit.
+		dRel := deficit(e.tv.shape.rels, a.rels)
+		dAttr := deficit(e.tv.shape.attrs, a.attrs)
+		dTup := deficit(e.tv.shape.tuples, a.tuples)
+		return a.h1 + a.h2 + max(dRel, dAttr, dTup)
 	}
 }
 
-func (e *vecEvaluator) Estimate(x *relation.Database) int {
-	return e.finish(seedAgg(x, e.tv, needVec))
+func (e *aggEvaluator) Estimate(x *relation.Database) int {
+	return e.finish(seedAgg(x, e.tv, e.need))
 }
 
-func (e *vecEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needVec) }
+func (e *aggEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, e.need) }
 
-func (e *vecEvaluator) EstimateDelta(parent Agg, d Delta) int {
-	a := deltaAgg(parent.(*agg), d, e.tv, needVec)
+func (e *aggEvaluator) EstimateDelta(parent Agg, d Delta) int {
+	a := deltaAgg(parent.(*agg), d, e.tv, e.need)
 	return e.finish(&a)
 }
 
-func (e *vecEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
-	a := editAgg(parent.(*agg), ed, e.tv, needVec)
+func (e *aggEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
+	a := editAgg(parent.(*agg), ed, e.tv, e.need)
 	return e.finish(&a)
 }
 
@@ -752,68 +676,4 @@ func (e *levEvaluator) Estimate(x *relation.Database) int {
 	}
 	d := e.pat.distance(s)
 	return int(math.Round(e.k * float64(d) / float64(max)))
-}
-
-// jaccardEvaluator is the extended role-tagged Jaccard distance.
-type jaccardEvaluator struct{ base }
-
-func (e *jaccardEvaluator) finish(a *agg) int {
-	union := a.distinctJ + e.tv.tTotal - a.interJ
-	if union == 0 {
-		return 0
-	}
-	d := 1 - float64(a.interJ)/float64(union)
-	return int(math.Round(e.k * d))
-}
-
-func (e *jaccardEvaluator) Estimate(x *relation.Database) int {
-	return e.finish(seedAgg(x, e.tv, needJac))
-}
-
-func (e *jaccardEvaluator) Seed(x *relation.Database) Agg { return seedAgg(x, e.tv, needJac) }
-
-func (e *jaccardEvaluator) EstimateDelta(parent Agg, d Delta) int {
-	a := deltaAgg(parent.(*agg), d, e.tv, needJac)
-	return e.finish(&a)
-}
-
-func (e *jaccardEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
-	a := editAgg(parent.(*agg), ed, e.tv, needJac)
-	return e.finish(&a)
-}
-
-// hybridEvaluator is the extended content+structure heuristic: h1 + h2 +
-// the shape deficit.
-type hybridEvaluator struct{ base }
-
-func (e *hybridEvaluator) finish(a *agg) int {
-	dRel := deficit(e.tv.shape.rels, a.rels)
-	dAttr := deficit(e.tv.shape.attrs, a.attrs)
-	dTup := deficit(e.tv.shape.tuples, a.tuples)
-	max := dRel
-	if dAttr > max {
-		max = dAttr
-	}
-	if dTup > max {
-		max = dTup
-	}
-	return a.h1 + a.h2 + max
-}
-
-func (e *hybridEvaluator) Estimate(x *relation.Database) int {
-	return e.finish(seedAgg(x, e.tv, needSets|needShape))
-}
-
-func (e *hybridEvaluator) Seed(x *relation.Database) Agg {
-	return seedAgg(x, e.tv, needSets|needShape)
-}
-
-func (e *hybridEvaluator) EstimateDelta(parent Agg, d Delta) int {
-	a := deltaAgg(parent.(*agg), d, e.tv, needSets|needShape)
-	return e.finish(&a)
-}
-
-func (e *hybridEvaluator) EstimateEdit(parent Agg, ed relation.Edit) int {
-	a := editAgg(parent.(*agg), ed, e.tv, needSets|needShape)
-	return e.finish(&a)
 }

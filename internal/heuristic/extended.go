@@ -1,14 +1,11 @@
 package heuristic
 
-import "tupelo/internal/relation"
-
 // This file declares heuristics beyond the paper's §3, addressing its
 // concluding open question (§7): "Successful heuristics must measure both
 // content and structure. Is there a good multi-purpose search heuristic?"
 // They are excluded from Kinds() — the paper's eight — and exercised by the
-// ablation benchmarks and the extension experiment. Their evaluators
-// (hybridEvaluator, jaccardEvaluator) live in evaluator.go alongside the
-// paper kinds'.
+// ablation benchmarks and the extension experiment. The aggregate
+// evaluator in evaluator.go serves them alongside the paper kinds.
 
 const (
 	// Hybrid combines content and structure: the token-difference h1, the
@@ -58,13 +55,4 @@ func deficit(want, have int) int {
 // heuristic's deficit term compares.
 type shape struct {
 	rels, attrs, tuples int
-}
-
-func shapeOf(db *relation.Database) shape {
-	s := shape{rels: db.Len()}
-	for _, r := range db.Relations() {
-		s.attrs += r.Arity()
-		s.tuples += r.Len()
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -332,12 +333,16 @@ func TestPropertyNonNegativeAndZeroAtSelf(t *testing.T) {
 
 // Vector algebra sanity, now through the fragment-backed aggregate: the
 // integer sums seedAgg maintains (x·t, |x|², |t|²) must equal the reference
-// computed directly from tnf.Encode's triples.
+// computed directly from tnf.Encode's triples, with the target read through
+// its index.
 func TestPropertyVectorAggregate(t *testing.T) {
 	f := func(a, b int64) bool {
 		x := randDB(rand.New(rand.NewSource(a)))
 		tgt := randDB(rand.New(rand.NewSource(b)))
-		tv := newTargetView(tgt)
+		tv := New(Cosine, tgt, 1).(*aggEvaluator).tv
+		if tv.ix != tgt.TargetIndex() {
+			return false
+		}
 		ag := seedAgg(x, tv, needVec)
 
 		counts := func(db *relation.Database) map[[3]string]int64 {
@@ -360,5 +365,104 @@ func TestPropertyVectorAggregate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// emptyCellCase is a target with an empty cell and states to estimate
+// against it, one with an empty cell of its own.
+func emptyCellCase() (tgt *relation.Database, states []*relation.Database) {
+	tgt = relation.MustDatabase(relation.MustNew("T", []string{"a", "b"},
+		relation.Tuple{"x", ""}, relation.Tuple{"y", "a"}))
+	return tgt, []*relation.Database{
+		relation.MustDatabase(relation.MustNew("R", []string{"n", "v"},
+			relation.Tuple{"a", ""}, relation.Tuple{"b", "z"})),
+		relation.MustDatabase(relation.MustNew("T", []string{"a", "b"},
+			relation.Tuple{"x", "q"})),
+		relation.MustDatabase(
+			relation.MustNew("S", []string{"a"}),
+			relation.MustNew("T", []string{"b", "c"}, relation.Tuple{"", "y"})),
+		tgt,
+	}
+}
+
+// TestEmptyCellTarget: a target's empty cell is in none of tnf.Encode's
+// projections, so every kind must estimate as if it were absent. h1, h2,
+// h3, cosine and Jaccard are recomputed from the projections and triples of
+// tnf.Encode; every kind also matches values pinned before the target index
+// replaced the evaluators' own sets.
+func TestEmptyCellTarget(t *testing.T) {
+	tgt, states := emptyCellCase()
+	pinned := map[Kind][]int{
+		H0:          {0, 0, 0, 0},
+		H1:          {5, 2, 2, 0},
+		H2:          {2, 1, 1, 2},
+		H3:          {5, 2, 2, 2},
+		Levenshtein: {10, 5, 6, 0},
+		Euclid:      {3, 2, 2, 0},
+		EuclidNorm:  {14, 11, 12, 0},
+		Cosine:      {10, 6, 7, 0},
+		Hybrid:      {7, 4, 4, 2},
+		Jaccard:     {9, 4, 5, 0},
+	}
+	const k = 10
+	tp := tnf.Encode(tgt)
+	tsets := [3]map[string]bool{tp.RelSet(), tp.AttSet(), tp.ValueSet()}
+	for i, x := range states {
+		xp := tnf.Encode(x)
+		xsets := [3]map[string]bool{xp.RelSet(), xp.AttSet(), xp.ValueSet()}
+		var h1, h2, inter, union int
+		for c := range tsets {
+			for tok := range tsets[c] {
+				if !xsets[c][tok] {
+					h1++
+				}
+				for d := range xsets {
+					if d != c && xsets[d][tok] {
+						h2++
+					}
+				}
+			}
+			union += len(tsets[c])
+			for tok := range xsets[c] {
+				if tsets[c][tok] {
+					inter++
+				} else {
+					union++
+				}
+			}
+		}
+		counts := func(p *tnf.Table) map[[3]string]int64 {
+			out := make(map[[3]string]int64)
+			for _, tr := range p.Triples() {
+				out[tr]++
+			}
+			return out
+		}
+		xv, tc := counts(xp), counts(tp)
+		var dot, xSq, tSq int64
+		for key, c := range xv {
+			xSq += c * c
+			dot += c * tc[key]
+		}
+		for _, c := range tc {
+			tSq += c * c
+		}
+		cos := math.Min(1, math.Max(0, float64(dot)/(math.Sqrt(float64(xSq))*math.Sqrt(float64(tSq)))))
+		want := map[Kind]int{
+			H1:      h1,
+			H2:      h2,
+			H3:      max(h1, h2),
+			Cosine:  int(math.Round(k * (1 - cos))),
+			Jaccard: int(math.Round(k * (1 - float64(inter)/float64(union)))),
+		}
+		for _, kind := range allKinds() {
+			got := New(kind, tgt, k).Estimate(x)
+			if w, ok := want[kind]; ok && got != w {
+				t.Errorf("state %d: %s = %d, want %d from tnf.Encode", i, kind, got, w)
+			}
+			if got != pinned[kind][i] {
+				t.Errorf("state %d: %s = %d, pinned %d", i, kind, got, pinned[kind][i])
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Database is a named collection of relations with unique names.
@@ -20,25 +21,34 @@ import (
 type Database struct {
 	rels []*Relation // sorted by name, names unique
 
-	// memo caches the derived name/attribute/value sets, computed lazily
-	// once. Databases are immutable after publication, like Relations. The
-	// memo is embedded, so a database header is one allocation; a Database
-	// is never copied by value (go vet's copylocks check guards this).
-	memo dbMemo
+	// memo holds the forms derived from the whole database, nil until the
+	// first caller of derived publishes one: most databases are search
+	// states, which never need them, so the header carries one pointer.
+	// Databases are immutable after publication, like Relations, and never
+	// copied by value (go vet's copylocks check guards the atomic pointer).
+	memo atomic.Pointer[dbMemo]
 }
 
-// dbMemo holds the lazily computed set views of a database. The maps are
-// shared by every caller — they must be treated as read-only.
+// dbMemo holds the lazily computed whole-database forms: the target index
+// and the value set, each computed once and shared by every caller.
 type dbMemo struct {
-	namesOnce sync.Once
-	relNames  map[string]bool
-	attrsOnce sync.Once
-	attrNames map[string]bool
+	indexOnce sync.Once
+	index     *TargetIndex
 	valsOnce  sync.Once
-	valSet    map[string]bool
+	vals      map[string]bool
 }
 
-// newDB wraps a sorted relation slice in a Database with a fresh memo.
+// derived returns the database's memo, publishing an empty one on first
+// use; racing callers agree on the one that won the swap.
+func (db *Database) derived() *dbMemo {
+	if m := db.memo.Load(); m != nil {
+		return m
+	}
+	db.memo.CompareAndSwap(nil, &dbMemo{})
+	return db.memo.Load()
+}
+
+// newDB wraps a sorted relation slice in a Database.
 // Callers guarantee rels is sorted by name with unique names; the slice is
 // owned by the new database.
 func newDB(rels []*Relation) *Database {
@@ -302,40 +312,18 @@ func (db *Database) keyOf(i int, h [16]byte) [16]byte {
 	return digest128(buf)
 }
 
-// RelationNames returns the set of relation names, memoized and shared:
-// callers must treat the map as read-only.
-func (db *Database) RelationNames() map[string]bool {
-	m := &db.memo
-	m.namesOnce.Do(func() {
-		out := make(map[string]bool, len(db.rels))
-		for _, r := range db.rels {
-			out[r.name] = true
-		}
-		m.relNames = out
-	})
-	return m.relNames
-}
-
-// AttrNames returns the set of attribute names across all relations,
-// memoized and shared: callers must treat the map as read-only.
-func (db *Database) AttrNames() map[string]bool {
-	m := &db.memo
-	m.attrsOnce.Do(func() {
-		out := make(map[string]bool)
-		for _, r := range db.rels {
-			for _, a := range r.attrs {
-				out[a] = true
-			}
-		}
-		m.attrNames = out
-	})
-	return m.attrNames
+// TargetIndex returns the database's index as a mapping target, built on
+// the first call and shared by every later one.
+func (db *Database) TargetIndex() *TargetIndex {
+	m := db.derived()
+	m.indexOnce.Do(func() { m.index = newTargetIndex(db) })
+	return m.index
 }
 
 // ValueSet returns the set of data values across all relations, memoized
 // and shared: callers must treat the map as read-only.
 func (db *Database) ValueSet() map[string]bool {
-	m := &db.memo
+	m := db.derived()
 	m.valsOnce.Do(func() {
 		out := make(map[string]bool)
 		strs := strsSnapshot()
@@ -348,9 +336,9 @@ func (db *Database) ValueSet() map[string]bool {
 				}
 			}
 		}
-		m.valSet = out
+		m.vals = out
 	})
-	return m.valSet
+	return m.vals
 }
 
 // Size returns the total number of cells (tuples × arity summed over

@@ -301,13 +301,20 @@ func TestNameAttrValueSets(t *testing.T) {
 		MustNew("R", []string{"A", "B"}, Tuple{"1", "2"}),
 		MustNew("S", []string{"B", "C"}, Tuple{"2", "3"}),
 	)
-	if !db.RelationNames()["R"] || !db.RelationNames()["S"] {
-		t.Fatal("RelationNames wrong")
+	ix := db.TargetIndex()
+	for _, r := range []string{"R", "S"} {
+		if !ix.Has(Intern(r), RoleRel) {
+			t.Fatalf("target index misses relation %s", r)
+		}
 	}
-	attrs := db.AttrNames()
 	for _, a := range []string{"A", "B", "C"} {
-		if !attrs[a] {
-			t.Fatalf("AttrNames missing %s", a)
+		if !ix.Has(Intern(a), RoleAtt) {
+			t.Fatalf("target index misses attribute %s", a)
+		}
+	}
+	for _, v := range []string{"1", "2", "3"} {
+		if !ix.Has(Intern(v), RoleVal) {
+			t.Fatalf("target index misses value %s", v)
 		}
 	}
 	vals := db.ValueSet()

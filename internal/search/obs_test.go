@@ -88,6 +88,52 @@ func TestCounterFeedsMetricsAndTracer(t *testing.T) {
 	}
 }
 
+// TestAbortCountsGoalTests: an aborted run counts exactly the states it
+// goal-tested, in Stats, the examined counter, the goal-test events and the
+// run-finish event: a MaxStates budget of n reports n, and a run whose
+// context is cancelled before it starts reports 0.
+func TestAbortCountsGoalTests(t *testing.T) {
+	p := lineProblem{n: 1000}
+	blind := func(State) int { return 0 }
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
+		for _, tc := range []struct {
+			name string
+			ctx  context.Context
+			lim  Limits
+			want int
+		}{
+			{"budget", context.Background(), Limits{MaxStates: 25}, 25},
+			{"cancelled", cancelled, Limits{}, 0},
+		} {
+			t.Run(algo.String()+"/"+tc.name, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				col := obs.NewCollector()
+				ctx := obs.NewContext(tc.ctx, obs.Obs{Metrics: reg, Trace: col})
+				_, err := RunContext(ctx, algo, p, blind, tc.lim)
+				var serr *Error
+				if !errors.As(err, &serr) {
+					t.Fatalf("err = %v, want an abort", err)
+				}
+				if serr.Stats.Examined != tc.want {
+					t.Errorf("Stats.Examined = %d, want %d", serr.Stats.Examined, tc.want)
+				}
+				if got := reg.Counter(obs.Name("search.examined", "algo", algo.String())).Value(); got != int64(tc.want) {
+					t.Errorf("search.examined = %d, want %d", got, tc.want)
+				}
+				if got := col.Count(obs.EvGoalTest); got != tc.want {
+					t.Errorf("%d goal-test events, want %d", got, tc.want)
+				}
+				events := col.Events()
+				if last := events[len(events)-1]; last.Kind != obs.EvRunFinish || last.N != tc.want {
+					t.Errorf("last event = %+v, want a run-finish with N = %d", last, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestAbortCauseCounted: failed runs land in search.aborts under their
 // cause label.
 func TestAbortCauseCounted(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 )
 
 // TestHeapBudgetAborts pins the memory-budget sentinel chain: a hopeless
-// 1-byte budget aborts at the very first sampled state (state 1), and the
-// error matches both ErrLimit (the run is budget-bound) and ErrMemory (the
-// refinement) with Cause "memory".
+// 1-byte budget aborts at the very first sampled state (state 1), before
+// its goal test, and the error matches both ErrLimit (the run is
+// budget-bound) and ErrMemory (the refinement) with Cause "memory".
 func TestHeapBudgetAborts(t *testing.T) {
 	p := lineProblem{n: 1000}
 	for _, algo := range []Algorithm{IDA, RBFS, AStar, Greedy} {
@@ -27,8 +27,8 @@ func TestHeapBudgetAborts(t *testing.T) {
 			if serr.Cause() != "memory" {
 				t.Fatalf("cause = %q, want memory", serr.Cause())
 			}
-			if serr.Stats.Examined != 1 {
-				t.Fatalf("examined %d states before the first sample, want 1", serr.Stats.Examined)
+			if serr.Stats.Examined != 0 {
+				t.Fatalf("examined %d states before the first sample, want 0", serr.Stats.Examined)
 			}
 		})
 	}
@@ -36,8 +36,8 @@ func TestHeapBudgetAborts(t *testing.T) {
 
 // TestHeapBudgetSampledCadence pins that the heap check runs every
 // heapCheckInterval examined states, not per state: a budget the run only
-// exceeds mid-search aborts exactly at a sample point (Examined ≡ 1 mod 64,
-// past the first).
+// exceeds mid-search aborts exactly at a sample point (state ≡ 1 mod 64,
+// past the first), refusing that state, so Examined ≡ 0 mod 64.
 func TestHeapBudgetSampledCadence(t *testing.T) {
 	p := lineProblem{n: 1 << 20}
 	var ms runtime.MemStats
@@ -58,14 +58,14 @@ func TestHeapBudgetSampledCadence(t *testing.T) {
 	if !errors.As(err, &serr) {
 		t.Fatalf("err = %T, want *Error", err)
 	}
-	if n := serr.Stats.Examined; n <= 1 || n%heapCheckInterval != 1 {
+	if n := serr.Stats.Examined + 1; n <= 1 || n%heapCheckInterval != 1 {
 		t.Fatalf("aborted at state %d, want a later sample point (≡ 1 mod %d)", n, heapCheckInterval)
 	}
 }
 
 // TestExpiredDeadlineAbortsAtFirstState pins that the context is checked at
 // every examined state, not on the heap sample's cadence: an
-// already-expired deadline aborts at state 1.
+// already-expired deadline aborts at state 1, before its goal test.
 func TestExpiredDeadlineAbortsAtFirstState(t *testing.T) {
 	p := lineProblem{n: 1000}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -80,8 +80,8 @@ func TestExpiredDeadlineAbortsAtFirstState(t *testing.T) {
 			if serr.Cause() != "deadline" {
 				t.Fatalf("cause = %q, want deadline", serr.Cause())
 			}
-			if serr.Stats.Examined != 1 {
-				t.Fatalf("examined %d states, want 1", serr.Stats.Examined)
+			if serr.Stats.Examined != 0 {
+				t.Fatalf("examined %d states, want 0", serr.Stats.Examined)
 			}
 		})
 	}

@@ -405,16 +405,18 @@ func newCounter(ctx context.Context, algo string, lim Limits) *counter {
 	return c
 }
 
-// examine counts one goal test and reports why the run must stop, if it
-// must: budget exhausted or context cancelled (a deadline included). It is
-// the single cancellation point shared by every algorithm.
+// examine admits the next state to a goal test and reports why the run
+// must stop instead, if it must: budget exhausted, context cancelled (a
+// deadline included) or heap over budget. It is the single cancellation
+// point shared by every algorithm. The checks run against the next ordinal,
+// which is stored only when the state will be goal-tested, so an aborted
+// run's Stats.Examined counts exactly the goal tests it ran.
 func (c *counter) examine() error {
-	c.stats.Examined++
-	c.mExamined.Inc()
-	if c.lim.MaxStates > 0 && c.stats.Examined > c.lim.MaxStates {
+	n := c.stats.Examined + 1
+	if c.lim.MaxStates > 0 && n > c.lim.MaxStates {
 		return errStateBudget
 	}
-	if c.lim.Cooperative && c.stats.Examined&15 == 0 {
+	if c.lim.Cooperative && n&15 == 0 {
 		// Yielding every 16 states bounds the starvation of competing runs
 		// (see Limits.Cooperative); with an empty run queue Gosched is
 		// nearly free. A solitary run has nothing to yield to and skips
@@ -427,11 +429,13 @@ func (c *counter) examine() error {
 	}
 	// The heap is sampled every heapCheckInterval states rather than per
 	// state: the sampler is far more expensive than the atomic counting
-	// above. The phase is 1, not 0, so the very first examined state still
-	// catches an already-blown heap budget.
-	if c.lim.MaxHeapBytes > 0 && c.stats.Examined&(heapCheckInterval-1) == 1 && heapLiveBytes() > c.lim.MaxHeapBytes {
+	// below. The phase is 1, not 0, so the very first state still catches
+	// an already-blown heap budget.
+	if c.lim.MaxHeapBytes > 0 && n&(heapCheckInterval-1) == 1 && heapLiveBytes() > c.lim.MaxHeapBytes {
 		return errHeapBudget
 	}
+	c.stats.Examined = n
+	c.mExamined.Inc()
 	return nil
 }
 
